@@ -117,7 +117,13 @@ class FermionOperator:
         return excite + excite.dagger() * -1.0
 
     def encode(self, encoder, num_qubits: int) -> QubitOperator:
-        """Map to qubit space through ``encoder`` (see ``chem.encoders``)."""
+        """Map to qubit space through ``encoder`` (see ``chem.encoders``).
+
+        The general, unbatched path: ``chem.hamiltonian`` uses it for
+        arbitrary coefficients, while UCCSD blocks are built by the
+        batched :func:`repro.chem.uccsd.encode_excitations`, which must
+        agree with it bit for bit.
+        """
         out = QubitOperator(num_qubits)
         for term, coefficient in self._terms.items():
             product = QubitOperator.identity(num_qubits)

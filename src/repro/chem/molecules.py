@@ -21,17 +21,15 @@ blocks on ``n`` spin orbitals (8 Pauli strings each), matching the paper's
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..pauli.block import PauliBlock
 from .amplitudes import synthetic_amplitudes
-from .fermion import FermionOperator
 from .jordan_wigner import JordanWignerEncoder
-from .uccsd import uccsd_blocks, uccsd_excitations
+from .uccsd import Excitation, encode_excitations, uccsd_blocks, uccsd_excitations
 
 
 @dataclass(frozen=True)
@@ -74,13 +72,24 @@ def molecule(name: str) -> Molecule:
         ) from None
 
 
-def molecule_blocks(name: str, encoder=None, seed: int = 7) -> List[PauliBlock]:
-    """UCCSD blocks for a catalog molecule under ``encoder`` (default JW)."""
+def molecule_blocks(
+    name: str,
+    encoder=None,
+    seed: int = 7,
+    max_blocks: Optional[int] = None,
+) -> List[PauliBlock]:
+    """UCCSD blocks for a catalog molecule under ``encoder`` (default JW).
+
+    ``max_blocks`` builds only the first blocks; amplitudes are drawn for
+    every excitation, so each block's angle does not depend on it.
+    """
     encoder = encoder or JordanWignerEncoder()
     mol = molecule(name)
     count = len(uccsd_excitations(mol.num_spatial, mol.num_occupied))
     amplitudes = synthetic_amplitudes(count, seed=seed)
-    return uccsd_blocks(mol.num_spatial, mol.num_occupied, encoder, amplitudes)
+    return uccsd_blocks(
+        mol.num_spatial, mol.num_occupied, encoder, amplitudes, max_blocks
+    )
 
 
 def synthetic_ucc_blocks(
@@ -88,33 +97,46 @@ def synthetic_ucc_blocks(
     encoder=None,
     seed: int = 11,
     num_blocks: int = 0,
+    max_blocks: Optional[int] = None,
 ) -> List[PauliBlock]:
-    """UCC-n benchmark: ``n^2`` random double-excitation blocks on n qubits."""
+    """UCC-n benchmark: ``n^2`` random double-excitation blocks on n qubits.
+
+    ``max_blocks`` samples and builds only the first blocks of the same
+    sequence; amplitudes are drawn for all ``num_blocks``.
+    """
     encoder = encoder or JordanWignerEncoder()
     if num_blocks <= 0:
         num_blocks = num_qubits * num_qubits
     rng = np.random.default_rng(seed)
     amplitudes = synthetic_amplitudes(num_blocks, seed=seed + 1)
-    blocks: List[PauliBlock] = []
-    from .uccsd import excitation_to_block  # local import to avoid cycle confusion
-    from .uccsd import Excitation
-
-    for index in range(num_blocks):
+    excitations = []
+    if max_blocks is not None:
+        num_blocks_built = min(num_blocks, max_blocks)
+    else:
+        num_blocks_built = num_blocks
+    for _ in range(num_blocks_built):
         orbitals = rng.choice(num_qubits, size=4, replace=False)
         occupied = tuple(sorted(int(o) for o in orbitals[:2]))
         virtual = tuple(sorted(int(o) for o in orbitals[2:]))
-        excitation = Excitation(occupied, virtual)
-        blocks.append(
-            excitation_to_block(excitation, encoder, num_qubits, amplitudes[index])
-        )
-    return blocks
+        excitations.append(Excitation(occupied, virtual))
+    return encode_excitations(excitations, encoder, num_qubits, amplitudes)
 
 
-def benchmark_blocks(name: str, encoder=None, seed: int = 7) -> List[PauliBlock]:
-    """Resolve a benchmark name: a molecule ("LiH") or synthetic ("UCC-20")."""
+def benchmark_blocks(
+    name: str,
+    encoder=None,
+    seed: int = 7,
+    max_blocks: Optional[int] = None,
+) -> List[PauliBlock]:
+    """Resolve a benchmark name: a molecule ("LiH") or synthetic ("UCC-20").
+
+    ``max_blocks`` (a scale's block cap) builds only the first blocks.
+    """
     if name.startswith("UCC-"):
-        return synthetic_ucc_blocks(int(name.split("-")[1]), encoder, seed=seed)
-    return molecule_blocks(name, encoder, seed=seed)
+        return synthetic_ucc_blocks(
+            int(name.split("-")[1]), encoder, seed=seed, max_blocks=max_blocks
+        )
+    return molecule_blocks(name, encoder, seed=seed, max_blocks=max_blocks)
 
 
 def benchmark_num_qubits(name: str) -> int:

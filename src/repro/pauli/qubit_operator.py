@@ -14,7 +14,11 @@ from typing import Dict, Iterator, Tuple
 from .pauli_string import PauliString
 from .table import PauliTable
 
-_TOLERANCE = 1e-12
+#: Accumulated coefficients at or below this magnitude are dropped.
+TOLERANCE = 1e-12
+#: Default bound on the stray real (imaginary) part of an anti-Hermitian
+#: (Hermitian) operator's coefficients.
+HERMITIAN_TOLERANCE = 1e-9
 
 
 class QubitOperator:
@@ -58,7 +62,7 @@ class QubitOperator:
         if string.num_qubits != self._num_qubits:
             raise ValueError("term width mismatch")
         new = self._terms.get(string, 0j) + coefficient
-        if abs(new) <= _TOLERANCE:
+        if abs(new) <= TOLERANCE:
             self._terms.pop(string, None)
         else:
             self._terms[string] = new
@@ -146,11 +150,11 @@ class QubitOperator:
             out.add_term(string, coefficient.conjugate())
         return out
 
-    def is_anti_hermitian(self, tolerance: float = 1e-9) -> bool:
+    def is_anti_hermitian(self, tolerance: float = HERMITIAN_TOLERANCE) -> bool:
         """True iff all coefficients are (numerically) pure imaginary."""
         return all(abs(c.real) <= tolerance for c in self._terms.values())
 
-    def is_hermitian(self, tolerance: float = 1e-9) -> bool:
+    def is_hermitian(self, tolerance: float = HERMITIAN_TOLERANCE) -> bool:
         return all(abs(c.imag) <= tolerance for c in self._terms.values())
 
     def norm(self) -> float:

@@ -262,6 +262,11 @@ class ReproServer:
     def draining(self) -> bool:
         return self._draining
 
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`shutdown` has finished."""
+        return self._closed.is_set()
+
     async def shutdown(self, drain: bool = True) -> None:
         """Stop admitting, drain (or abort) work, release the pool."""
         if self._closed.is_set():
@@ -940,16 +945,26 @@ class BackgroundServer:
         return ReproClient(host=self._config.host, port=self.port, **kwargs)
 
     def stop(self, drain: bool = True, timeout: float = 60.0) -> None:
-        if self._loop is not None and self.server is not None:
-            future = asyncio.run_coroutine_threadsafe(
-                self.server.shutdown(drain=drain), self._loop
-            )
+        """Shut the daemon down (unless a client already did) and join it.
+
+        A client ``/shutdown`` ends the daemon's loop on its own, so the
+        shutdown coroutine is only scheduled onto a live server, and is
+        closed unawaited if its loop is gone before it runs.
+        """
+        shutdown = None
+        if (self._loop is not None and self.server is not None
+                and not self.server.closed):
+            shutdown = self.server.shutdown(drain=drain)
             try:
-                future.result(timeout=timeout)
-            except Exception:  # noqa: BLE001 — loop may already be gone
+                asyncio.run_coroutine_threadsafe(shutdown, self._loop)
+            except RuntimeError:  # the loop closed after the check
                 pass
         if self._thread is not None:
             self._thread.join(timeout=timeout)
+            if self._thread.is_alive():
+                return
+        if shutdown is not None:
+            shutdown.close()
 
     def __enter__(self) -> "BackgroundServer":
         return self.start()

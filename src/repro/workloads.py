@@ -32,6 +32,8 @@ FALLBACK_ORDER = ("chem", "ucc", "qaoa")
 SCALES = ("smoke", "small", "full")
 
 #: Block-count caps per scale for the truncating providers (None = no cap).
+#: The chem and ucc providers pass the cap down, so a capped request
+#: encodes only the blocks it keeps.
 BLOCK_CAPS = {"smoke": 48, "small": 120, "full": None}
 
 
@@ -61,13 +63,6 @@ class WorkloadProvider:
     uses_encoder: bool = True
 
 
-def _capped(blocks: list, scale: str) -> list:
-    cap = BLOCK_CAPS[check_scale(scale)]
-    if cap is not None and len(blocks) > cap:
-        blocks = blocks[:cap]
-    return blocks
-
-
 # --------------------------------------------------------------------------
 # chem — molecular UCCSD ansatz workloads
 # --------------------------------------------------------------------------
@@ -75,7 +70,9 @@ def _capped(blocks: list, scale: str) -> list:
 def _chem_blocks(instance: str, encoder: str, scale: str) -> list:
     from .chem import benchmark_blocks, encoder_by_name
 
-    return _capped(benchmark_blocks(instance, encoder_by_name(encoder)), scale)
+    return benchmark_blocks(
+        instance, encoder_by_name(encoder), max_blocks=BLOCK_CAPS[check_scale(scale)]
+    )
 
 
 def _chem_claims(name: str) -> bool:
@@ -140,9 +137,10 @@ def _ucc_normalize(instance: str) -> str:
 def _ucc_blocks(instance: str, encoder: str, scale: str) -> list:
     from .chem import benchmark_blocks, encoder_by_name
 
-    return _capped(
-        benchmark_blocks(_ucc_normalize(instance), encoder_by_name(encoder)),
-        scale,
+    return benchmark_blocks(
+        _ucc_normalize(instance),
+        encoder_by_name(encoder),
+        max_blocks=BLOCK_CAPS[check_scale(scale)],
     )
 
 

@@ -1,0 +1,82 @@
+"""The CI workflow runs every job and step it claims to run.
+
+A YAML mapping with a repeated key loads silently with the last value
+winning, which is how a lost job header once folded the ``perf-smoke``
+steps into ``noise-smoke`` and dropped noise-smoke's own checks.  The
+loader here refuses duplicate keys, so that cannot happen unnoticed.
+"""
+
+import os
+
+import pytest
+
+yaml = pytest.importorskip("yaml")
+
+WORKFLOW = os.path.join(
+    os.path.dirname(__file__), os.pardir, ".github", "workflows", "ci.yml"
+)
+
+JOBS = ["tier1", "noise-smoke", "perf-smoke", "trace-smoke", "serve-smoke", "docs"]
+
+
+class UniqueKeyLoader(yaml.SafeLoader):
+    """A safe loader that raises on a repeated mapping key."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"duplicate key {key!r}", key_node.start_mark
+                )
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
+def load_workflow():
+    with open(WORKFLOW) as handle:
+        return yaml.load(handle, Loader=UniqueKeyLoader)
+
+
+def step_names(job):
+    return [step.get("name") for step in job["steps"]]
+
+
+def test_loader_rejects_duplicate_keys():
+    with pytest.raises(yaml.constructor.ConstructorError, match="duplicate"):
+        yaml.load("job:\n  steps: []\n  steps: []\n", Loader=UniqueKeyLoader)
+
+
+def test_workflow_jobs():
+    jobs = load_workflow()["jobs"]
+    assert list(jobs) == JOBS
+    for name, job in jobs.items():
+        assert job["runs-on"] == "ubuntu-latest", name
+        assert job["steps"], name
+
+
+def test_noise_smoke_runs_its_own_checks():
+    names = step_names(load_workflow()["jobs"]["noise-smoke"])
+    assert names[-3:] == [
+        "Noise-aware smoke (fidelity ranking + hash hygiene)",
+        "Fidelity-ranked compile (docs recipe)",
+        "Calibrated batch smoke (estimated_fidelity in CSV rows)",
+    ]
+
+
+def test_perf_smoke_gates_and_uploads_benchmarks():
+    job = load_workflow()["jobs"]["perf-smoke"]
+    commands = "\n".join(step.get("run", "") for step in job["steps"])
+    for script in ("bench_pauli.py", "bench_templates.py", "bench_passes.py",
+                   "bench_workloads.py --quick --gate"):
+        assert script in commands
+    upload = job["steps"][-1]["with"]["path"]
+    assert "BENCH_workloads.json" in upload
+
+
+def test_tier1_installs_pyyaml():
+    job = load_workflow()["jobs"]["tier1"]
+    install = next(s["run"] for s in job["steps"]
+                   if s.get("name") == "Install dependencies")
+    assert "pyyaml" in install

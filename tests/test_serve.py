@@ -427,6 +427,22 @@ class TestServeHttp:
                 with bg.client() as client:
                     client.healthz()
 
+    def test_stop_after_client_shutdown_is_quiet(self):
+        import gc
+        import warnings
+
+        bg = inline_server().start()
+        with bg.client() as client:
+            client.shutdown()
+        bg._thread.join(timeout=60)
+        assert not bg._thread.is_alive()
+        assert bg._loop.is_closed()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bg.stop()
+            gc.collect()
+        assert not [w for w in caught if w.category is RuntimeWarning]
+
     def test_draining_server_rejects_new_work_with_503(self):
         async def scenario():
             config = ServeConfig(workers=0, use_disk_cache=False)

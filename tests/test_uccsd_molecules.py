@@ -66,7 +66,9 @@ class TestMoleculeCatalog:
         with pytest.raises(KeyError):
             molecule("H2O")
 
-    @pytest.mark.parametrize("name", ["LiH", "BeH2", "CH4"])
+    @pytest.mark.parametrize(
+        "name", ["LiH", "BeH2", "CH4", "MgH2", "LiCl", "CO2"]
+    )
     def test_table1_exact_match(self, name):
         blocks = molecule_blocks(name)
         expected_qubits, expected_pauli, expected_cnot, expected_oneq = (
@@ -79,14 +81,6 @@ class TestMoleculeCatalog:
         assert total_strings(blocks) == expected_pauli
         assert logical_cnot_count(blocks) == expected_cnot
         assert logical_one_qubit_count(blocks) == expected_oneq
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("name", ["MgH2", "LiCl", "CO2"])
-    def test_table1_exact_match_large(self, name):
-        blocks = molecule_blocks(name)
-        assert total_strings(blocks) == PAPER_TABLE1[name][1]
-        assert logical_cnot_count(blocks) == PAPER_TABLE1[name][2]
-        assert logical_one_qubit_count(blocks) == PAPER_TABLE1[name][3]
 
     def test_doubles_have_eight_strings(self):
         blocks = molecule_blocks("LiH")
