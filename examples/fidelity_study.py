@@ -18,13 +18,12 @@ Run with::
 """
 
 import repro
-from repro.analysis import compile_and_measure
 from repro.chem import JordanWignerEncoder
 from repro.chem.amplitudes import synthetic_amplitudes
 from repro.chem.uccsd import uccsd_blocks
-from repro.compiler import TetrisCompiler
 from repro.hardware import resolve_calibration, resolve_device
 from repro.hardware.calibration import select_best_subgraph
+from repro.pipeline import run_pipeline
 from repro.sim import CalibratedNoiseModel, calibrated_fidelity, trajectory_fidelity
 
 DEVICE = "heavy-hex:ibm-65"
@@ -78,12 +77,12 @@ def show_selected_region() -> None:
 def validate_estimator() -> None:
     """Analytic mirror fidelity vs exact trajectories on a tiny circuit."""
     small = uccsd_blocks(3, 1, JordanWignerEncoder(), synthetic_amplitudes(20))[:2]
-    record = compile_and_measure(TetrisCompiler(), small, resolve_device("linear:7"))
+    circuit = run_pipeline("tetris", small, resolve_device("linear:7")).result.circuit
     cal = resolve_calibration("linear:7", seed=3)
     # Inflate errors so the Monte-Carlo signal clears sampling noise.
     noise = CalibratedNoiseModel(cal, scale=20.0)
-    analytic = calibrated_fidelity(record.result.circuit, cal, scale=20.0)
-    exact = trajectory_fidelity(record.result.circuit, noise, shots=300, seed=2)
+    analytic = calibrated_fidelity(circuit, cal, scale=20.0)
+    exact = trajectory_fidelity(circuit, noise, shots=300, seed=2)
     print("\nEstimator validation (6-qubit ansatz, 20x inflated errors):")
     print(f"  analytic mirror fidelity:  {analytic:.4f}")
     print(f"  trajectory fidelity:       {exact:.4f}")

@@ -12,13 +12,9 @@ Run with::
 
 import numpy as np
 
-from repro.analysis import compile_and_measure, format_table
-from repro.compiler import (
-    PaulihedralCompiler,
-    TetrisQAOACompiler,
-    TwoQANLikeCompiler,
-)
+from repro.analysis import format_table
 from repro.hardware import ibm_ithaca_65, linear
+from repro.pipeline import run_pipeline
 from repro.qaoa import benchmark_graph, edge_list, maxcut_blocks, random_graph
 from repro.sim import Statevector
 
@@ -31,13 +27,13 @@ def compare_compilers() -> None:
         blocks = maxcut_blocks(graph)
         row = {"bench": name, "edges": graph.number_of_edges()}
         for label, compiler in (
-            ("per-string", PaulihedralCompiler()),
-            ("2qan-like", TwoQANLikeCompiler(include_wrappers=False)),
-            ("tetris-qaoa", TetrisQAOACompiler(include_wrappers=False)),
+            ("per-string", "paulihedral"),
+            ("2qan-like", "2qan-like"),
+            ("tetris-qaoa", "tetris-qaoa"),
         ):
-            record = compile_and_measure(compiler, blocks, coupling)
-            row[f"{label}_cnot"] = record.metrics.cnot_gates
-            row[f"{label}_depth"] = record.metrics.depth
+            metrics = run_pipeline(compiler, blocks, coupling).metrics()
+            row[f"{label}_cnot"] = metrics.cnot_gates
+            row[f"{label}_depth"] = metrics.depth
         rows.append(row)
     print(format_table(rows))
 
@@ -51,9 +47,8 @@ def demo_cut_quality() -> None:
     # exp(+i gamma/2 ZZ) per edge — a negative angle in our convention.
     blocks = maxcut_blocks(graph, gamma=-gamma)
     coupling = linear(7)
-    result = TetrisQAOACompiler(include_wrappers=False).compile_timed(
-        blocks, coupling
-    )
+    # +o0: the compiler's own output, SWAPs decomposed, no cleanup tail.
+    result = run_pipeline("tetris-qaoa+o0", blocks, coupling).result
 
     sim = Statevector(coupling.num_qubits)
     from repro.circuit.gate import Gate

@@ -5,11 +5,12 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro.analysis import compile_and_measure, format_table
+from repro.analysis import format_table
 from repro.chem import molecule_blocks
 from repro.circuit import to_qasm
-from repro.compiler import PaulihedralCompiler, TetrisCompiler, lower_blocks
+from repro.compiler import lower_blocks
 from repro.hardware import ibm_ithaca_65
+from repro.pipeline import run_pipeline
 
 
 def main() -> None:
@@ -25,26 +26,28 @@ def main() -> None:
     print(f"root qubits: {list(ir.root_qubits)}, leaf qubits: {list(ir.leaf_qubits)}\n")
 
     # 3. Compile for the 65-qubit IBM heavy-hex backend and compare against
-    #    the Paulihedral baseline (both post-O3 cleanup).
+    #    the Paulihedral baseline (both post-O3 cleanup, the pipelines'
+    #    default tail).
     coupling = ibm_ithaca_65()
     rows = []
-    for compiler in (PaulihedralCompiler(), TetrisCompiler()):
-        record = compile_and_measure(compiler, blocks, coupling)
+    for compiler in ("paulihedral", "tetris"):
+        run = run_pipeline(compiler, blocks, coupling)
+        metrics = run.metrics()
         rows.append(
             {
-                "compiler": record.compiler_name,
-                "cnot": record.metrics.cnot_gates,
-                "depth": record.metrics.depth,
-                "duration_dt": record.metrics.duration,
-                "swap_cnots": record.metrics.swap_cnots,
-                "cancel_ratio": round(record.metrics.cancel_ratio, 3),
+                "compiler": run.result.compiler_name,
+                "cnot": metrics.cnot_gates,
+                "depth": metrics.depth,
+                "duration_dt": metrics.duration,
+                "swap_cnots": metrics.swap_cnots,
+                "cancel_ratio": round(metrics.cancel_ratio, 3),
             }
         )
     print(format_table(rows))
 
     # 4. Export the head of the compiled circuit as OpenQASM.
-    record = compile_and_measure(TetrisCompiler(), blocks[:2], coupling)
-    qasm = to_qasm(record.result.circuit)
+    run = run_pipeline("tetris", blocks[:2], coupling)
+    qasm = to_qasm(run.result.circuit)
     print("\nFirst lines of the compiled circuit (OpenQASM 2.0):")
     print("\n".join(qasm.splitlines()[:12]))
 

@@ -9,10 +9,10 @@ Run with::
     python examples/swap_weight_tuning.py
 """
 
-from repro.analysis import compile_and_measure, format_table
+from repro.analysis import format_table
 from repro.chem import molecule_blocks
-from repro.compiler import TetrisCompiler
 from repro.hardware import google_sycamore_64, ibm_ithaca_65
+from repro.pipeline import run_pipeline
 
 
 def sweep_swap_weight(blocks) -> None:
@@ -23,12 +23,10 @@ def sweep_swap_weight(blocks) -> None:
             ("ithaca", ibm_ithaca_65()),
             ("sycamore", google_sycamore_64()),
         ):
-            record = compile_and_measure(TetrisCompiler(swap_weight=w), blocks, coupling)
-            row[f"{label}_swaps"] = record.metrics.swap_cnots // 3
+            metrics = run_pipeline(f"tetris:w={w}", blocks, coupling).metrics()
+            row[f"{label}_swaps"] = metrics.swap_cnots // 3
             row[f"{label}_logical_cnot"] = (
-                record.metrics.cnot_gates
-                - record.metrics.swap_cnots
-                - record.metrics.bridge_cnots
+                metrics.cnot_gates - metrics.swap_cnots - metrics.bridge_cnots
             )
         rows.append(row)
     print("SWAP-weight sweep (LiH prefix):")
@@ -39,13 +37,14 @@ def sweep_lookahead(blocks) -> None:
     coupling = ibm_ithaca_65()
     rows = []
     for k in (1, 4, 10, 16):
-        record = compile_and_measure(TetrisCompiler(lookahead=k), blocks, coupling)
+        run = run_pipeline(f"tetris:k={k}", blocks, coupling)
+        metrics = run.metrics()
         rows.append(
             {
                 "K": k,
-                "cnot": record.metrics.cnot_gates,
-                "depth": record.metrics.depth,
-                "compile_s": round(record.result.compile_seconds, 2),
+                "cnot": metrics.cnot_gates,
+                "depth": metrics.depth,
+                "compile_s": round(run.compile_seconds, 2),
             }
         )
     print("\nLookahead-K sweep:")

@@ -29,8 +29,8 @@ from repro.chem import (
     uccsd_excitations,
 )
 from repro.circuit.gate import Gate
-from repro.compiler import TetrisCompiler
 from repro.hardware import linear
+from repro.pipeline import run_pipeline
 from repro.sim import Statevector
 
 NUM_SPATIAL = 2          # 4 spin orbitals -> 4 qubits
@@ -68,7 +68,7 @@ def sector_ground_energy(hamiltonian) -> float:
 
 def energy(amplitudes, hamiltonian, compiler) -> float:
     blocks = ansatz_blocks(amplitudes)
-    result = compiler.compile_timed(blocks, DEVICE)
+    result = run_pipeline(compiler, blocks, DEVICE).result
     sim = Statevector(DEVICE.num_qubits)
     for orbital in HF_OCCUPIED:
         sim.apply_gate(Gate("x", (result.initial_layout.physical(orbital),)))
@@ -90,7 +90,8 @@ def main() -> None:
     print(f"Exact sector ground-state energy: {exact:.6f}")
 
     num_parameters = len(uccsd_excitations(NUM_SPATIAL, NUM_OCCUPIED))
-    compiler = TetrisCompiler()
+    # The compiler's own output (SWAPs decomposed, no cleanup tail).
+    compiler = "tetris+o0"
     rng = np.random.default_rng(0)
     initial = rng.uniform(-0.1, 0.1, size=num_parameters)
 

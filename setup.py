@@ -20,7 +20,6 @@ setup(
     entry_points={
         "console_scripts": [
             "repro=repro.cli:main",
-            "repro-experiments=repro.experiments.runner:main",
         ]
     },
     classifiers=[

@@ -1,13 +1,9 @@
-"""Analysis helpers: compile-and-measure, table rendering."""
+"""Analysis helpers: table rendering and the max-cancel upper bound."""
 
-from .runner import RunRecord, compile_and_measure, logical_cancel_ratio
 from .tables import format_cell, format_table, improvement
 from .upper_bound import max_cancel_upper_bound
 
 __all__ = [
-    "RunRecord",
-    "compile_and_measure",
-    "logical_cancel_ratio",
     "format_cell",
     "format_table",
     "improvement",

@@ -71,13 +71,12 @@ import time
 from . import obs
 from .analysis import format_table
 from .circuit import to_qasm
-from .hardware.families import DEVICE_FAMILIES, canonical_device_spec
+from .hardware.families import DEVICE_FAMILIES
 from .pipeline import (
     PASSES,
     PIPELINES,
     PipelineError,
     resolve_compiler_spec,
-    run_pipeline,
     split_opt_suffix,
 )
 from .registry import RegistryError
@@ -87,19 +86,14 @@ from .service import (
     JsonlSink,
     ResultCache,
     cache_enabled,
+    compile_job,
     execute_jobs,
     grid_jobs,
-    resolve_device,
     worker_count,
 )
 from .service.cache import CACHE_DIR_ENV
 from .service.jobs import SCALES
-from .workloads import workload_blocks, workload_specs
-
-
-def resolve_blocks(bench: str, encoder: str):
-    """Full (untruncated) blocks for any workload spec string."""
-    return workload_blocks(bench, encoder, scale="full")
+from .workloads import workload_specs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,9 +191,8 @@ def print_pipelines() -> None:
         print(f"  {entry.name}: {entry.description}")
 
 
-def _single_compiler_params(args) -> dict:
+def _single_compiler_params(base: str, args) -> dict:
     """Explicitly-set tetris tuning flags (None = builder/variant default)."""
-    base, _level = split_opt_suffix(args.compiler)
     name, _ = resolve_compiler_spec(base)
     params = {}
     if name == "tetris":
@@ -290,71 +283,50 @@ def single_main(argv) -> int:
         return 0
     if not args.bench:
         parser.error("--bench is required (or use --list-benchmarks)")
+    # Single mode is one CompileJob through the service's compile path;
+    # it only differs from batch in compiling the untruncated workload
+    # and accepting a +o<level> suffix on --compiler.
     try:
-        canonical_device_spec(args.device)
-        base_spec, _suffix = split_opt_suffix(args.compiler)
-        _, spec_params = resolve_compiler_spec(base_spec)
-        blocks = resolve_blocks(args.bench, args.encoder)
-        if args.blocks > 0:
-            blocks = blocks[: args.blocks]
-        coupling = resolve_device(args.device, blocks[0].num_qubits)
-        calibration = None
-        seed = args.calibration_seed
-        if seed is None and (
-            spec_params.get("noise_aware") or spec_params.get("select")
-        ):
-            seed = 0  # noise-aware pipelines imply the seed-0 snapshot
-        if seed is not None:
-            from .hardware.calibration import resolve_calibration
-
-            calibration = resolve_calibration(
-                args.device, seed, blocks[0].num_qubits
-            )
-        template = None
-        if args.parametric:
-            from .circuit.template import CompiledTemplate
-            from .service.templates import parametrize_blocks
-
-            blocks, parameters, defaults = parametrize_blocks(blocks)
-        run = run_pipeline(
-            args.compiler,
-            blocks,
-            coupling,
-            optimization_level=args.opt_level,
-            params=_single_compiler_params(args),
-            profile=args.profile_passes,
-            calibration=calibration,
+        base_spec, suffix_level = split_opt_suffix(args.compiler)
+        job = CompileJob(
+            bench=args.bench,
+            compiler=base_spec,
+            encoder=args.encoder,
+            device=args.device,
+            scale="full",
+            blocks=args.blocks,
+            optimization_level=(
+                args.opt_level if suffix_level is None else suffix_level
+            ),
+            params=_single_compiler_params(base_spec, args),
+            parametric=args.parametric,
+            calibration=args.calibration_seed,
         )
-        if args.parametric:
-            template = CompiledTemplate(
-                run.result.circuit,
-                parameters=parameters,
-                default_angles=defaults,
-            )
+    except (ValueError, KeyError) as exc:
+        parser.error(str(exc))
+    try:
+        result, run = compile_job(job, profile=args.profile_passes)
     except (RegistryError, PipelineError, KeyError) as exc:
         parser.error(str(exc))
-    metrics = run.metrics()
+    metrics = result.metrics
     row = {
         "bench": args.bench,
         "compiler": run.result.compiler_name,
-        "device": coupling.name,
+        "device": run.state.coupling.name,
         **metrics.as_row(),
     }
-    if calibration is not None:
-        from .sim.noise import calibrated_fidelity
-
-        row["estimated_fidelity"] = (
-            f"{calibrated_fidelity(run.result.circuit, calibration):.6g}"
-        )
+    if result.estimated_fidelity is not None:
+        row["estimated_fidelity"] = f"{result.estimated_fidelity:.6g}"
     print(format_table([row]))
     if args.profile_passes:
         print()
-        print(format_table(run.profile.rows()))
-        totals = run.profile.totals()
+        print(format_table(result.profile.rows()))
+        totals = result.profile.totals()
         print(f"pass deltas reconcile: cnot={totals['cnot']} "
               f"oneq={totals['one_qubit']} depth={totals['depth']} "
               f"(metrics: {metrics.cnot_gates}/{metrics.one_qubit_gates}"
               f"/{metrics.depth})")
+    template = result.template
     if template is not None:
         bind_start = time.perf_counter()
         bound = template.bind()

@@ -1,43 +1,40 @@
-"""Compilers: Tetris plus every baseline from the paper's evaluation."""
+"""The synthesis building blocks of Tetris and the paper's baselines.
+
+Each compiler of the evaluation is a registered pass sequence in
+:data:`repro.pipeline.registry.PIPELINES` (``tetris``, ``paulihedral``,
+``max-cancel``, ``tket-like``, ``pcoast-like``, ``2qan-like``,
+``tetris-qaoa``); this package holds what those passes are made of:
+the Tetris IR, scheduler and Algorithm-1 synthesis, the baselines'
+ordering and emission routines, and the shared
+:class:`~repro.compiler.base.CompilationResult` record.
+"""
 
 from .base import (
     CompilationResult,
-    Compiler,
     interaction_pairs,
     logical_cnot_count,
     logical_one_qubit_count,
 )
-from .generic import TketLikeCompiler
-from .max_cancel import MaxCancelCompiler, max_cancel_logical_circuit
-from .paulihedral import PaulihedralCompiler, similarity_chain_order
-from .pcoast import PCoastLikeCompiler
-from .qaoa_2qan import TetrisQAOACompiler, TwoQANLikeCompiler, extract_edges
+from .max_cancel import max_cancel_logical_circuit
+from .paulihedral import similarity_chain_order
+from .qaoa_2qan import extract_edges
 from .tetris import (
     RecursiveTetrisIR,
     TetrisBlockIR,
-    TetrisCompiler,
     lower_blocks,
     lower_blocks_recursive,
 )
 
 __all__ = [
-    "Compiler",
     "CompilationResult",
     "logical_cnot_count",
     "logical_one_qubit_count",
     "interaction_pairs",
-    "TetrisCompiler",
     "TetrisBlockIR",
     "lower_blocks",
     "RecursiveTetrisIR",
     "lower_blocks_recursive",
-    "PaulihedralCompiler",
     "similarity_chain_order",
-    "MaxCancelCompiler",
     "max_cancel_logical_circuit",
-    "TketLikeCompiler",
-    "PCoastLikeCompiler",
-    "TwoQANLikeCompiler",
-    "TetrisQAOACompiler",
     "extract_edges",
 ]

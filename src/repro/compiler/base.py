@@ -1,26 +1,20 @@
-"""Compiler interfaces and the shared compilation-result record.
+"""Logical gate accounting and the shared compilation-result record.
 
-Three things live here, shared by every compiler and by the pipeline
-layer that the compilers are built on:
+Two things live here, shared by every compiler pipeline in
+:data:`repro.pipeline.registry.PIPELINES`:
 
 - the paper's logical gate accounting
   (:func:`logical_cnot_count`, :func:`logical_one_qubit_count`) — the
   "original circuit" baselines that cancellation ratios are measured
   against;
-- :class:`CompilationResult` — the uniform record every compiler
+- :class:`CompilationResult` — the uniform record every pipeline run
   produces: the physical circuit plus layout and SWAP/bridge accounting,
   with :meth:`CompilationResult.metrics` deriving the paper's metric
-  set from it;
-- :class:`Compiler` — the base class.  Since the pipeline refactor each
-  concrete compiler is a thin wrapper that delegates to its registered
-  pass sequence in :data:`repro.pipeline.registry.PIPELINES`
-  (via :meth:`Compiler.run_pipeline`), so the class API and the
-  spec-string API always agree gate-for-gate.
+  set from it.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -28,7 +22,6 @@ from ..circuit import gate as g
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.duration import circuit_duration
 from ..circuit.metrics import CircuitMetrics, depth
-from ..hardware.coupling import CouplingGraph
 from ..pauli.block import PauliBlock
 from ..routing.layout import Layout
 
@@ -93,55 +86,6 @@ class CompilationResult:
             compile_seconds=self.compile_seconds,
             extra=dict(self.extra),
         )
-
-
-class Compiler:
-    """Base class: compile a list of Pauli blocks onto a coupling graph."""
-
-    name = "base"
-
-    def compile(
-        self,
-        blocks: Sequence[PauliBlock],
-        coupling: CouplingGraph,
-        num_logical: Optional[int] = None,
-    ) -> CompilationResult:
-        raise NotImplementedError
-
-    def run_pipeline(
-        self,
-        pipeline: str,
-        params: Dict,
-        blocks: Sequence[PauliBlock],
-        coupling: CouplingGraph,
-        num_logical: Optional[int] = None,
-    ) -> CompilationResult:
-        """Delegate to a registered pass sequence (no cleanup tail).
-
-        The shared implementation behind every concrete ``compile``:
-        builds the named pipeline's synthesis passes with ``params`` and
-        runs them, so class construction (``TetrisCompiler(lookahead=0)``)
-        and spec strings (``"tetris:no-lookahead"``) share one code path.
-        """
-        from ..pipeline.manager import PassManager
-        from ..pipeline.registry import PIPELINES
-
-        builder = PIPELINES.get(pipeline).builder
-        manager = PassManager(builder(**params), name=self.name)
-        return manager.run(blocks, coupling, num_logical=num_logical).result
-
-    def compile_timed(
-        self,
-        blocks: Sequence[PauliBlock],
-        coupling: CouplingGraph,
-        num_logical: Optional[int] = None,
-    ) -> CompilationResult:
-        """``compile`` plus wall-clock accounting."""
-        start = time.perf_counter()
-        result = self.compile(blocks, coupling, num_logical)
-        result.compile_seconds = time.perf_counter() - start
-        result.compiler_name = self.name
-        return result
 
 
 def blocks_num_qubits(blocks: Sequence[PauliBlock]) -> int:

@@ -6,20 +6,23 @@ ignoring hardware connectivity entirely.  The hardware-oblivious logical
 circuit is then routed by the generic SWAP router (the paper transpiles it
 with Qiskit for the same reason), which is where the method pays: maximal
 cancellation, maximal SWAP insertion.
+
+This module holds the single-leaf-tree synthesis; the ``max-cancel``
+pipeline (``order-similarity``, ``synth-single-leaf``, ``layout``,
+``route``) in :mod:`repro.pipeline.registry` runs it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..circuit import gate as g
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.gate import Gate
-from ..hardware.coupling import CouplingGraph
 from ..pauli.block import PauliBlock
 from ..pauli.operators import I
 from ..synthesis.basis_change import post_rotation_gates, pre_rotation_gates
-from .base import CompilationResult, Compiler, blocks_num_qubits
+from .base import blocks_num_qubits
 from .tetris.ir import TetrisBlockIR, lower_blocks
 
 
@@ -88,27 +91,3 @@ def _emit_block_single_leaf_tree(circuit: QuantumCircuit, ir: TetrisBlockIR) -> 
         for gate in post_rotation_gates(first[qubit], qubit):
             circuit.append(gate)
 
-
-class MaxCancelCompiler(Compiler):
-    """Single-leaf-tree logical synthesis followed by generic routing —
-    the ``max-cancel`` pipeline (``order-similarity``,
-    ``synth-single-leaf``, ``layout``, ``route``)."""
-
-    name = "max_cancel"
-
-    def __init__(self, sort_strings: bool = True) -> None:
-        self.sort_strings = sort_strings
-
-    def compile(
-        self,
-        blocks: Sequence[PauliBlock],
-        coupling: CouplingGraph,
-        num_logical: Optional[int] = None,
-    ) -> CompilationResult:
-        return self.run_pipeline(
-            "max-cancel",
-            {"sort_strings": self.sort_strings},
-            blocks,
-            coupling,
-            num_logical,
-        )

@@ -13,11 +13,15 @@ Reproduces the behaviour the paper attributes to Paulihedral:
   anywhere in the tree and 2Q cancellation is mostly missed (Fig. 4(b));
 - gate cancellation itself is left to the downstream O3 pass
   ("PH leaves the job of canceling gates to Qiskit O3").
+
+This module holds the ordering and per-string emission; the
+``paulihedral`` pipeline (``order-similarity``, ``layout``,
+``synth-spanning-tree``) in :mod:`repro.pipeline.registry` runs them.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..circuit import gate as g
 from ..circuit.gate import Gate
@@ -25,7 +29,6 @@ from ..hardware.coupling import CouplingGraph
 from ..pauli.block import PauliBlock
 from ..pauli.similarity import block_similarity_matrix
 from ..synthesis.basis_change import post_rotation_gates, pre_rotation_gates
-from .base import CompilationResult, Compiler
 from .mapping_utils import (
     SwapTracker,
     connect_support,
@@ -105,26 +108,3 @@ def emit_string_over_spanning_tree(
         for gate in post_rotation_gates(string[qubit], layout.physical(qubit)):
             circuit.append(gate)
 
-
-class PaulihedralCompiler(Compiler):
-    """The SWAP-centric baseline — the ``paulihedral`` pipeline
-    (``order-similarity``, ``layout``, ``synth-spanning-tree``)."""
-
-    name = "paulihedral"
-
-    def __init__(self, sort_strings: bool = True) -> None:
-        self.sort_strings = sort_strings
-
-    def compile(
-        self,
-        blocks: Sequence[PauliBlock],
-        coupling: CouplingGraph,
-        num_logical: Optional[int] = None,
-    ) -> CompilationResult:
-        return self.run_pipeline(
-            "paulihedral",
-            {"sort_strings": self.sort_strings},
-            blocks,
-            coupling,
-            num_logical,
-        )

@@ -1,33 +1,31 @@
-"""QAOA-specialized compilers.
+"""Cost-layer extraction for the QAOA-specialized pipelines.
 
 QAOA cost-layer terms all commute, so gates may be scheduled in any order —
-the freedom 2QAN (Lao & Browne, ISCA 2022) exploits.  Two compilers live
-here:
+the freedom 2QAN (Lao & Browne, ISCA 2022) exploits.  Two pipelines in
+:mod:`repro.pipeline.registry` use it:
 
-- :class:`TwoQANLikeCompiler` — commutation-aware greedy scheduling: emit
-  every currently-executable edge, then insert the SWAP that best serves
-  the remaining edges.  Pipeline ``2qan-like``: ``extract-edges``,
-  ``layout``, ``synth-2qan``.
-- :class:`TetrisQAOACompiler` — the paper's Sec. V-C optimization: the same
-  commuting freedom, plus a lookahead choice between SWAP insertion and
-  fast bridging, and mid-circuit measurement to retire finished qubits so
-  their slots become |0> bridge ancillas.  Pipeline ``tetris-qaoa``:
-  ``extract-edges``, ``layout``, ``synth-qaoa-reuse``.
+- ``2qan-like`` — commutation-aware greedy scheduling: emit every
+  currently-executable edge, then insert the SWAP that best serves the
+  remaining edges (``extract-edges``, ``layout``, ``synth-2qan``).
+- ``tetris-qaoa`` — the paper's Sec. V-C optimization: the same commuting
+  freedom, plus a lookahead choice between SWAP insertion and fast
+  bridging, and mid-circuit measurement to retire finished qubits so
+  their slots become |0> bridge ancillas (``extract-edges``, ``layout``,
+  ``synth-qaoa-reuse``).
 
-Both take the MaxCut blocks of :mod:`repro.qaoa` (one ZZ string per edge).
+Both take the MaxCut blocks of :mod:`repro.qaoa` (one ZZ string per
+edge); :func:`extract_edges` turns them into ``(u, v, angle)`` terms.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..hardware.coupling import CouplingGraph
 from ..pauli.bits import popcount
 from ..pauli.block import PauliBlock
 from ..pauli.table import PauliTable
-from .base import CompilationResult, Compiler
 
 
 def extract_edges(blocks: Sequence[PauliBlock]) -> List[Tuple[int, int, float]]:
@@ -55,48 +53,3 @@ def extract_edges(blocks: Sequence[PauliBlock]) -> List[Tuple[int, int, float]]:
         for i, block in enumerate(blocks)
     ]
 
-
-class TwoQANLikeCompiler(Compiler):
-    """Commutation-aware greedy scheduling with mapping-serving SWAPs."""
-
-    name = "2qan-like"
-
-    def __init__(self, include_wrappers: bool = True) -> None:
-        self.include_wrappers = include_wrappers
-
-    def compile(
-        self,
-        blocks: Sequence[PauliBlock],
-        coupling: CouplingGraph,
-        num_logical: Optional[int] = None,
-    ) -> CompilationResult:
-        return self.run_pipeline(
-            "2qan-like",
-            {"include_wrappers": self.include_wrappers},
-            blocks,
-            coupling,
-            num_logical,
-        )
-
-
-class TetrisQAOACompiler(Compiler):
-    """Tetris' QAOA path: SWAP-vs-bridge lookahead + qubit reuse (Sec. V-C)."""
-
-    name = "tetris-qaoa"
-
-    def __init__(self, include_wrappers: bool = True) -> None:
-        self.include_wrappers = include_wrappers
-
-    def compile(
-        self,
-        blocks: Sequence[PauliBlock],
-        coupling: CouplingGraph,
-        num_logical: Optional[int] = None,
-    ) -> CompilationResult:
-        return self.run_pipeline(
-            "tetris-qaoa",
-            {"include_wrappers": self.include_wrappers},
-            blocks,
-            coupling,
-            num_logical,
-        )

@@ -1,6 +1,9 @@
-"""The Tetris compiler: IR, Algorithm-1 synthesis, lookahead scheduling."""
+"""The Tetris compiler: IR, Algorithm-1 synthesis, lookahead scheduling.
 
-from .compiler import TetrisCompiler
+The ``tetris`` pipeline in :mod:`repro.pipeline.registry` runs these
+stages as passes.
+"""
+
 from .ir import TetrisBlockIR, lower_blocks
 from .recursive_ir import (
     RecursiveRun,
@@ -21,7 +24,6 @@ from .synthesis import (
 )
 
 __all__ = [
-    "TetrisCompiler",
     "TetrisBlockIR",
     "lower_blocks",
     "RecursiveTetrisIR",

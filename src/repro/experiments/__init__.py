@@ -1,14 +1,11 @@
 """Experiment harnesses — one module per paper table/figure.
 
-Every module exposes ``run(scale) -> list[dict]``, ``main(scale) -> str``
-(the aligned-text rendering, built by :func:`common.text_main` unless the
-module needs a custom shape), and an ``EXPERIMENT``
+Every module exposes ``run(scale) -> list[dict]`` and an ``EXPERIMENT``
 :class:`~repro.experiments.spec.ExperimentSpec` manifest entry declaring
 what it reproduces: the paper claim, the job grid, the row schema, and
 regression pins.  The registry maps experiment ids to modules for the
-CLI runner and the report layer::
+report layer, the one experiment driver::
 
-    python -m repro.experiments.runner --experiment table2 --scale small
     python -m repro.cli report --only table2 --quick
 
 :mod:`repro.report` collects the per-module specs into the ``EXPERIMENTS``

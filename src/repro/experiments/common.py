@@ -8,7 +8,7 @@ takes a ``scale``:
   truncated to a block prefix; minutes for the whole suite.
 - ``full`` — the paper's workloads, untruncated.  Hours.
 
-Set ``REPRO_SCALE`` to override the default for the benchmark suite.
+Set ``REPRO_SCALE`` to override the default scale of ``repro report``.
 """
 
 from __future__ import annotations
@@ -57,28 +57,6 @@ def workload(name: str, encoder: str = "JW", scale: str = "small") -> List[Pauli
     """
     check_scale(scale)
     return workload_blocks(name, encoder, scale)
-
-
-def experiment_header(name: str, scale: str) -> str:
-    """Banner line the runner prints above each experiment's output."""
-    return f"== {name} (scale={scale}) =="
-
-
-def text_main(run_fn):
-    """Build the standard ``main(scale) -> str`` for an experiment module.
-
-    Every experiment renders its rows as one aligned text table; modules
-    with a different shape (e.g. fig15's two sub-figures) define their
-    own ``main``.  Centralizing the glue here keeps the modules down to
-    the part that differs: the grid and the row schema.
-    """
-
-    def main(scale: str = "small") -> str:
-        from ..analysis import format_table
-
-        return format_table(run_fn(scale))
-
-    return main
 
 
 def rows_to_csv(rows: Sequence[Dict], path: str) -> None:

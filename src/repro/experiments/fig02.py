@@ -11,7 +11,7 @@ from typing import Dict, List
 
 from ..analysis import max_cancel_upper_bound
 from ..service import CompileJob, job_blocks, run_batch
-from .common import MOLECULES_BY_SCALE, check_scale, text_main
+from .common import MOLECULES_BY_SCALE, check_scale
 from .spec import ExperimentSpec, PinnedMetric
 
 #: Paper Fig. 2 values: {(molecule, encoder): (paulihedral, max_cancel)}.
@@ -68,8 +68,6 @@ def run(scale: str = "small", encoders=("JW", "BK")) -> List[Dict]:
         )
     return rows
 
-
-main = text_main(run)
 
 EXPERIMENT = ExperimentSpec(
     id="fig02",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..service import CompileJob, run_batch
-from .common import check_scale, text_main
+from .common import check_scale
 from .spec import ExperimentSpec, PinnedMetric
 
 FIG14_MOLECULES = ("LiH", "BeH2", "CH4", "MgH2")
@@ -44,8 +44,6 @@ def run(scale: str = "small") -> List[Dict]:
         rows.append(row)
     return rows
 
-
-main = text_main(run)
 
 EXPERIMENT = ExperimentSpec(
     id="fig14",

@@ -84,17 +84,6 @@ def run(scale: str = "small") -> List[Dict]:
     return rows
 
 
-def main(scale: str = "small") -> str:
-    from ..analysis import format_table
-
-    return (
-        "Fig 15(a): T|Ket> cleanup styles\n"
-        + format_table(run_tket_styles(scale))
-        + "\n\nFig 15(b): SWAP-induced CNOT breakdown\n"
-        + format_table(run_swap_breakdown(scale))
-    )
-
-
 EXPERIMENT = ExperimentSpec(
     id="fig15",
     kind="figure",

@@ -9,33 +9,40 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..analysis import compile_and_measure
-from ..compiler import PaulihedralCompiler, TetrisCompiler
-from ..hardware import resolve_device
-from .common import MOLECULES_BY_SCALE, check_scale, text_main, workload
+from ..service import CompileJob, run_batch
+from .common import MOLECULES_BY_SCALE, check_scale
 from .spec import ExperimentSpec, PinnedMetric
+
+FIG16_COMPILERS = (("ph", "paulihedral"), ("tetris", "tetris"))
 
 
 def run(scale: str = "small") -> List[Dict]:
     """Per-molecule CNOT/depth with the O3 cleanup on and off."""
     check_scale(scale)
-    coupling = resolve_device("ithaca")
+    names = MOLECULES_BY_SCALE[scale]
+    jobs = [
+        CompileJob(
+            bench=name, compiler=compiler, scale=scale,
+            optimization_level=level,
+        )
+        for name in names
+        for _label, compiler in FIG16_COMPILERS
+        for level in (0, 3)
+    ]
+    results = iter(run_batch(jobs, strict=True))
     rows: List[Dict] = []
-    for name in MOLECULES_BY_SCALE[scale]:
-        blocks = workload(name, "JW", scale)
+    for name in names:
         row: Dict = {"bench": name}
-        for label, compiler in (("ph", PaulihedralCompiler()), ("tetris", TetrisCompiler())):
-            raw = compile_and_measure(compiler, blocks, coupling, optimization_level=0)
-            opt = compile_and_measure(compiler, blocks, coupling, optimization_level=3)
-            row[f"{label}_cnot_raw"] = raw.metrics.cnot_gates
-            row[f"{label}_cnot_o3"] = opt.metrics.cnot_gates
-            row[f"{label}_depth_raw"] = raw.metrics.depth
-            row[f"{label}_depth_o3"] = opt.metrics.depth
+        for label, _compiler in FIG16_COMPILERS:
+            raw = next(results).metrics
+            opt = next(results).metrics
+            row[f"{label}_cnot_raw"] = raw.cnot_gates
+            row[f"{label}_cnot_o3"] = opt.cnot_gates
+            row[f"{label}_depth_raw"] = raw.depth
+            row[f"{label}_depth_o3"] = opt.depth
         rows.append(row)
     return rows
 
-
-main = text_main(run)
 
 EXPERIMENT = ExperimentSpec(
     id="fig16",

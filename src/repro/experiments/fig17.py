@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from ..service import CompileJob, run_batch
-from .common import MOLECULES_BY_SCALE, check_scale, text_main
+from .common import MOLECULES_BY_SCALE, check_scale
 from .spec import ExperimentSpec, PinnedMetric
 
 FIG17_COMPILERS = (("ph", "paulihedral"), ("tetris", "tetris"), ("max_cancel", "max-cancel"))
@@ -41,8 +41,6 @@ def run(scale: str = "small", encoders: Sequence[str] = ("JW", "BK")) -> List[Di
         rows.append(row)
     return rows
 
-
-main = text_main(run)
 
 EXPERIMENT = ExperimentSpec(
     id="fig17",

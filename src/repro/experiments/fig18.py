@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence
 
 from ..analysis import improvement
 from ..service import CompileJob, run_batch
-from .common import MOLECULES_BY_SCALE, SYNTHETIC_BY_SCALE, check_scale, text_main
+from .common import MOLECULES_BY_SCALE, SYNTHETIC_BY_SCALE, check_scale
 from .spec import ExperimentSpec, PinnedMetric
 
 
@@ -62,8 +62,6 @@ def run(
         )
     return rows
 
-
-main = text_main(run)
 
 EXPERIMENT = ExperimentSpec(
     id="fig18",

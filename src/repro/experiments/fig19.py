@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence
 
 from ..hardware import resolve_device
 from ..pipeline import run_pipeline
-from .common import check_scale, text_main, workload
+from .common import check_scale, workload
 from .spec import ExperimentSpec, PinnedMetric
 
 DEFAULT_SWEEP = (1, 4, 7, 10, 13, 16, 19, 22)
@@ -57,8 +57,6 @@ def run(
             )
     return rows
 
-
-main = text_main(run)
 
 EXPERIMENT = ExperimentSpec(
     id="fig19",

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from ..analysis import compile_and_measure
-from ..compiler import TetrisCompiler
-from ..hardware import resolve_device
-from .common import check_scale, text_main, workload
+from ..service import CompileJob, run_batch
+from .common import check_scale
 from .spec import ExperimentSpec, PinnedMetric
 
 DEFAULT_WEIGHTS = (0.1, 0.5, 1, 2, 3, 4, 5, 10, 100)
+
+DEVICES = ("ithaca", "sycamore")
 
 
 def run(
@@ -26,31 +26,33 @@ def run(
 ) -> List[Dict]:
     """SWAP count vs logical CNOTs per weight w on both architectures."""
     check_scale(scale)
-    devices = [(name, resolve_device(name)) for name in ("ithaca", "sycamore")]
     if scale == "smoke":
         benches = ("LiH",)
         weights = (1, 3, 10)
+    jobs = [
+        CompileJob(
+            bench=name, compiler="tetris", device=device, scale=scale,
+            params={"swap_weight": w},
+        )
+        for name in benches
+        for w in weights
+        for device in DEVICES
+    ]
+    results = iter(run_batch(jobs, strict=True))
     rows: List[Dict] = []
     for name in benches:
-        blocks = workload(name, "JW", scale)
         for w in weights:
             row: Dict = {"bench": name, "w": w}
-            for device_name, coupling in devices:
-                record = compile_and_measure(
-                    TetrisCompiler(swap_weight=w), blocks, coupling
-                )
+            for device in DEVICES:
+                metrics = next(results).metrics
                 logical = (
-                    record.metrics.cnot_gates
-                    - record.metrics.swap_cnots
-                    - record.metrics.bridge_cnots
+                    metrics.cnot_gates - metrics.swap_cnots - metrics.bridge_cnots
                 )
-                row[f"{device_name}_swaps"] = record.metrics.swap_cnots // 3
-                row[f"{device_name}_logical_cnot"] = logical
+                row[f"{device}_swaps"] = metrics.swap_cnots // 3
+                row[f"{device}_logical_cnot"] = logical
             rows.append(row)
     return rows
 
-
-main = text_main(run)
 
 EXPERIMENT = ExperimentSpec(
     id="fig20",

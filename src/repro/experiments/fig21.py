@@ -9,43 +9,43 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..analysis import compile_and_measure, improvement
-from ..compiler import PaulihedralCompiler, TetrisCompiler
-from ..hardware import resolve_device
-from .common import MOLECULES_BY_SCALE, check_scale, text_main, workload
+from ..analysis import improvement
+from ..service import CompileJob, run_batch
+from .common import MOLECULES_BY_SCALE, check_scale
 from .spec import ExperimentSpec, PinnedMetric
 
 
 def run(scale: str = "small") -> List[Dict]:
     """PH-vs-Tetris CNOT/depth/SWAP rows on the Sycamore lattice."""
     check_scale(scale)
-    coupling = resolve_device("sycamore")
+    names = MOLECULES_BY_SCALE[scale]
+    jobs = [
+        CompileJob(bench=name, compiler=compiler, device="sycamore", scale=scale)
+        for name in names
+        for compiler in ("paulihedral", "tetris")
+    ]
+    results = iter(run_batch(jobs, strict=True))
     rows: List[Dict] = []
-    for name in MOLECULES_BY_SCALE[scale]:
-        blocks = workload(name, "JW", scale)
-        ph = compile_and_measure(PaulihedralCompiler(), blocks, coupling)
-        tetris = compile_and_measure(TetrisCompiler(), blocks, coupling)
+    for name in names:
+        ph = next(results).metrics
+        tetris = next(results).metrics
         rows.append(
             {
                 "bench": name,
-                "ph_cnot": ph.metrics.cnot_gates,
-                "tetris_cnot": tetris.metrics.cnot_gates,
+                "ph_cnot": ph.cnot_gates,
+                "tetris_cnot": tetris.cnot_gates,
                 "cnot_impr_%": round(
-                    improvement(ph.metrics.cnot_gates, tetris.metrics.cnot_gates), 2
+                    improvement(ph.cnot_gates, tetris.cnot_gates), 2
                 ),
-                "ph_depth": ph.metrics.depth,
-                "tetris_depth": tetris.metrics.depth,
-                "depth_impr_%": round(
-                    improvement(ph.metrics.depth, tetris.metrics.depth), 2
-                ),
-                "ph_swap_cnot": ph.metrics.swap_cnots,
-                "tetris_swap_cnot": tetris.metrics.swap_cnots,
+                "ph_depth": ph.depth,
+                "tetris_depth": tetris.depth,
+                "depth_impr_%": round(improvement(ph.depth, tetris.depth), 2),
+                "ph_swap_cnot": ph.swap_cnots,
+                "tetris_swap_cnot": tetris.swap_cnots,
             }
         )
     return rows
 
-
-main = text_main(run)
 
 EXPERIMENT = ExperimentSpec(
     id="fig21",

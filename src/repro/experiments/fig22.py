@@ -4,6 +4,10 @@ Random subsets of 1..10 blocks are compiled by PH and Tetris; the compiled
 circuit plus its inverse runs under the paper's noise model (CNOT 1e-3,
 1Q 1e-4) and the success probability of returning to |0...0> is recorded.
 Paper shape: Tetris above PH at every block count, both decaying with size.
+
+No :class:`~repro.service.jobs.CompileJob` describes a random block
+subset, so the subsets compile in-process through
+:func:`~repro.pipeline.run_pipeline`, as fig19's sweep does.
 """
 
 from __future__ import annotations
@@ -12,11 +16,10 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..analysis import compile_and_measure
-from ..compiler import PaulihedralCompiler, TetrisCompiler
 from ..hardware import resolve_device
+from ..pipeline import run_pipeline
 from ..sim import NoiseModel, estimate_fidelity
-from .common import check_scale, text_main, workload
+from .common import check_scale, workload
 from .spec import ExperimentSpec, PinnedMetric
 
 
@@ -43,13 +46,10 @@ def run(
             indices = rng.choice(len(pool), size=min(count, len(pool)), replace=False)
             subset = [pool[i] for i in sorted(indices)]
             row: Dict = {"bench": name, "blocks": count}
-            for label, compiler in (
-                ("ph", PaulihedralCompiler()),
-                ("tetris", TetrisCompiler()),
-            ):
-                record = compile_and_measure(compiler, subset, coupling)
+            for label, compiler in (("ph", "paulihedral"), ("tetris", "tetris")):
+                compiled = run_pipeline(compiler, subset, coupling)
                 estimate = estimate_fidelity(
-                    record.result.circuit, noise, samples=samples, seed=seed
+                    compiled.result.circuit, noise, samples=samples, seed=seed
                 )
                 row[f"{label}_fidelity"] = round(estimate.point, 4)
                 row[f"{label}_fid_min"] = round(estimate.minimum, 4)
@@ -57,8 +57,6 @@ def run(
             rows.append(row)
     return rows
 
-
-main = text_main(run)
 
 EXPERIMENT = ExperimentSpec(
     id="fig22",

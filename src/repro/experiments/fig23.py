@@ -3,6 +3,11 @@
 Five random instances per benchmark; gate count and depth normalized to
 Paulihedral (the per-string router).  Paper shape: both commutation-aware
 compilers far below 1.0; Tetris below 2QAN (bridging + qubit reuse).
+
+A ``qaoa:`` workload spec builds one fixed instance per benchmark, so
+the seeded instances compile in-process through
+:func:`~repro.pipeline.run_pipeline` rather than as
+:class:`~repro.service.jobs.CompileJob` cells.
 """
 
 from __future__ import annotations
@@ -11,15 +16,10 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..analysis import compile_and_measure
-from ..compiler import (
-    PaulihedralCompiler,
-    TetrisQAOACompiler,
-    TwoQANLikeCompiler,
-)
 from ..hardware import resolve_device
+from ..pipeline import run_pipeline
 from ..qaoa import QAOA_BENCHMARKS, benchmark_graph, maxcut_blocks
-from .common import check_scale, text_main
+from .common import check_scale
 from .spec import ExperimentSpec, PinnedMetric
 
 
@@ -40,19 +40,13 @@ def run(
         for seed in seeds:
             graph = benchmark_graph(name, seed=seed)
             blocks = maxcut_blocks(graph)
-            ph = compile_and_measure(PaulihedralCompiler(), blocks, coupling)
-            qan = compile_and_measure(
-                TwoQANLikeCompiler(include_wrappers=False), blocks, coupling
-            )
-            tetris = compile_and_measure(
-                TetrisQAOACompiler(include_wrappers=False), blocks, coupling
-            )
-            ratios["2qan_cnot"].append(qan.metrics.cnot_gates / ph.metrics.cnot_gates)
-            ratios["tetris_cnot"].append(
-                tetris.metrics.cnot_gates / ph.metrics.cnot_gates
-            )
-            ratios["2qan_depth"].append(qan.metrics.depth / ph.metrics.depth)
-            ratios["tetris_depth"].append(tetris.metrics.depth / ph.metrics.depth)
+            ph = run_pipeline("paulihedral", blocks, coupling).metrics()
+            qan = run_pipeline("2qan-like", blocks, coupling).metrics()
+            tetris = run_pipeline("tetris-qaoa", blocks, coupling).metrics()
+            ratios["2qan_cnot"].append(qan.cnot_gates / ph.cnot_gates)
+            ratios["tetris_cnot"].append(tetris.cnot_gates / ph.cnot_gates)
+            ratios["2qan_depth"].append(qan.depth / ph.depth)
+            ratios["tetris_depth"].append(tetris.depth / ph.depth)
         rows.append(
             {
                 "bench": name,
@@ -64,8 +58,6 @@ def run(
         )
     return rows
 
-
-main = text_main(run)
 
 EXPERIMENT = ExperimentSpec(
     id="fig23",

@@ -4,17 +4,20 @@ Not a paper table: this experiment pins the repo's noise-aware
 extension.  Every workload is compiled twice on ``heavy-hex:ibm-65``
 against the device's seeded synthetic calibration — once with the
 noise-blind Tetris pipeline and once with
-``tetris:noise-aware+select=20`` (best-fidelity qubit selection plus
+``tetris:noise-aware+select=<k>`` (best-fidelity qubit selection plus
 noise-weighted layout) — and the analytic ``estimated_fidelity`` of the
-two results is compared.  The claim under pin: the noise-aware pipeline
-never loses on estimated fidelity.
+two results is compared.  The selected region holds 20 qubits, or the
+whole workload when it is wider (``k = max(20, workload qubits)``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from .common import MOLECULES_BY_SCALE, SYNTHETIC_BY_SCALE, check_scale, text_main
+from ..chem import benchmark_num_qubits
+from ..service import CompileJob, run_batch
+from ..workloads import resolve_workload
+from .common import MOLECULES_BY_SCALE, SYNTHETIC_BY_SCALE, check_scale
 from .spec import ExperimentSpec, PinnedMetric
 
 #: One calibration seed for the whole study — the comparison is within a
@@ -23,30 +26,36 @@ CALIBRATION_SEED = 0
 
 DEVICE = "heavy-hex:ibm-65"
 BLIND = "tetris"
-AWARE = "tetris:noise-aware+select=20"
+
+#: Qubits in the best-fidelity region the noise-aware pipeline selects.
+REGION = 20
 
 
-def _benches(scale: str) -> List[str]:
-    names = [f"chem:{m}" for m in MOLECULES_BY_SCALE[scale]]
-    names += [f"ucc:{s}" for s in SYNTHETIC_BY_SCALE[scale]]
-    return names
+def aware_spec(num_qubits: int) -> str:
+    """The noise-aware pipeline, its region widened to fit the workload."""
+    return f"tetris:noise-aware+select={max(REGION, num_qubits)}"
 
 
 def run(scale: str = "small") -> List[Dict]:
     """Blind-vs-aware CNOTs and estimated fidelity per workload."""
-    import repro
-
     check_scale(scale)
+    benches = [f"chem:{m}" for m in MOLECULES_BY_SCALE[scale]]
+    benches += [f"ucc:{s}" for s in SYNTHETIC_BY_SCALE[scale]]
+    jobs = [
+        CompileJob(
+            bench=bench, compiler=compiler, device=DEVICE, scale=scale,
+            calibration=CALIBRATION_SEED,
+        )
+        for bench in benches
+        for compiler in (
+            BLIND, aware_spec(benchmark_num_qubits(resolve_workload(bench)[1]))
+        )
+    ]
+    results = iter(run_batch(jobs, strict=True))
     rows: List[Dict] = []
-    for bench in _benches(scale):
-        blind = repro.compile(
-            bench=bench, compiler=BLIND, device=DEVICE, scale=scale,
-            calibration=CALIBRATION_SEED,
-        )
-        aware = repro.compile(
-            bench=bench, compiler=AWARE, device=DEVICE, scale=scale,
-            calibration=CALIBRATION_SEED,
-        )
+    for bench in benches:
+        blind = next(results)
+        aware = next(results)
         gain = (
             aware.estimated_fidelity / blind.estimated_fidelity
             if blind.estimated_fidelity
@@ -63,21 +72,22 @@ def run(scale: str = "small") -> List[Dict]:
     return rows
 
 
-main = text_main(run)
-
 EXPERIMENT = ExperimentSpec(
     id="noise",
     kind="table",
     title="Noise study — fidelity-ranked compilation (repo extension)",
     claim=(
         "On a calibrated heavy-hex device the noise-aware Tetris pipeline "
-        "(best-fidelity qubit selection + noise-weighted layout) matches "
-        "or beats the noise-blind pipeline's estimated fidelity on every "
-        "workload."
+        "(best-fidelity qubit selection + noise-weighted layout) beats the "
+        "noise-blind pipeline's estimated fidelity on every workload where "
+        "either estimate reaches 1e-8 (at small scale: every molecule, "
+        "UCC-10 and UCC-15).  On the wider synthetic UCCSD workloads both "
+        "estimates fall below 1e-8 and the ranking is not reliable: at "
+        "small scale the noise-aware pipeline loses on UCC-20 and UCC-35."
     ),
     grid=(
-        "workloads x (tetris, tetris:noise-aware+select=20) on "
-        "heavy-hex:ibm-65, calibration seed 0"
+        "workloads x (tetris, tetris:noise-aware+select=max(20, qubits)) "
+        "on heavy-hex:ibm-65, calibration seed 0"
     ),
     columns=(
         "bench",
@@ -85,7 +95,7 @@ EXPERIMENT = ExperimentSpec(
         "aware_cnot", "aware_fidelity",
         "fidelity_gain",
     ),
-    compilers=(BLIND, AWARE),
+    compilers=(BLIND, "tetris:noise-aware+select=max(20, qubits)"),
     devices=(DEVICE,),
     pins=(
         PinnedMetric(
@@ -96,5 +106,5 @@ EXPERIMENT = ExperimentSpec(
             expected=0.0077, rel_tol=0.05,
         ),
     ),
-    runtime_hint="~2 s smoke / ~2 min small serial",
+    runtime_hint="~1 s smoke / ~12 s small serial",
 )

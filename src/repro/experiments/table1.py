@@ -13,7 +13,7 @@ from ..chem import benchmark_blocks, benchmark_num_qubits, encoder_by_name
 from ..compiler.base import logical_cnot_count, logical_one_qubit_count
 from ..pauli.block import total_strings
 from ..qaoa import QAOA_BENCHMARKS, benchmark_graph, maxcut_blocks, qaoa_gate_counts
-from .common import MOLECULES_BY_SCALE, SYNTHETIC_BY_SCALE, check_scale, text_main
+from .common import MOLECULES_BY_SCALE, SYNTHETIC_BY_SCALE, check_scale
 from .spec import ExperimentSpec, PinnedMetric
 
 #: The paper's Table I, for side-by-side comparison.
@@ -74,8 +74,6 @@ def run(scale: str = "small") -> List[Dict]:
         )
     return rows
 
-
-main = text_main(run)
 
 EXPERIMENT = ExperimentSpec(
     id="table1",

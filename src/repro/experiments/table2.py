@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..analysis import improvement
 from ..service import CompileJob, run_batch
-from .common import MOLECULES_BY_SCALE, SYNTHETIC_BY_SCALE, check_scale, text_main
+from .common import MOLECULES_BY_SCALE, SYNTHETIC_BY_SCALE, check_scale
 from .spec import ExperimentSpec, PinnedMetric
 
 #: Paper Table II improvements (%) for the CNOT column, for reference.
@@ -97,8 +97,6 @@ def run(
             )
     return rows
 
-
-main = text_main(run)
 
 EXPERIMENT = ExperimentSpec(
     id="table2",

@@ -8,29 +8,17 @@ compiler's output, standing in for "Qiskit O3" / "T|Ket> O2":
   commutation-aware scanning across intervening gates.
 - :func:`consolidate_one_qubit_runs` — collapse every run of 1Q gates
   into a single U3 via ZYZ decomposition.
-- :func:`optimize_o3` / :func:`optimize_light` /
-  :func:`optimize_with_report` — the named combinations of the above
-  (see :mod:`repro.passes.pipeline`).
 
-These operate on plain circuits.  For staged, per-pass-profiled
-compilation — where these same stages run as the cleanup tail after
-synthesis and routing — see :mod:`repro.pipeline`.
+These operate on plain circuits.  Every pipeline runs them as its
+cleanup tail (:func:`repro.pipeline.registry.cleanup_passes`): level
+``o1`` decomposes SWAPs and cancels, ``o3`` (the default) also
+consolidates — see :mod:`repro.pipeline`.
 """
 
 from .consolidate import consolidate_one_qubit_runs
 from .peephole import cancel_gates
-from .pipeline import (
-    OptimizationReport,
-    optimize_light,
-    optimize_o3,
-    optimize_with_report,
-)
 
 __all__ = [
     "cancel_gates",
     "consolidate_one_qubit_runs",
-    "optimize_o3",
-    "optimize_light",
-    "optimize_with_report",
-    "OptimizationReport",
 ]

@@ -33,11 +33,10 @@ Quick start::
     for row in run.profile.rows():
         print(row)
 
-The six legacy compiler classes in :mod:`repro.compiler` are thin
-wrappers over these pass sequences, and the batch service executes every
-:class:`~repro.service.jobs.CompileJob` through this layer — so a
-profile is one ``profile_passes=True`` / ``--profile-passes`` away from
-any compilation.
+Every compiler of the evaluation is one of these pass sequences, and
+the batch service executes every :class:`~repro.service.jobs.CompileJob`
+through this layer — so a profile is one ``profile_passes=True`` /
+``--profile-passes`` away from any compilation.
 """
 
 from .base import (

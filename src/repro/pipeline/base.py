@@ -86,8 +86,8 @@ class Pass:
 
     :attr:`stage` partitions wall-clock accounting: ``"synthesis"``
     passes count toward ``compile_seconds`` and ``"optimize"`` passes
-    toward ``optimize_seconds`` — mirroring the pre-pipeline split
-    between ``Compiler.compile_timed`` and the O3-style cleanup.
+    toward ``optimize_seconds`` — the compiler's own work versus the
+    O3-style cleanup tail.
     """
 
     name: str = "pass"

@@ -53,7 +53,7 @@ class PipelineRun:
 
     def metrics(self) -> CircuitMetrics:
         """Post-run metrics with the synthesis-stage wall time attached
-        (the same shape :func:`repro.analysis.compile_and_measure` returns)."""
+        (the same shape a :class:`~repro.service.jobs.JobResult` carries)."""
         metrics = self.result.metrics()
         metrics.compile_seconds = self.compile_seconds
         return metrics

@@ -1,9 +1,8 @@
 """The concrete passes every built-in pipeline is assembled from.
 
 Layout/ordering/lowering analyses, the per-compiler synthesis
-transformations (the driver loops that used to live inside each
-monolithic ``Compiler.compile``), generic SWAP routing, and the
-O3-style cleanup stages.  Each pass is independently registered in
+transformations (each compiler's driver loop), generic SWAP routing,
+and the O3-style cleanup stages.  Each pass is independently registered in
 :data:`repro.pipeline.registry.PASSES`, so custom spec strings
 (``"order-similarity,synth-single-leaf,layout,route"``) can recombine
 them freely.
@@ -79,6 +78,11 @@ class SelectQubitsPass(AnalysisPass):
             raise PipelineError(
                 f"select-qubits: region of {size} qubits cannot hold "
                 f"{state['num_logical']} logical qubits"
+            )
+        if size > state["coupling"].num_qubits:
+            raise PipelineError(
+                f"select-qubits: cannot select {size} qubits from a "
+                f"{state['coupling'].num_qubits}-qubit device"
             )
         selected = select_best_subgraph(
             state["coupling"], state["calibration"], size

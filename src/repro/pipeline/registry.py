@@ -7,8 +7,9 @@ Two registries live here:
   can be assembled from spec strings.
 - :data:`PIPELINES` — the named pass *sequences*: one per compiler of
   the paper's evaluation (``tetris``, ``paulihedral``, ``max-cancel``,
-  ``tket-like``, ``pcoast-like``, ``2qan-like``, ``tetris-qaoa``), with
-  the same aliases as the service's compiler registry.
+  ``tket-like``, ``pcoast-like``, ``2qan-like``, ``tetris-qaoa``).  It
+  is the compiler registry: every ``compiler`` spec a job, the CLI or
+  the facade accepts resolves here.
 
 Spec grammar (``build_pipeline`` / ``run_pipeline``)::
 
@@ -126,6 +127,17 @@ def _tetris_passes(
     noise_aware: bool = False,
     select: int = 0,
 ) -> List[Pass]:
+    """Tetris (paper Fig. 11): lower blocks to Tetris-IR, choose an
+    initial layout, schedule blocks, and synthesize each with Algorithm 1
+    (root clustering, scored leaf attachment, bridging).
+
+    ``swap_weight`` is the ``w`` of the leaf-attachment score (one SWAP
+    = 3 CNOTs; Sec. V-A and Fig. 20).  ``lookahead`` is the scheduler's
+    K (Fig. 19); ``lookahead=0`` selects the similarity-only scheduler,
+    the paper's plain "Tetris" bar in Fig. 14.  ``enable_bridging``
+    toggles fast bridging for leaf edges, and ``sort_strings`` the
+    Gray-code string order within a block.
+    """
     return [
         LowerTetrisIRPass(sort_strings=sort_strings),
         *_noise_front(noise_aware, select),
@@ -159,6 +171,20 @@ def _max_cancel_passes(
 
 
 def _tket_passes(style: str = "tket-o2") -> List[Pass]:
+    """A T|Ket>-style generic baseline.
+
+    Every Pauli exponential is synthesized on its own as a CNOT ladder
+    over its support, with no inter-string awareness, then routed by the
+    generic SWAP router.  The paper puts this class of compiler at
+    roughly 2x the CNOTs of Paulihedral/Tetris (Figs. 14 and 15a); the
+    gap is the block structure it does not exploit.  The two ``style``
+    values mirror Fig. 15a:
+
+    - ``tket-o2`` cancels on the logical circuit before routing as well
+      as after (T|Ket>'s own optimization knows the synthesis
+      structure, so pre-routing cleanup pays off);
+    - ``qiskit-o3`` routes first and only cleans up the routed circuit.
+    """
     if style not in ("tket-o2", "qiskit-o3"):
         raise RegistryError(
             f"tket-like style must be 'tket-o2' or 'qiskit-o3', got {style!r}"
@@ -171,6 +197,15 @@ def _tket_passes(style: str = "tket-o2") -> List[Pass]:
 
 
 def _pcoast_passes() -> List[Pass]:
+    """A PCOAST-style baseline (Paykin et al., Intel Quantum SDK).
+
+    PCOAST optimizes aggressively at the logical level, reaching the
+    best logical gate counts of all baselines, but ignores qubit
+    mapping, so routing pays a large SWAP bill (paper Fig. 15b).  The
+    model: greedy block ordering by leaf similarity, single-leaf-tree
+    synthesis as in max-cancel, logical cancellation, then generic
+    routing.
+    """
     return [
         SimilarityOrderPass(),
         SingleLeafSynthesisPass(),

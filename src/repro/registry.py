@@ -6,9 +6,9 @@ if-chain, every axis is a :class:`Registry`: an open, introspectable
 name -> value map with alias support and human-readable metadata (a
 description plus a parameter *grammar* such as ``grid:<rows>x<cols>``).
 
-Three registries are instantiated across the package:
+Three registries back the grid's axes:
 
-- compilers — :data:`repro.service.jobs.COMPILERS`
+- compilers — :data:`repro.pipeline.registry.PIPELINES`
 - device families — :data:`repro.hardware.families.DEVICE_FAMILIES`
 - workload providers — :data:`repro.workloads.WORKLOADS`
 
@@ -49,10 +49,10 @@ class Registry:
 
     Register with the decorator form::
 
-        COMPILERS = Registry("compiler")
+        PROVIDERS = Registry("workload provider")
 
-        @COMPILERS.register("tetris", description="...")
-        class TetrisCompiler: ...
+        @PROVIDERS.register("chem", description="...")
+        def chem_blocks(instance, encoder, scale): ...
 
     or imperatively with :meth:`add`.  Lookups accept any label
     (canonical name or alias, case-insensitive); unknown labels raise

@@ -30,16 +30,14 @@ from .cache import (
     default_cache_dir,
 )
 from .jobs import (
-    COMPILERS,
     SPEC_VERSION,
     CompileJob,
     JobResult,
     benchmark_names,
-    compiler_names,
+    compile_job,
     device_names,
     grid_jobs,
     job_blocks,
-    make_compiler,
     resolve_device,
     run_job,
 )
@@ -57,16 +55,14 @@ from .templates import TemplateCache, as_parametric, parametrize_blocks
 
 __all__ = [
     "SPEC_VERSION",
-    "COMPILERS",
     "CompileJob",
     "JobResult",
     "run_job",
+    "compile_job",
     "job_blocks",
     "grid_jobs",
-    "make_compiler",
     "resolve_device",
     "benchmark_names",
-    "compiler_names",
     "device_names",
     "ResultCache",
     "CacheStats",

@@ -7,9 +7,10 @@ that can change the output circuit, it doubles as the cache key for
 :mod:`repro.service.cache` and as the dedup key for batch submissions.
 
 Every axis of the cell is registry-backed and spec-string addressable
-(see :mod:`repro.registry`): compilers through :data:`COMPILERS`,
-devices through :data:`repro.hardware.families.DEVICE_FAMILIES`
-(``grid:8x8``, ``linear:auto+2``, ...), and workloads through
+(see :mod:`repro.registry`): compilers through
+:data:`repro.pipeline.registry.PIPELINES`, devices through
+:data:`repro.hardware.families.DEVICE_FAMILIES` (``grid:8x8``,
+``linear:auto+2``, ...), and workloads through
 :data:`repro.workloads.WORKLOADS` (``chem:LiH``, ``qaoa:Rand-16``, ...).
 
 :class:`JobResult` carries the measured :class:`~repro.circuit.metrics.
@@ -19,9 +20,11 @@ boundaries (the worker pool) and sessions (the on-disk cache) unchanged.
 Execution goes through the pass-pipeline layer: ``compiler`` specs are
 pipeline specs (``tetris``, ``tetris:no-bridge``, ``ph``, or a custom
 pass list — see :mod:`repro.pipeline.registry`), and :func:`run_job`
-can attach per-pass profiles.  Plain compiler names canonicalize exactly
-as before the pipeline refactor, so their content hashes — and the
-caches keyed by them — are unchanged.
+can attach per-pass profiles.  :func:`run_job` is the one compile path:
+the worker pool, the serve daemon, the ``repro.compile`` facade and
+``repro`` single mode all execute through it.  Plain compiler names
+canonicalize exactly as before the pipeline refactor, so their content
+hashes — and the caches keyed by them — are unchanged.
 """
 
 from __future__ import annotations
@@ -34,24 +37,15 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..circuit.metrics import CircuitMetrics
 from ..circuit.template import CompiledTemplate
-from ..compiler import (
-    MaxCancelCompiler,
-    PaulihedralCompiler,
-    PCoastLikeCompiler,
-    TetrisCompiler,
-    TetrisQAOACompiler,
-    TketLikeCompiler,
-    TwoQANLikeCompiler,
-)
 from ..hardware.families import (  # noqa: F401  (device_names re-exported)
     LEGACY_DEVICE_NAMES,
     canonical_device_spec,
     device_names,
     resolve_device,
 )
+from ..pipeline.manager import PipelineRun
 from ..pipeline.profile import PipelineProfile, profile_columns
 from ..pipeline.registry import resolve_compiler_spec
-from ..registry import Registry
 from ..workloads import (  # noqa: F401  (benchmark_names re-exported)
     SCALES,
     benchmark_names,
@@ -69,57 +63,12 @@ from ..workloads import (  # noqa: F401  (benchmark_names re-exported)
 #: both the old spellings and their new-grammar aliases.
 SPEC_VERSION = 2
 
-#: Compiler registry: values are factories taking keyword params.
-COMPILERS = Registry("compiler")
-
-COMPILERS.add(
-    "tetris", TetrisCompiler,
-    description="Tetris block scheduler + CNOT-cancelling synthesis (the paper)",
-)
-COMPILERS.add(
-    "paulihedral", PaulihedralCompiler, aliases=("ph",),
-    description="Paulihedral-style similarity-chain baseline",
-)
-COMPILERS.add(
-    "max-cancel", MaxCancelCompiler, aliases=("maxcancel",),
-    description="single-leaf-tree maximum CNOT cancellation bound",
-)
-COMPILERS.add(
-    "tket-like", TketLikeCompiler, aliases=("tket",),
-    description="T|Ket>-style pairwise synthesis baseline",
-)
-COMPILERS.add(
-    "pcoast-like", PCoastLikeCompiler, aliases=("pcoast",),
-    description="PCOAST-style graph optimization baseline",
-)
-COMPILERS.add(
-    "2qan-like",
-    lambda **params: TwoQANLikeCompiler(include_wrappers=False, **params),
-    aliases=("2qan",),
-    description="2QAN-style QAOA baseline (no wrapper gates)",
-)
-COMPILERS.add(
-    "tetris-qaoa",
-    lambda **params: TetrisQAOACompiler(include_wrappers=False, **params),
-    description="Tetris specialization for QAOA workloads",
-)
-
 #: The metric columns of a flattened result row (see JobResult.row).
 METRIC_COLUMNS = tuple(
     CircuitMetrics(
         num_qubits=0, total_gates=0, cnot_gates=0, one_qubit_gates=0, depth=0
     ).as_row()
 )
-
-
-def compiler_names() -> List[str]:
-    """Canonical compiler registry names (no aliases), sorted."""
-    return COMPILERS.names()
-
-
-def make_compiler(name: str, params: Mapping[str, Any]):
-    """Instantiate a registered compiler by name/alias with ``params``."""
-    return COMPILERS.get(name)(**dict(params))
 
 
 @dataclass(frozen=True)
@@ -484,6 +433,19 @@ def run_job(job: CompileJob, profile: bool = False) -> JobResult:
     also observed into the ``jobs.estimated_fidelity`` histogram, so it
     surfaces in the serve daemon's ``/stats``.
     """
+    return compile_job(job, profile=profile)[0]
+
+
+def compile_job(
+    job: CompileJob, profile: bool = False
+) -> Tuple[JobResult, PipelineRun]:
+    """:func:`run_job`, also returning the pipeline run it came from.
+
+    The :class:`~repro.pipeline.manager.PipelineRun` holds what a
+    :class:`JobResult` does not serialize — the compiled circuit, its
+    layouts and the resolved device — for in-process callers that need
+    them (``repro`` single mode writes ``--qasm`` from it).
+    """
     from ..pipeline.registry import build_pipeline
 
     blocks = job_blocks(job)
@@ -500,22 +462,20 @@ def run_job(job: CompileJob, profile: bool = False) -> JobResult:
         optimization_level=job.optimization_level,
         params=dict(job.params),
     )
-    template = None
     if job.parametric:
         # Lazy import: templates.py imports this module for run_job.
         from .templates import parametrize_blocks
 
         blocks, parameters, defaults = parametrize_blocks(blocks)
-        run = manager.run(blocks, coupling, profile=profile,
-                          calibration=calibration)
+    run = manager.run(blocks, coupling, profile=profile,
+                      calibration=calibration)
+    template = None
+    if job.parametric:
         template = CompiledTemplate(
             run.result.circuit,
             parameters=parameters,
             default_angles=defaults,
         )
-    else:
-        run = manager.run(blocks, coupling, profile=profile,
-                          calibration=calibration)
     estimated_fidelity = None
     if calibration is not None:
         from ..obs.metrics import ESTIMATED_FIDELITY, METRICS
@@ -525,7 +485,7 @@ def run_job(job: CompileJob, profile: bool = False) -> JobResult:
             run.result.circuit, calibration
         )
         METRICS.histogram(ESTIMATED_FIDELITY).observe(estimated_fidelity)
-    return JobResult(
+    result = JobResult(
         job=job,
         metrics=run.metrics(),
         optimize_seconds=run.optimize_seconds,
@@ -533,3 +493,4 @@ def run_job(job: CompileJob, profile: bool = False) -> JobResult:
         template=template,
         estimated_fidelity=estimated_fidelity,
     )
+    return result, run

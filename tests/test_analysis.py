@@ -1,16 +1,12 @@
-"""Tests for the analysis layer: runner, tables."""
+"""Tests for the analysis layer (tables, the max-cancel bound) and for
+the metrics a pipeline run reports."""
 
 import pytest
 
-from repro.analysis import (
-    compile_and_measure,
-    format_table,
-    improvement,
-    logical_cancel_ratio,
-)
-from repro.compiler import PaulihedralCompiler, TetrisCompiler
-from repro.hardware import linear
+from repro.analysis import format_table, improvement
+from repro.hardware import fully_connected, linear
 from repro.pauli import PauliBlock, PauliString
+from repro.pipeline import run_pipeline
 
 
 def sample_blocks():
@@ -23,30 +19,30 @@ def sample_blocks():
 
 
 class TestCompileAndMeasure:
+    """Compile through a pipeline, then measure the result."""
+
     def test_record_fields(self):
-        record = compile_and_measure(TetrisCompiler(), sample_blocks(), linear(6))
-        assert record.compiler_name.startswith("tetris")
-        assert record.metrics.cnot_gates >= 0
-        assert record.metrics.logical_cnots == 2 * (2 * 3) + 2 * 1
-        assert record.total_seconds >= record.result.compile_seconds
+        run = run_pipeline("tetris", sample_blocks(), linear(6))
+        metrics = run.metrics()
+        assert run.result.compiler_name.startswith("tetris")
+        assert metrics.cnot_gates >= 0
+        assert metrics.logical_cnots == 2 * (2 * 3) + 2 * 1
+        assert run.compile_seconds >= 0 and run.optimize_seconds >= 0
 
     def test_optimization_levels_ordered(self):
         blocks = sample_blocks()
-        raw = compile_and_measure(
-            PaulihedralCompiler(), blocks, linear(6), optimization_level=0
+        raw, light, full = (
+            run_pipeline("paulihedral", blocks, linear(6),
+                         optimization_level=level).metrics()
+            for level in (0, 1, 3)
         )
-        light = compile_and_measure(
-            PaulihedralCompiler(), blocks, linear(6), optimization_level=1
-        )
-        full = compile_and_measure(
-            PaulihedralCompiler(), blocks, linear(6), optimization_level=3
-        )
-        assert full.metrics.cnot_gates <= light.metrics.cnot_gates <= raw.metrics.cnot_gates
-        assert full.metrics.total_gates <= light.metrics.total_gates
+        assert full.cnot_gates <= light.cnot_gates <= raw.cnot_gates
+        assert full.total_gates <= light.total_gates
 
-    def test_logical_cancel_ratio_bounds(self):
-        ratio = logical_cancel_ratio(TetrisCompiler(), sample_blocks())
-        assert 0.0 <= ratio <= 1.0
+    def test_cancel_ratio_bounds(self):
+        # On the all-to-all device, so no SWAPs enter the ratio.
+        run = run_pipeline("tetris", sample_blocks(), fully_connected(4))
+        assert 0.0 <= run.metrics().cancel_ratio <= 1.0
 
     def test_max_cancel_upper_bound_empty(self):
         from repro.analysis.upper_bound import max_cancel_upper_bound

@@ -75,6 +75,16 @@ def test_perf_smoke_gates_and_uploads_benchmarks():
     assert "BENCH_workloads.json" in upload
 
 
+def test_docs_runs_every_example():
+    job = load_workflow()["jobs"]["docs"]
+    step = next(s for s in job["steps"]
+                if s.get("name") == "Run every example script")
+    assert "examples/*.py" in step["run"]
+    install = next(s["run"] for s in job["steps"]
+                   if s.get("name") == "Install dependencies")
+    assert "scipy" in install  # examples/vqe_energy.py minimizes with scipy
+
+
 def test_tier1_installs_pyyaml():
     job = load_workflow()["jobs"]["tier1"]
     install = next(s["run"] for s in job["steps"]

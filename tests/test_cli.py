@@ -1,11 +1,8 @@
-"""Tests for the command-line tools (repro.cli and the experiment runner)."""
-
-import os
+"""Tests for the command-line tool (repro.cli)."""
 
 import pytest
 
 from repro import cli
-from repro.experiments import runner
 
 
 class TestCli:
@@ -64,17 +61,17 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli.main(["--bench", "LiH", "--device", "torus"])
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--compiler", "tetris:noise-aware+select=20"],
+         "cannot select 20 qubits from a 16-qubit device"),
+        (["--calibration-seed", "-1"], "non-negative seed"),
+    ], ids=["region-wider-than-device", "negative-calibration-seed"])
+    def test_bad_job_is_a_usage_error(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(
+                ["--bench", "LiH", "--blocks", "4", "--device", "grid:4x4",
+                 *flags]
+            )
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
-class TestExperimentRunner:
-    def test_single_experiment(self, capsys):
-        assert runner.main(["--experiment", "table1", "--scale", "smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "table1" in out
-        assert "LiH" in out
-
-    def test_no_args_prints_help(self, capsys):
-        assert runner.main([]) == 2
-
-    def test_bad_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            runner.main(["--experiment", "fig99"])

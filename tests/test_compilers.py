@@ -3,36 +3,32 @@
 The semantic checks replay each compiler's recorded block order through a
 naive reference circuit and compare statevectors modulo the layout
 permutation — the strongest property a compiler can satisfy.
+
+Each compiler is a pipeline spec.  Most checks look at the compiler's own
+output, before the cleanup tail: the ``+o0`` level, which only
+decomposes SWAPs into CNOTs.
 """
 
-import numpy as np
 import pytest
 
 from repro.chem import BravyiKitaevEncoder, molecule_blocks
-from repro.compiler import (
-    MaxCancelCompiler,
-    PaulihedralCompiler,
-    PCoastLikeCompiler,
-    TetrisCompiler,
-    TketLikeCompiler,
-    logical_cnot_count,
-)
+from repro.compiler import logical_cnot_count
 from repro.hardware import fully_connected, grid, linear, ring
-from repro.passes import optimize_o3
 from repro.pauli import PauliBlock, PauliString
+from repro.pipeline import run_pipeline
 from repro.routing import verify_hardware_compliant
 
 from helpers import assert_physical_equivalence
 
 ALL_COMPILERS = [
-    TetrisCompiler(),
-    TetrisCompiler(lookahead=0),
-    TetrisCompiler(enable_bridging=False),
-    PaulihedralCompiler(),
-    MaxCancelCompiler(),
-    TketLikeCompiler(),
-    TketLikeCompiler(style="qiskit-o3"),
-    PCoastLikeCompiler(),
+    "tetris",
+    "tetris:no-lookahead",
+    "tetris:no-bridge",
+    "paulihedral",
+    "max-cancel",
+    "tket-like",
+    "tket-like:style=qiskit-o3",
+    "pcoast-like",
 ]
 
 IDS = [
@@ -45,6 +41,11 @@ IDS = [
     "tket-o3",
     "pcoast",
 ]
+
+
+def compile_raw(spec, blocks, coupling):
+    """The compiler's output before cleanup (SWAPs decomposed only)."""
+    return run_pipeline(f"{spec}+o0", blocks, coupling).result
 
 
 def small_chemistry_blocks(num_blocks=6):
@@ -79,27 +80,27 @@ class TestAllCompilers:
     def test_hardware_compliance(self, compiler):
         blocks = small_chemistry_blocks()
         for coupling in (linear(8), grid(2, 4), ring(8)):
-            result = compiler.compile_timed(blocks, coupling)
-            assert verify_hardware_compliant(result.circuit, coupling), compiler.name
-            optimized = optimize_o3(result.circuit)
+            result = compile_raw(compiler, blocks, coupling)
+            assert verify_hardware_compliant(result.circuit, coupling), compiler
+            optimized = run_pipeline(compiler, blocks, coupling).result.circuit
             assert verify_hardware_compliant(optimized, coupling)
 
     def test_semantic_equivalence(self, compiler):
         blocks = handmade_blocks()
         coupling = linear(8)
-        result = compiler.compile_timed(blocks, coupling)
+        result = compile_raw(compiler, blocks, coupling)
         assert_physical_equivalence(result, blocks)
 
     def test_semantic_equivalence_real_uccsd(self, compiler):
         blocks = small_chemistry_blocks(4)
         coupling = grid(2, 4)
-        result = compiler.compile_timed(blocks, coupling)
+        result = compile_raw(compiler, blocks, coupling)
         assert_physical_equivalence(result, blocks)
 
     def test_accounting_consistency(self, compiler):
         blocks = small_chemistry_blocks()
         coupling = linear(8)
-        result = compiler.compile_timed(blocks, coupling)
+        result = compile_raw(compiler, blocks, coupling)
         metrics = result.metrics()
         assert metrics.logical_cnots == logical_cnot_count(blocks)
         assert metrics.swap_cnots == 3 * result.num_swaps
@@ -111,8 +112,8 @@ class TestAllCompilers:
     def test_determinism(self, compiler):
         blocks = small_chemistry_blocks()
         coupling = linear(8)
-        first = compiler.compile_timed(blocks, coupling)
-        second = compiler.compile_timed(blocks, coupling)
+        first = compile_raw(compiler, blocks, coupling)
+        second = compile_raw(compiler, blocks, coupling)
         assert first.circuit.gates == second.circuit.gates
 
 
@@ -120,11 +121,9 @@ class TestTetrisSpecifics:
     def test_beats_paulihedral_on_logical_cancellation(self):
         blocks = molecule_blocks("LiH")[:30]
         device = fully_connected(12)
-        tetris = TetrisCompiler().compile_timed(blocks, device)
-        ph = PaulihedralCompiler().compile_timed(blocks, device)
-        tetris_cx = optimize_o3(tetris.circuit).count_ops().get("cx", 0)
-        ph_cx = optimize_o3(ph.circuit).count_ops().get("cx", 0)
-        assert tetris_cx < ph_cx
+        tetris = run_pipeline("tetris", blocks, device).metrics()
+        ph = run_pipeline("paulihedral", blocks, device).metrics()
+        assert tetris.cnot_gates < ph.cnot_gates
 
     def test_bk_blocks_compile(self):
         """Non-uniform supports (BK) exercise the per-string fallback."""
@@ -133,13 +132,13 @@ class TestTetrisSpecifics:
 
         blocks = uccsd_blocks(3, 1, BravyiKitaevEncoder(), synthetic_amplitudes(20))[:4]
         coupling = grid(2, 4)
-        result = TetrisCompiler().compile_timed(blocks, coupling)
+        result = compile_raw("tetris", blocks, coupling)
         assert verify_hardware_compliant(result.circuit, coupling)
         assert_physical_equivalence(result, blocks)
 
     def test_block_order_is_permutation(self):
         blocks = small_chemistry_blocks()
-        result = TetrisCompiler().compile_timed(blocks, linear(8))
+        result = compile_raw("tetris", blocks, linear(8))
         order = result.extra["block_order"]
         assert sorted(order) == list(range(len(blocks)))
 
@@ -148,19 +147,20 @@ class TestTetrisSpecifics:
         from repro.hardware import ibm_ithaca_65
 
         coupling = ibm_ithaca_65()
-        low = TetrisCompiler(swap_weight=0.1).compile_timed(blocks, coupling)
-        high = TetrisCompiler(swap_weight=100).compile_timed(blocks, coupling)
+        low = compile_raw("tetris:w=0.1", blocks, coupling)
+        high = compile_raw("tetris:w=100", blocks, coupling)
         assert high.num_swaps <= low.num_swaps
 
 
 class TestMaxCancelSpecifics:
     def test_highest_logical_cancellation(self):
-        from repro.analysis import logical_cancel_ratio
-
+        # Cancellation ratios on the all-to-all device, so no SWAPs enter.
         blocks = molecule_blocks("LiH")[:30]
-        best = logical_cancel_ratio(MaxCancelCompiler(), blocks)
-        ph = logical_cancel_ratio(PaulihedralCompiler(), blocks)
-        tetris = logical_cancel_ratio(TetrisCompiler(), blocks)
+        device = fully_connected(12)
+        best, ph, tetris = (
+            run_pipeline(spec, blocks, device).metrics().cancel_ratio
+            for spec in ("max-cancel", "paulihedral", "tetris")
+        )
         assert ph <= tetris <= best + 1e-9
 
 
@@ -168,7 +168,7 @@ class TestSingleBlockEdgeCases:
     @pytest.mark.parametrize("compiler", ALL_COMPILERS, ids=IDS)
     def test_single_string_single_qubit(self, compiler):
         blocks = [PauliBlock([PauliString("IZII")], angle=0.9)]
-        result = compiler.compile_timed(blocks, linear(4))
+        result = compile_raw(compiler, blocks, linear(4))
         assert_physical_equivalence(result, blocks)
 
     @pytest.mark.parametrize("compiler", ALL_COMPILERS, ids=IDS)
@@ -178,5 +178,5 @@ class TestSingleBlockEdgeCases:
                 [PauliString("ZZII"), PauliString("ZZII")], weights=[0.3, 0.3]
             )
         ]
-        result = compiler.compile_timed(blocks, linear(4))
+        result = compile_raw(compiler, blocks, linear(4))
         assert_physical_equivalence(result, blocks)

@@ -1,5 +1,8 @@
 """Smoke tests for every experiment harness (one per table/figure)."""
 
+import csv
+import os
+
 import pytest
 
 from repro.experiments import REGISTRY
@@ -14,10 +17,22 @@ from repro.experiments import (
     fig22,
     fig23,
     fig24,
+    noise,
     table1,
     table2,
 )
 from repro.experiments.common import check_scale, default_scale, workload
+from repro.report.manifest import EXPERIMENTS
+from repro.report.render import render_csv_artifacts
+from repro.report.store import run_experiment
+
+RESULTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "results")
+
+#: Wall-clock columns: the only cells a rerun is allowed to change.
+TIMING_COLUMNS = {
+    "fig19": {"synth_seconds"},
+    "fig24": {"ph_compile_s", "ph_total_s", "tetris_compile_s", "tetris_total_s"},
+}
 
 
 class TestCommon:
@@ -39,7 +54,6 @@ class TestRegistry:
         assert len(REGISTRY) == 15
         for module in REGISTRY.values():
             assert hasattr(module, "run")
-            assert hasattr(module, "main")
 
     def test_every_module_declares_a_manifest_spec(self):
         for name, module in REGISTRY.items():
@@ -123,5 +137,34 @@ class TestRuns:
             assert row["ph_total_s"] > 0
             assert row["tetris_total_s"] > 0
 
-    def test_main_renders(self):
-        assert "LiH" in table1.main("smoke")
+    def test_noise_sizes_its_region_to_wide_workloads(self, monkeypatch):
+        # MgH2 has 22 qubits, more than the default 20-qubit region.
+        monkeypatch.setitem(noise.MOLECULES_BY_SCALE, "smoke", ("MgH2",))
+        monkeypatch.setitem(noise.SYNTHETIC_BY_SCALE, "smoke", ())
+        [row] = noise.run("smoke")
+        assert row["bench"] == "chem:MgH2"
+        assert row["aware_cnot"] > 0
+        assert 0.0 < row["aware_fidelity"] <= 1.0
+
+
+def _read_csv(path, skip):
+    with open(path, newline="") as handle:
+        return [
+            [(key, value) for key, value in row.items() if key not in skip]
+            for row in csv.DictReader(handle)
+        ]
+
+
+def test_smoke_rows_match_committed_results(tmp_path):
+    """Every experiment's smoke rows equal the committed
+    ``docs/results/<id>.csv``, wall-clock columns aside."""
+    outcomes = [
+        run_experiment(EXPERIMENTS.get(exp_id), scale="smoke")
+        for exp_id in sorted(REGISTRY)
+    ]
+    render_csv_artifacts(outcomes, str(tmp_path))
+    for exp_id in sorted(REGISTRY):
+        skip = TIMING_COLUMNS.get(exp_id, set())
+        fresh = _read_csv(tmp_path / f"{exp_id}.csv", skip)
+        committed = _read_csv(os.path.join(RESULTS_DIR, f"{exp_id}.csv"), skip)
+        assert fresh == committed, exp_id

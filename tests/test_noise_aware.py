@@ -185,14 +185,12 @@ class TestHashHygiene:
 
 def _small_circuit(blocks_count: int) -> QuantumCircuit:
     """A compiled ≤7-qubit physical circuit for oracle tests."""
-    from repro.analysis import compile_and_measure
-    from repro.compiler import TetrisCompiler
+    from repro.pipeline import run_pipeline
 
     blocks = uccsd_blocks(
         3, 1, JordanWignerEncoder(), synthetic_amplitudes(20)
     )[:blocks_count]
-    record = compile_and_measure(TetrisCompiler(), blocks, resolve_device("linear:7"))
-    return record.result.circuit
+    return run_pipeline("tetris", blocks, resolve_device("linear:7")).result.circuit
 
 
 class TestDifferentialFidelityOracle:

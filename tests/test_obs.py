@@ -328,6 +328,15 @@ class TestWorkerSpans:
 
 
 class TestTraceCli:
+    @pytest.fixture(autouse=True)
+    def cold_workload_memo(self):
+        """Single mode compiles through the service's per-process
+        workload memo; start each trace cold, as a fresh ``repro trace
+        single`` process does."""
+        from repro.service.jobs import _resolved_blocks
+
+        _resolved_blocks.cache_clear()
+
     def test_trace_single_writes_valid_trace(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
         log = tmp_path / "spans.jsonl"

@@ -6,10 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import QuantumCircuit
-from repro.passes import cancel_gates, optimize_light, optimize_o3
+from repro.passes import cancel_gates, consolidate_one_qubit_runs
 from repro.pauli import PauliString
 from repro.sim import circuit_unitary, unitaries_equal
 from repro.synthesis import PauliTree, synthesize_from_tree
+
+
+def full_cleanup(qc):
+    """The ``o3`` cleanup tail on a SWAP-free circuit: cancel, then
+    consolidate 1Q runs."""
+    return consolidate_one_qubit_runs(cancel_gates(qc))
 
 
 def random_circuit(rng, num_qubits, num_gates):
@@ -42,7 +48,7 @@ class TestSoundness:
     def test_full_o3_preserves_unitary(self, seed):
         rng = np.random.default_rng(seed)
         qc = random_circuit(rng, int(rng.integers(2, 5)), int(rng.integers(5, 45)))
-        assert unitaries_equal(circuit_unitary(qc), circuit_unitary(optimize_o3(qc)))
+        assert unitaries_equal(circuit_unitary(qc), circuit_unitary(full_cleanup(qc)))
 
 
 class TestRules:
@@ -156,7 +162,7 @@ class TestConsolidation:
         qc.h(0)
         qc.rz(0.4, 0)
         qc.h(0)
-        optimized = optimize_o3(qc)
+        optimized = full_cleanup(qc)
         assert len(optimized) == 1
         assert optimized.gates[0].name == "u3"
         assert unitaries_equal(circuit_unitary(qc), circuit_unitary(optimized))
@@ -165,12 +171,12 @@ class TestConsolidation:
         qc = QuantumCircuit(1)
         qc.x(0)
         qc.x(0)
-        assert len(optimize_o3(qc)) == 0
+        assert len(full_cleanup(qc)) == 0
 
     def test_light_keeps_basis_gates(self):
         qc = QuantumCircuit(1)
         qc.h(0)
         qc.rz(0.4, 0)
         qc.h(0)
-        light = optimize_light(qc)
+        light = cancel_gates(qc)
         assert all(g.name != "u3" for g in light.gates)

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import PaulihedralCompiler, TetrisCompiler
 from repro.hardware import grid, linear
 from repro.passes import cancel_gates
 from repro.pauli import PauliBlock, PauliString, block_similarity
+from repro.pipeline import run_pipeline
 from repro.routing import route_circuit, verify_hardware_compliant
 from repro.circuit import QuantumCircuit
 
@@ -45,8 +45,8 @@ def test_tetris_equivalence_on_random_blocks(seed):
     num_qubits = 4
     blocks = [random_commuting_block(rng, num_qubits) for _ in range(3)]
     coupling = linear(6)
-    result = TetrisCompiler().compile_timed(blocks, coupling)
-    assert verify_hardware_compliant(result.circuit.decompose_swaps(), coupling)
+    result = run_pipeline("tetris+o0", blocks, coupling).result
+    assert verify_hardware_compliant(result.circuit, coupling)
     assert_physical_equivalence(result, blocks, trials=1, seed=seed)
 
 
@@ -56,8 +56,8 @@ def test_paulihedral_equivalence_on_random_blocks(seed):
     rng = np.random.default_rng(seed)
     blocks = [random_commuting_block(rng, 4) for _ in range(3)]
     coupling = grid(2, 3)
-    result = PaulihedralCompiler().compile_timed(blocks, coupling)
-    assert verify_hardware_compliant(result.circuit.decompose_swaps(), coupling)
+    result = run_pipeline("paulihedral+o0", blocks, coupling).result
+    assert verify_hardware_compliant(result.circuit, coupling)
     assert_physical_equivalence(result, blocks, trials=1, seed=seed)
 
 

@@ -1,17 +1,16 @@
-"""Tests for the QAOA-specialized compilers (2QAN-like and Tetris-QAOA)."""
+"""Tests for the QAOA-specialized pipelines (2QAN-like and Tetris-QAOA).
+
+Most checks look at the compiler's own output before cleanup: the
+``+o0`` level, which only decomposes SWAPs into CNOTs.
+"""
 
 import numpy as np
 import pytest
 
-from repro.compiler import (
-    PaulihedralCompiler,
-    TetrisQAOACompiler,
-    TwoQANLikeCompiler,
-    extract_edges,
-)
+from repro.compiler import extract_edges
 from repro.hardware import grid, linear, ring
-from repro.passes import optimize_o3
 from repro.pauli import PauliBlock, PauliString
+from repro.pipeline import run_pipeline
 from repro.qaoa import benchmark_graph, maxcut_blocks, random_graph
 from repro.routing import verify_hardware_compliant
 from repro.sim import Statevector
@@ -44,55 +43,44 @@ class TestExtractEdges:
 
 
 @pytest.mark.parametrize(
-    "compiler_factory",
-    [
-        lambda: TwoQANLikeCompiler(include_wrappers=False),
-        lambda: TetrisQAOACompiler(include_wrappers=False),
-    ],
-    ids=["2qan", "tetris-qaoa"],
+    "compiler", ["2qan-like", "tetris-qaoa"], ids=["2qan", "tetris-qaoa"]
 )
 class TestQAOACompilers:
-    def test_compliance(self, compiler_factory):
+    def test_compliance(self, compiler):
         blocks = small_qaoa_blocks()
         for coupling in (linear(8), grid(2, 4), ring(8)):
-            result = compiler_factory().compile_timed(blocks, coupling)
-            assert verify_hardware_compliant(
-                result.circuit.decompose_swaps(), coupling
-            )
+            result = run_pipeline(f"{compiler}+o0", blocks, coupling).result
+            assert verify_hardware_compliant(result.circuit, coupling)
 
-    def test_all_edges_scheduled(self, compiler_factory):
+    def test_all_edges_scheduled(self, compiler):
         blocks = small_qaoa_blocks()
-        result = compiler_factory().compile_timed(blocks, linear(8))
+        result = run_pipeline(f"{compiler}+o0", blocks, linear(8)).result
         rz_count = result.circuit.count_ops().get("rz", 0)
         assert rz_count == len(blocks)
 
-    def test_semantics_without_wrappers(self, compiler_factory):
+    def test_semantics_without_wrappers(self, compiler):
         """Cost layers commute, so any scheduling order is equivalent."""
         blocks = small_qaoa_blocks()
-        result = compiler_factory().compile_timed(blocks, linear(8))
+        result = run_pipeline(f"{compiler}+o0", blocks, linear(8)).result
         # All ZZ terms commute: block order irrelevant, natural order fine.
         result.extra.setdefault("block_order", list(range(len(blocks))))
         assert_physical_equivalence(result, blocks)
 
-    def test_beats_per_string_router(self, compiler_factory):
+    def test_beats_per_string_router(self, compiler):
         graph = benchmark_graph("Rand-16", seed=0)
         blocks = maxcut_blocks(graph)
         from repro.hardware import ibm_ithaca_65
 
         coupling = ibm_ithaca_65()
-        ph = PaulihedralCompiler().compile_timed(blocks, coupling)
-        smart = compiler_factory().compile_timed(blocks, coupling)
-        ph_cx = optimize_o3(ph.circuit).count_ops().get("cx", 0)
-        smart_cx = optimize_o3(smart.circuit).count_ops().get("cx", 0)
-        assert smart_cx < ph_cx
+        ph = run_pipeline("paulihedral", blocks, coupling).metrics()
+        smart = run_pipeline(compiler, blocks, coupling).metrics()
+        assert smart.cnot_gates < ph.cnot_gates
 
 
 class TestQubitReuse:
     def test_wrappers_emit_measure_and_reset(self):
         blocks = small_qaoa_blocks()
-        result = TetrisQAOACompiler(include_wrappers=True).compile_timed(
-            blocks, linear(8)
-        )
+        result = run_pipeline("tetris-qaoa:wrappers+o0", blocks, linear(8)).result
         counts = result.circuit.count_ops()
         assert counts.get("measure", 0) == 6  # one per logical qubit
         assert counts.get("reset", 0) == 6
@@ -107,10 +95,8 @@ class TestQubitReuse:
         """
         graph = random_graph(4, 4, seed=2)
         blocks = maxcut_blocks(graph, gamma=0.0)  # zero angle: identity layer
-        result = TetrisQAOACompiler(include_wrappers=False).compile_timed(
-            blocks, linear(5)
-        )
+        result = run_pipeline("tetris-qaoa+o0", blocks, linear(5)).result
         sim = Statevector(5, rng=np.random.default_rng(0))
-        sim.run(result.circuit.decompose_swaps())
+        sim.run(result.circuit)
         # gamma=0 cost layer is the identity: state returns to |0...0>.
         assert sim.probability_all_zero() == pytest.approx(1.0)

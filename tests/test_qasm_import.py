@@ -57,11 +57,11 @@ class TestRoundtrip:
 
     def test_compiled_circuit_roundtrip(self):
         from repro.chem import molecule_blocks
-        from repro.compiler import TetrisCompiler
         from repro.hardware import ibm_ithaca_65
+        from repro.pipeline import run_pipeline
 
         blocks = molecule_blocks("LiH")[:5]
-        result = TetrisCompiler().compile_timed(blocks, ibm_ithaca_65())
+        result = run_pipeline("tetris+o0", blocks, ibm_ithaca_65()).result
         back = roundtrip(result.circuit)
         assert len(back) == len(result.circuit)
 
@@ -101,9 +101,9 @@ class TestParsing:
 class TestVerifyApi:
     def test_verify_compilation_small_device(self):
         from repro import verify_compilation
-        from repro.compiler import TetrisCompiler
         from repro.hardware import linear
         from repro.pauli import PauliBlock, PauliString
+        from repro.pipeline import run_pipeline
 
         blocks = [
             PauliBlock(
@@ -111,7 +111,7 @@ class TestVerifyApi:
             )
         ]
         coupling = linear(6)
-        result = TetrisCompiler().compile_timed(blocks, coupling)
+        result = run_pipeline("tetris+o0", blocks, coupling).result
         report = verify_compilation(result, blocks, coupling)
         assert report.ok
         assert report.equivalence_overlap == pytest.approx(1.0, abs=1e-7)
@@ -119,12 +119,12 @@ class TestVerifyApi:
     def test_verify_compilation_large_device_compliance_only(self):
         from repro import verify_compilation
         from repro.chem import molecule_blocks
-        from repro.compiler import PaulihedralCompiler
         from repro.hardware import ibm_ithaca_65
+        from repro.pipeline import run_pipeline
 
         blocks = molecule_blocks("LiH")[:5]
         coupling = ibm_ithaca_65()
-        result = PaulihedralCompiler().compile_timed(blocks, coupling)
+        result = run_pipeline("paulihedral+o0", blocks, coupling).result
         report = verify_compilation(result, blocks, coupling)
         assert report.compliant
         assert report.equivalence_overlap is None

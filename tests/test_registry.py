@@ -12,8 +12,9 @@ from repro.hardware import (
     device_names,
     resolve_device,
 )
+from repro.pipeline import PIPELINES
 from repro.registry import Registry, RegistryError, parse_spec
-from repro.service import COMPILERS, CompileJob
+from repro.service import CompileJob
 from repro.workloads import (
     WORKLOADS,
     benchmark_names,
@@ -260,9 +261,9 @@ class TestContentHashCompatibility:
         CompileJob(bench="NoSuchMolecule")  # bare benches stay lazy (run-time error)
 
     def test_compiler_aliases_make_the_same_compiler(self):
-        assert COMPILERS.canonical("ph") == "paulihedral"
-        assert COMPILERS.canonical("tket") == "tket-like"
-        assert COMPILERS.canonical("2qan") == "2qan-like"
+        assert PIPELINES.canonical("ph") == "paulihedral"
+        assert PIPELINES.canonical("tket") == "tket-like"
+        assert PIPELINES.canonical("2qan") == "2qan-like"
 
 
 class TestResultRowColumns:

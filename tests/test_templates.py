@@ -32,8 +32,8 @@ from repro.circuit import gate as g
 from repro.circuit.gate import Gate
 from repro.hardware.families import resolve_device
 from repro.pauli import PauliBlock
-from repro.pipeline.registry import build_pipeline
-from repro.service import CompileJob, compiler_names, run_job
+from repro.pipeline.registry import build_pipeline, pipeline_names
+from repro.service import CompileJob, run_job
 from repro.service.jobs import job_blocks
 from repro.service.templates import TemplateCache, parametrize_blocks
 from repro.sim import run_statevector
@@ -43,14 +43,14 @@ PERIOD = 4.0 * math.pi
 
 #: Pipelines that require QAOA-shaped blocks (ExtractEdgesPass).
 QAOA_ONLY = {"2qan-like", "tetris-qaoa"}
-GENERAL = [name for name in compiler_names() if name not in QAOA_ONLY]
+GENERAL = [name for name in pipeline_names() if name not in QAOA_ONLY]
 
 #: (bench, device, compiler, blocks) — every registered pipeline runs
 #: on the QAOA workload; the general ones also on chemistry and UCC.
 CELLS = (
     [("chem:LiH", "linear:auto", name, 10) for name in GENERAL]
     + [("ucc:UCC-10", "linear:auto", name, 10) for name in GENERAL]
-    + [("qaoa:Rand-12", "grid:4x4", name, 0) for name in compiler_names()]
+    + [("qaoa:Rand-12", "grid:4x4", name, 0) for name in pipeline_names()]
 )
 
 
