@@ -5,19 +5,23 @@ symbolic angles (:mod:`repro.circuit.parameter`) together with an
 *ordered* parameter list, and pre-indexes every symbolic slot so that
 :meth:`CompiledTemplate.bind` is a vectorized fast path:
 
-1. at construction, each symbolic gate parameter becomes a row of a
-   dense coefficient matrix ``A`` (slots x parameters) plus a constant
-   vector ``c`` — legal because every angle a pipeline emits is a
-   *linear* function of the workload angles;
-2. ``bind(theta)`` computes all slot values in one ``A @ theta + c``
-   matvec and rebuilds only the slotted :class:`~repro.circuit.gate.
-   Gate` objects — untouched gates are shared with the template, never
-   copied.
+1. at construction, each symbolic gate parameter becomes a slot whose
+   terms are stored sparsely as flat ``(slot, parameter, coefficient)``
+   arrays plus a constant vector ``c`` — legal because every angle a
+   pipeline emits is a *linear* function of the workload angles;
+2. :meth:`~CompiledTemplate.slot_values` computes all slot values
+   (``A @ theta + c``) in one ``np.bincount`` over the terms, and
+   ``bind(theta)`` rebuilds only the slotted :class:`~repro.circuit.
+   gate.Gate` objects — untouched gates are shared with the template,
+   never copied.
+
+A bound circuit's gate counts and depth need no gate list at all:
+:meth:`~CompiledTemplate.metrics` measures the structure once, since
+binding never changes a gate name or wire.
 
 ``structure_hash()`` fingerprints everything *except* angle values —
 gate names, wires, constant parameters, and the symbolic slot wiring —
-so it is stable across rebinding and across the workload's baked angles
-(the template cache key, see :mod:`repro.service.templates`).
+so it is stable across rebinding and across the workload's baked angles.
 
 Templates serialize to plain JSON (:meth:`to_dict`/:meth:`from_dict`)
 so they ride inside :class:`~repro.service.jobs.JobResult` through the
@@ -28,12 +32,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .circuit import QuantumCircuit
 from .gate import Gate
+from .metrics import CircuitMetrics, measure_circuit
 from .parameter import (
     BindError,
     Parameter,
@@ -42,6 +48,7 @@ from .parameter import (
     encode_param,
     is_symbolic,
 )
+from .qasm import to_qasm
 
 TEMPLATE_VERSION = 1
 
@@ -84,12 +91,15 @@ class CompiledTemplate:
                 )
         self.default_angles: Optional[np.ndarray] = default_angles
         self._index_slots()
+        self._metrics: Optional[CircuitMetrics] = None
 
     # -- slot pre-indexing -----------------------------------------------------
 
     def _index_slots(self) -> None:
         column = {p.name: i for i, p in enumerate(self.parameters)}
-        rows: List[Dict[int, float]] = []
+        rows: List[int] = []
+        cols: List[int] = []
+        coeffs: List[float] = []
         const: List[float] = []
         gate_slots: List[Tuple[int, Tuple[Tuple[int, int], ...]]] = []
         for gate_index, gate in enumerate(self._gates):
@@ -97,7 +107,7 @@ class CompiledTemplate:
             for param_index, value in enumerate(gate.params):
                 if not is_symbolic(value):
                     continue
-                row: Dict[int, float] = {}
+                slot = len(const)
                 for parameter, coeff in value.terms:
                     slot_column = column.get(parameter.name)
                     if slot_column is None:
@@ -106,19 +116,19 @@ class CompiledTemplate:
                             f"{parameter.name!r} which is not in the "
                             f"template's parameter list"
                         )
-                    row[slot_column] = coeff
-                pairs.append((param_index, len(rows)))
-                rows.append(row)
+                    rows.append(slot)
+                    cols.append(slot_column)
+                    coeffs.append(coeff)
+                pairs.append((param_index, slot))
                 const.append(value.const)
             if pairs:
                 gate_slots.append((gate_index, tuple(pairs)))
         self._gate_slots: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...] = (
             tuple(gate_slots)
         )
-        self._matrix = np.zeros((len(rows), len(self.parameters)))
-        for slot_row, row in enumerate(rows):
-            for slot_column, coeff in row.items():
-                self._matrix[slot_row, slot_column] = coeff
+        self._term_rows = np.asarray(rows, dtype=np.intp)
+        self._term_cols = np.asarray(cols, dtype=np.intp)
+        self._term_coeffs = np.asarray(coeffs, dtype=float)
         self._const = np.asarray(const, dtype=float)
 
     # -- views -----------------------------------------------------------------
@@ -172,7 +182,29 @@ class CompiledTemplate:
                 f"expected {len(self.parameters)} angles, got "
                 f"{theta.shape[0] if theta.ndim == 1 else theta.shape}"
             )
+        finite = np.isfinite(theta)
+        if not finite.all():
+            index = int(np.argmin(finite))
+            raise BindError(
+                f"angles must be finite: theta[{index}] is {theta[index]}"
+            )
         return theta
+
+    def slot_values(
+        self,
+        angles: Union[None, Sequence[float], Mapping[Any, float]] = None,
+    ) -> np.ndarray:
+        """Every slot's value, ``A @ theta + c``, in slot order.
+
+        ``angles`` takes the forms :meth:`bind` takes, and raises
+        :class:`BindError` where :meth:`bind` does.
+        """
+        theta = self._theta(angles)
+        return np.bincount(
+            self._term_rows,
+            weights=self._term_coeffs * theta[self._term_cols],
+            minlength=self.num_slots,
+        ) + self._const
 
     def bind(
         self,
@@ -183,10 +215,10 @@ class CompiledTemplate:
         ``angles`` is a vector in :attr:`parameters` order, a mapping
         (parameter/name -> value, must cover every parameter exactly),
         or ``None`` for :attr:`default_angles`.  Wrong lengths, unknown
-        names, and missing parameters raise :class:`BindError`.
+        names, missing parameters and non-finite angles raise
+        :class:`BindError`.
         """
-        theta = self._theta(angles)
-        values = self._matrix.dot(theta) + self._const if self.num_slots else self._const
+        values = self.slot_values(angles)
         gates = list(self._gates)
         for gate_index, pairs in self._gate_slots:
             gate = gates[gate_index]
@@ -197,6 +229,27 @@ class CompiledTemplate:
         out = QuantumCircuit(self.num_qubits, self.name)
         out.gates = gates
         return out
+
+    # -- what a bound circuit reports ------------------------------------------
+
+    def metrics(self) -> CircuitMetrics:
+        """``measure_circuit`` of any binding, measured once per template.
+
+        Gate counts and depth depend only on gate names and wires, which
+        binding never changes, so the symbolic circuit measures the same
+        as ``bind(theta)`` for every ``theta``.  Each call returns its
+        own copy.
+        """
+        if self._metrics is None:
+            self._metrics = measure_circuit(self.circuit())
+        return replace(self._metrics, extra=dict(self._metrics.extra))
+
+    def qasm(
+        self,
+        angles: Union[None, Sequence[float], Mapping[Any, float]] = None,
+    ) -> str:
+        """OpenQASM 2.0 of the circuit bound at ``angles``."""
+        return to_qasm(self.bind(angles))
 
     # -- hashing + serialization -----------------------------------------------
 

@@ -176,6 +176,3 @@ SERVE_HOT_MISSES = "serve.hot_misses"
 SERVE_HOT_EVICTIONS = "serve.hot_evictions"
 SERVE_QUEUE_WAIT = "serve.queue_wait_seconds"
 SERVE_TEMPLATE_BINDS = "serve.template_binds"
-TEMPLATE_CACHE_HITS = "template.cache_hits"
-TEMPLATE_CACHE_MISSES = "template.cache_misses"
-TEMPLATE_COMPILES = "template.compiles"

@@ -18,15 +18,17 @@ streaming responses).  Endpoints::
                                -> {"served": ..., "parameters": ...,
                                    "bind_seconds": ..., "metrics": {...}}
                                   (compile-once/bind-many: the job is
-                                  forced parametric, its template is
-                                  pinned server-side, and each request
-                                  pays only an angle rebind)
+                                  forced parametric and its template is
+                                  pinned server-side; the reply carries
+                                  the template's structural metrics, and
+                                  its QASM at ``theta`` only when
+                                  ``"qasm": true``)
     POST /shutdown  {"drain": true}
                                -> {"ok": true}; server drains and exits
 
 **stdio** (``repro serve --stdio``): newline-delimited JSON, one
-request object per line carrying ``{"op": "compile" | "batch" |
-"stats" | "healthz" | "shutdown", "id": ..., ...}`` with the same
+request object per line carrying ``{"op": "compile" | "batch" | "bind"
+| "stats" | "healthz" | "shutdown", "id": ..., ...}`` with the same
 fields as the HTTP bodies; responses echo the ``id``.  Batch results
 stream as one line per job followed by a ``{"id": ..., "done": true}``
 terminator.
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -112,8 +115,10 @@ class BindReply:
     ``served`` names where the *template* came from (``template`` for a
     resident one; otherwise the compile channel that produced it); the
     bind itself always runs in-process on the server.  ``metrics`` is
-    the bound circuit's measured :class:`~repro.circuit.metrics.
-    CircuitMetrics` row; ``qasm`` is attached only on request.
+    the template's structural :class:`~repro.circuit.metrics.
+    CircuitMetrics` row, equal to what measuring any bound circuit gives
+    (binding changes no gate name or wire); ``qasm`` is attached only on
+    request.
     """
 
     served: str
@@ -157,7 +162,8 @@ def parse_bind_request(
 
     The job is forced parametric regardless of the spec's own flag (a
     bind request is *about* the template); ``theta`` of null/absent
-    means "bind the workload's own baked angles".
+    means "bind the workload's own baked angles"; any other entry than a
+    finite number is a :class:`ProtocolError` naming its index.
     """
     job, tenant, priority, _profile = parse_compile_request(
         payload, default_tenant
@@ -170,12 +176,25 @@ def parse_bind_request(
     if theta is not None:
         if not isinstance(theta, (list, tuple)):
             raise ProtocolError('"theta" must be a list of angles')
-        try:
-            theta = [float(value) for value in theta]
-        except (TypeError, ValueError):
-            raise ProtocolError("theta angles must be numbers") from None
+        for index, value in enumerate(theta):
+            if not _finite_number(value):
+                raise ProtocolError(
+                    f"angles must be finite numbers: theta[{index}] is "
+                    f"{value!r}"
+                )
+        theta = [float(value) for value in theta]
     include_qasm = bool(payload.get("qasm", False))
     return job, theta, tenant, priority, include_qasm
+
+
+def _finite_number(value: Any) -> bool:
+    """A finite JSON number: an int or a float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def parse_compile_request(

@@ -32,8 +32,10 @@ platforms use.
 On top of the compile layers sits a fifth, bind-only layer: ``/bind``
 requests pin the job's compiled :class:`~repro.circuit.template.
 CompiledTemplate` in an LRU of ``template_slots`` live objects, so an
-optimizer loop pays one compile and then per-iteration angle rebinds
-that never touch the pool (``serve.template_binds`` counts them).
+optimizer loop pays one compile and then per-iteration binds that never
+touch the pool (``serve.template_binds`` counts them).  A bind reply
+carries the template's structural metrics (measured once per template);
+only a request for QASM builds the bound circuit.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from ..service.pool import (
     make_payload,
     merge_envelope,
 )
-from ..circuit.qasm import to_qasm
 from ..circuit.template import CompiledTemplate
 from .hotcache import DEFAULT_HOT_BYTES, HotCache
 from .protocol import (
@@ -427,28 +428,33 @@ class ReproServer:
         priority: int = 0,
         include_qasm: bool = False,
     ) -> BindReply:
-        """Serve one bind: resident template -> compile layers -> rebind.
+        """Serve one bind: resident template -> compile layers -> reply.
 
         The first request for a structure compiles it parametrically
         through the normal four layers (so a concurrent cold storm
         still executes exactly one pool job, via dedup); every later
-        request finds the template resident and pays only the angle
-        rebind — ``jobs_executed`` does not move.
+        request finds the template resident and pays only the slot
+        values — ``jobs_executed`` does not move.  The reply's metrics
+        are the template's structural row, so only a request for QASM
+        builds the bound circuit.
         """
-        from ..circuit.metrics import measure_circuit
         from ..service.templates import as_parametric
 
         job = as_parametric(job)
-        state = self._tenant(tenant)
-        job_hash = job.content_hash()
-        template = self._templates.get(job_hash)
-        if template is not None:
-            state.requests += 1
-            self.counts["requests"] += 1
-            METRICS.counter(obs_metrics.SERVE_REQUESTS).inc()
-            self._templates.move_to_end(job_hash)
-            served, queue_wait = SERVED_TEMPLATE, 0.0
-        else:
+        with obs_span("serve:bind", "serve", label=job.label()):
+            state = self._tenant(tenant)
+            job_hash = job.content_hash()
+            template = self._templates.get(job_hash)
+            if template is not None:
+                state.requests += 1
+                self.counts["requests"] += 1
+                METRICS.counter(obs_metrics.SERVE_REQUESTS).inc()
+                self._templates.move_to_end(job_hash)
+                served, queue_wait = SERVED_TEMPLATE, 0.0
+        if template is None:
+            # Compiled outside ``serve:bind``: the tracer's span stack is
+            # per thread, so a span held open across an await would
+            # become the parent of every coroutine that runs meanwhile.
             reply = await self.submit(
                 job, tenant=tenant, priority=priority, profile=False
             )
@@ -466,22 +472,23 @@ class ReproServer:
         with obs_span("serve:bind", "serve", label=job.label()) as sp:
             start = time.perf_counter()
             try:
-                circuit = template.bind(theta)
+                template.slot_values(theta)  # a bad theta is a 400
+                qasm = template.qasm(theta) if include_qasm else None
             except ValueError as exc:  # BindError included
                 raise ProtocolError(str(exc)) from None
             bind_seconds = time.perf_counter() - start
             sp.set(served=served, parameters=template.num_parameters)
-        self.counts["template_binds"] += 1
-        METRICS.counter(obs_metrics.SERVE_TEMPLATE_BINDS).inc()
-        return BindReply(
-            served=served,
-            job_hash=job_hash,
-            parameters=template.num_parameters,
-            bind_seconds=bind_seconds,
-            queue_wait_s=queue_wait,
-            metrics=measure_circuit(circuit).as_row(),
-            qasm=to_qasm(circuit) if include_qasm else None,
-        )
+            self.counts["template_binds"] += 1
+            METRICS.counter(obs_metrics.SERVE_TEMPLATE_BINDS).inc()
+            return BindReply(
+                served=served,
+                job_hash=job_hash,
+                parameters=template.num_parameters,
+                bind_seconds=bind_seconds,
+                queue_wait_s=queue_wait,
+                metrics=template.metrics().as_row(),
+                qasm=qasm,
+            )
 
     async def submit_batch(
         self,

@@ -51,7 +51,7 @@ from .pool import (
     worker_count,
 )
 from .sink import CsvSink, JsonlSink, write_results
-from .templates import TemplateCache, as_parametric, parametrize_blocks
+from .templates import as_parametric, parametrize_blocks
 
 __all__ = [
     "SPEC_VERSION",
@@ -80,7 +80,6 @@ __all__ = [
     "JsonlSink",
     "CsvSink",
     "write_results",
-    "TemplateCache",
     "as_parametric",
     "parametrize_blocks",
 ]

@@ -1,4 +1,4 @@
-"""Template cache: compile a workload's structure once, bind per request.
+"""Parametric jobs: compile a workload's structure once, bind per request.
 
 Glue between the circuit-layer :class:`~repro.circuit.template.
 CompiledTemplate` and the job service.  A *parametric* job
@@ -6,48 +6,20 @@ CompiledTemplate` and the job service.  A *parametric* job
 block's angle replaced by a fresh ``theta[i]`` parameter
 (:func:`parametrize_blocks`), so its result carries a reusable template
 whose ``bind(theta)`` is orders of magnitude cheaper than a recompile.
-
-:class:`TemplateCache` layers an in-memory LRU of *deserialized*
-templates over the on-disk :class:`~repro.service.cache.ResultCache`:
-
-1. memory — the parsed :class:`CompiledTemplate`, ready to bind;
-2. disk — the parametric job's cached :class:`JobResult` (the template
-   rides inside it as JSON), promoted to memory on hit;
-3. compile — :func:`~repro.service.jobs.run_job`, written back to disk.
-
-Both layers key by the parametric job's content hash, which covers the
-*structure* axes only (workload, compiler, device, scale, blocks,
-optimization level, params) — never an angle value.  A VQE optimizer's
-1000-iteration loop therefore costs 1 compile + 1000 binds::
-
-    from repro.service import CompileJob
-    from repro.service.templates import TemplateCache
-
-    cache = TemplateCache()
-    result, template = cache.get_or_compile(
-        CompileJob(bench="chem:LiH", parametric=True)
-    )
-    for theta in optimizer:
-        circuit = template.bind(theta)
+The parametric job's content hash covers the *structure* axes only
+(workload, compiler, device, scale, blocks, optimization level,
+params) — never an angle value — so the result cache and the serve
+daemon's resident template slots hold one template per structure.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..circuit.parameter import Parameter
-from ..circuit.template import CompiledTemplate
-from ..obs import metrics as obs_metrics
-from ..obs.metrics import METRICS
 from ..pauli.block import PauliBlock
-from .cache import ResultCache, cache_enabled, default_cache
-from .jobs import CompileJob, JobResult, run_job
-
-#: Default in-memory template slots (a LiH-sized template is ~100 KB
-#: deserialized; 32 of them is a few MB).
-DEFAULT_TEMPLATE_SLOTS = 32
+from .jobs import CompileJob
 
 
 def parametrize_blocks(
@@ -83,98 +55,3 @@ def as_parametric(job: CompileJob) -> CompileJob:
     if job.parametric:
         return job
     return replace(job, parametric=True)
-
-
-class TemplateCache:
-    """Deserialized-template LRU over the on-disk result cache.
-
-    ``cache=None`` uses the default on-disk cache when caching is
-    enabled (``REPRO_CACHE`` honored); pass an explicit
-    :class:`ResultCache` to pin a root, or ``use_disk=False`` for a
-    memory-only cache.
-    """
-
-    def __init__(
-        self,
-        cache: Optional[ResultCache] = None,
-        max_templates: int = DEFAULT_TEMPLATE_SLOTS,
-        use_disk: bool = True,
-    ) -> None:
-        if cache is not None:
-            self.cache: Optional[ResultCache] = cache
-        elif use_disk and cache_enabled():
-            self.cache = default_cache()
-        else:
-            self.cache = None
-        self.max_templates = max(1, max_templates)
-        self._templates: "OrderedDict[str, Tuple[JobResult, CompiledTemplate]]" = (
-            OrderedDict()
-        )
-        self.hits = 0
-        self.misses = 0
-        self.compiles = 0
-
-    def __len__(self) -> int:
-        return len(self._templates)
-
-    def _remember(
-        self, key: str, result: JobResult, template: CompiledTemplate
-    ) -> None:
-        self._templates[key] = (result, template)
-        self._templates.move_to_end(key)
-        while len(self._templates) > self.max_templates:
-            self._templates.popitem(last=False)
-
-    def get(self, job: CompileJob) -> Optional[CompiledTemplate]:
-        """Memory-then-disk lookup; None when the template isn't cached."""
-        job = as_parametric(job)
-        key = job.content_hash()
-        entry = self._templates.get(key)
-        if entry is not None:
-            self._templates.move_to_end(key)
-            self.hits += 1
-            METRICS.counter(obs_metrics.TEMPLATE_CACHE_HITS).inc()
-            return entry[1]
-        if self.cache is not None:
-            hit = self.cache.get(job)
-            if hit is not None and hit.template is not None:
-                self._remember(key, hit, hit.template)
-                self.hits += 1
-                METRICS.counter(obs_metrics.TEMPLATE_CACHE_HITS).inc()
-                return hit.template
-        self.misses += 1
-        METRICS.counter(obs_metrics.TEMPLATE_CACHE_MISSES).inc()
-        return None
-
-    def get_or_compile(self, job: CompileJob) -> Tuple[JobResult, CompiledTemplate]:
-        """Resolve (or compile) the cell's template; raises on a failed
-        compile so callers never hold a template-less result."""
-        job = as_parametric(job)
-        key = job.content_hash()
-        template = self.get(job)
-        if template is not None:
-            return self._templates[key][0], template
-        result = run_job(job)
-        self.compiles += 1
-        METRICS.counter(obs_metrics.TEMPLATE_COMPILES).inc()
-        if result.error is not None:
-            raise RuntimeError(
-                f"template compile {job.label()} failed: {result.error}"
-            )
-        if result.template is None:
-            raise RuntimeError(
-                f"parametric job {job.label()} produced no template"
-            )
-        if self.cache is not None:
-            self.cache.put(result)
-        self._remember(key, result, result.template)
-        return result, result.template
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._templates),
-            "slots": self.max_templates,
-            "hits": self.hits,
-            "misses": self.misses,
-            "compiles": self.compiles,
-        }

@@ -68,8 +68,8 @@ def test_noise_smoke_runs_its_own_checks():
 def test_perf_smoke_gates_and_uploads_benchmarks():
     job = load_workflow()["jobs"]["perf-smoke"]
     commands = "\n".join(step.get("run", "") for step in job["steps"])
-    for script in ("bench_pauli.py", "bench_templates.py", "bench_passes.py",
-                   "bench_workloads.py --quick --gate"):
+    for script in ("bench_pauli.py", "bench_templates.py --quick --gate",
+                   "bench_passes.py", "bench_workloads.py --quick --gate"):
         assert script in commands
     upload = job["steps"][-1]["with"]["path"]
     assert "BENCH_workloads.json" in upload

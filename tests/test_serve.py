@@ -24,8 +24,11 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
+from repro.circuit.metrics import measure_circuit
+from repro.circuit.qasm import to_qasm
 from repro.serve import (
     BackgroundServer,
     HotCache,
@@ -557,15 +560,50 @@ class TestServeBind:
         assert stats["templates"]["binds"] == 14
         assert stats["templates"]["entries"] == 1
 
-    def test_bind_wrong_length_theta_is_400(self):
+    @pytest.mark.parametrize(
+        "bad",
+        [None, float("nan"), float("inf"), "1e999", True],
+        ids=["wrong-length", "NaN", "Infinity", "string-1e999", "true"],
+    )
+    def test_bind_wrong_length_theta_is_400(self, bad):
+        """A wrong-length vector, or an entry that is not a finite JSON
+        number, is a 400 that never reaches the template's slots."""
         with inline_server() as bg:
             with bg.client() as client:
                 warm = client.bind(**FAST)
+                theta = [0.1] * warm.parameters
+                if bad is None:
+                    theta.append(0.1)
+                else:
+                    theta[2] = bad
+                payload = {
+                    "job": CompileJob(parametric=True, **FAST).to_dict(),
+                    "theta": theta,
+                }
                 with pytest.raises(ServeError) as excinfo:
-                    client.bind(**FAST, theta=[0.1] * (warm.parameters + 1))
+                    client._json("POST", "/bind", payload)
                 stats = client.stats()
         assert excinfo.value.status == 400
         assert "angles" in excinfo.value.reason
+        if bad is not None:
+            assert "theta[2]" in excinfo.value.reason
+        assert stats["server"]["requests"]["jobs_executed"] == 1
+
+    def test_bind_reply_equals_the_bound_circuit(self):
+        """The reply's metrics row (the template's, measured once) and
+        its QASM are what the in-process bound circuit gives."""
+        with inline_server() as bg:
+            with bg.client() as client:
+                warm = client.bind(**FAST)
+                theta = np.random.default_rng(11).uniform(
+                    -2.0, 2.0, warm.parameters
+                )
+                reply = client.bind(**FAST, theta=theta, qasm=True)
+                stats = client.stats()
+        bound = run_job(CompileJob(parametric=True, **FAST)).template.bind(theta)
+        assert reply.served == SERVED_TEMPLATE
+        assert reply.metrics == measure_circuit(bound).as_row()
+        assert reply.qasm == to_qasm(bound)
         assert stats["server"]["requests"]["jobs_executed"] == 1
 
     def test_bind_and_compile_jobs_do_not_collide(self):

@@ -8,9 +8,14 @@ cell produces — gate for gate (names, qubits, and angles up to the
 4*pi rotation period) — and the two circuits must agree as
 statevectors.
 
+The same harness pins what a bind reply is made of: the template's
+metrics equal ``measure_circuit`` of the bound circuit, its QASM equals
+``to_qasm`` of it byte for byte, and its sparse slot values equal a
+dense ``A @ theta + c`` bit for bit.
+
 Also here: the binding edge cases (shared parameters, partial binds,
-wrong-length vectors, bind-after-bind), structure-hash stability, and
-the symbolic-safe ``Gate.inverse`` regression.
+wrong-length and non-finite vectors, bind-after-bind), structure-hash
+stability, and the symbolic-safe ``Gate.inverse`` regression.
 """
 
 import math
@@ -30,12 +35,14 @@ from repro.circuit import (
 )
 from repro.circuit import gate as g
 from repro.circuit.gate import Gate
+from repro.circuit.metrics import measure_circuit
+from repro.circuit.qasm import to_qasm
 from repro.hardware.families import resolve_device
 from repro.pauli import PauliBlock
 from repro.pipeline.registry import build_pipeline, pipeline_names
 from repro.service import CompileJob, run_job
 from repro.service.jobs import job_blocks
-from repro.service.templates import TemplateCache, parametrize_blocks
+from repro.service.templates import parametrize_blocks
 from repro.sim import run_statevector
 
 #: rz(x) == rz(x + 4*pi) exactly (the rotation's true period).
@@ -106,6 +113,35 @@ def assert_states_equal(bound: QuantumCircuit, baked: QuantumCircuit) -> None:
     assert ours.fidelity_with(theirs) > 1.0 - 1e-9
 
 
+def dense_slot_values(template: CompiledTemplate, theta) -> np.ndarray:
+    """``A @ theta + c`` with ``A`` a dense slots x parameters matrix."""
+    column = {p.name: i for i, p in enumerate(template.parameters)}
+    rows, const = [], []
+    for gate in template.gates:
+        for value in gate.params:
+            if isinstance(value, ParameterExpression):
+                row = np.zeros(template.num_parameters)
+                for parameter, coeff in value.terms:
+                    row[column[parameter.name]] = coeff
+                rows.append(row)
+                const.append(value.const)
+    matrix = np.array(rows).reshape(len(rows), template.num_parameters)
+    return matrix.dot(np.asarray(theta, dtype=float)) + np.asarray(const)
+
+
+def assert_reply_parts_match(template: CompiledTemplate, theta,
+                             bound: QuantumCircuit) -> None:
+    """What a bind reply is built from equals what the bound circuit
+    gives: metrics, QASM text, and the slot values bit for bit."""
+    assert template.metrics() == measure_circuit(bound)
+    assert template.qasm(theta) == to_qasm(bound)
+    if theta is None:
+        theta = template.default_angles
+    assert template.slot_values(theta).tobytes() == (
+        dense_slot_values(template, theta).tobytes()
+    )
+
+
 @pytest.mark.parametrize("cell", CELLS, ids=_cell_id)
 def test_bind_equals_baked_compile(cell):
     """One parametric compile + bind == a baked compile, for both the
@@ -116,7 +152,9 @@ def test_bind_equals_baked_compile(cell):
     assert template is not None
 
     baked_job = _cell_job(cell)
-    assert_same_gates(template.bind(), _baked_circuit(baked_job))
+    default_bound = template.bind()
+    assert_same_gates(default_bound, _baked_circuit(baked_job))
+    assert_reply_parts_match(template, None, default_bound)
 
     import zlib
 
@@ -126,6 +164,9 @@ def test_bind_equals_baked_compile(cell):
     baked = _baked_circuit(baked_job, theta)
     assert_same_gates(bound, baked)
     assert_states_equal(bound, baked)
+    assert_reply_parts_match(template, theta, bound)
+    assert_reply_parts_match(template, np.zeros(template.num_parameters),
+                             template.bind(np.zeros(template.num_parameters)))
 
 
 @pytest.mark.parametrize(
@@ -149,15 +190,6 @@ def test_parametric_flag_changes_content_hash_only_when_set():
     # round-trip byte-identically.
     assert "parametric" not in baked.to_dict()
     assert CompileJob.from_dict(parametric.to_dict()).parametric is True
-
-
-def test_template_cache_compiles_once():
-    cache = TemplateCache(use_disk=False)
-    job = CompileJob(bench="chem:LiH", device="linear", scale="smoke", blocks=6)
-    _result, first = cache.get_or_compile(job)
-    _result, second = cache.get_or_compile(job)
-    assert first is second
-    assert cache.compiles == 1 and cache.hits == 1
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +230,14 @@ def test_partial_bind_leaves_remaining_symbolic():
 def test_wrong_length_vector_raises_bind_error():
     _theta, circuit = _shared_parameter_circuit()
     template = CompiledTemplate(circuit)
-    for bad in ([], [1.0, 2.0], np.zeros(5)):
+    for bad in ([], [1.0, 2.0], np.zeros(5), [math.nan], [math.inf],
+                [-math.inf]):
         with pytest.raises(BindError):
             template.bind(bad)
+        with pytest.raises(BindError):
+            template.slot_values(bad)
+        with pytest.raises(BindError):
+            template.qasm(bad)
 
 
 def test_mapping_bind_errors_are_consistent():
