@@ -13,7 +13,12 @@ pinned gate-sequence hash alongside the timings.  Cells:
   the logical circuit onto the device;
 - ``tetris-e2e``: the full lower -> layout -> synthesize -> decompose ->
   cancel -> consolidate chain, the headline of this refactor (UCC-20
-  must be >= 3x; UCC-40 must be routine smoke-test scale).
+  must be >= 3x; UCC-40 must be routine smoke-test scale);
+- ``max-cancel-e2e``: the routed chain — similarity order and
+  single-leaf synthesis, then layout -> route -> decompose -> cancel ->
+  consolidate — where the reference side runs the frozen layout,
+  router and cleanup passes, so the live tape path from routing to
+  the metrics is covered end to end.
 
 Results land in ``BENCH_passes.json``; the CI perf-smoke job replays
 with ``--quick --gate`` and ``tools/check_bench.py`` enforces the
@@ -35,6 +40,8 @@ from typing import Callable, List, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.compiler.base import interaction_pairs
+from repro.compiler.max_cancel import max_cancel_logical_circuit
+from repro.compiler.paulihedral import similarity_chain_order
 from repro.compiler.tetris.ir import lower_blocks
 from repro.compiler.tetris.reference import run_tetris_reference
 from repro.hardware.families import resolve_device
@@ -57,6 +64,9 @@ from repro.workloads import workload_blocks
 #: and the report pipeline both default to "small"), so the headline
 #: measures the compile users actually run.
 SCALE = "small"
+
+#: (n logical qubits, device spec) of the routed end-to-end cell.
+ROUTED_E2E_SIZE = (20, "grid:5x5")
 
 #: (n logical qubits, device spec) per benchmarked size.  UCC-40/60 are
 #: the scales this refactor turns into routine smoke tests.
@@ -106,10 +116,23 @@ def reference_e2e(blocks, coupling, num_logical: int) -> QuantumCircuit:
     return consolidate_one_qubit_runs_reference(circuit)
 
 
-def live_e2e(blocks, coupling, num_logical: int) -> QuantumCircuit:
+def live_e2e(blocks, coupling, num_logical: int,
+             compiler: str = "tetris") -> QuantumCircuit:
     return run_pipeline(
-        "tetris", blocks, coupling, num_logical=num_logical
+        compiler, blocks, coupling, num_logical=num_logical
     ).state["circuit"]
+
+
+def reference_routed_e2e(blocks, coupling, num_logical: int) -> QuantumCircuit:
+    """The max-cancel chain with the frozen layout, router and cleanup."""
+    ordered = [blocks[index] for index in similarity_chain_order(blocks)]
+    logical = max_cancel_logical_circuit(ordered)
+    layout = greedy_interaction_layout_reference(
+        num_logical, coupling, interaction_pairs(blocks)
+    )
+    circuit = route_circuit_reference(logical, coupling, layout).circuit
+    circuit = cancel_gates_reference(circuit.decompose_swaps())
+    return consolidate_one_qubit_runs_reference(circuit)
 
 
 def _cell(kernel, n, old_seconds, new_seconds, output, extra=None) -> dict:
@@ -211,6 +234,23 @@ def bench_e2e(sizes, repeats: int) -> List[dict]:
     return results
 
 
+def bench_routed_e2e(n: int, device: str, repeats: int) -> List[dict]:
+    """``max-cancel`` end to end: frozen references vs the live tape."""
+    blocks = workload_blocks(f"ucc:UCC-{n}", "JW", SCALE)
+    coupling = resolve_device(device, n)
+    live = live_e2e(blocks, coupling, n, compiler="max-cancel")
+    ref = reference_routed_e2e(blocks, coupling, n)
+    assert sig(live) == sig(ref), f"max-cancel-e2e mismatch at UCC-{n}"
+    new_s, live = timeit(
+        lambda: live_e2e(blocks, coupling, n, compiler="max-cancel"), repeats
+    )
+    old_s, _ = timeit(
+        lambda: reference_routed_e2e(blocks, coupling, n), repeats
+    )
+    return [_cell("max-cancel-e2e", n, old_s, new_s, live,
+                  extra={"device": device})]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -233,6 +273,7 @@ def main(argv=None) -> int:
 
     results = bench_passes(pass_n, pass_device, repeats)
     results.extend(bench_e2e(e2e_sizes, repeats))
+    results.extend(bench_routed_e2e(*ROUTED_E2E_SIZE, repeats))
 
     payload = {
         "benchmark": "pass-wallclocks",

@@ -13,7 +13,7 @@ from .parameter import (
 )
 from .qasm import to_qasm
 from .qasm_import import QasmParseError, from_qasm
-from .tape import GateTape, TapeError, try_encode
+from .tape import GateTape, TapeError
 from .template import CompiledTemplate
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "Gate",
     "GateTape",
     "TapeError",
-    "try_encode",
     "Parameter",
     "ParameterExpression",
     "BindError",

@@ -1,9 +1,20 @@
 """The quantum circuit container.
 
-A :class:`QuantumCircuit` is an ordered gate list over ``num_qubits`` wires.
-It is deliberately simple — a flat list — because every transformation in the
-compiler (synthesis, routing, peephole optimization) is itself list-oriented;
-per-wire adjacency structure is built on demand by the passes that need it.
+A :class:`QuantumCircuit` is an ordered gate sequence over ``num_qubits``
+wires, held one of two ways:
+
+- as a flat :class:`~repro.circuit.gate.Gate` list — what synthesis
+  emits and what every API-edge reader (QASM, simulation, user code)
+  iterates;
+- as a :class:`~repro.circuit.tape.GateTape` (:meth:`QuantumCircuit.
+  from_tape`) — what the pass tail from routing through the metrics
+  reads and writes.
+
+A tape-backed circuit decodes :attr:`QuantumCircuit.gates` on the first
+read and hands ownership to the list: the tape is dropped, so in-place
+edits of the list are the circuit and no stale tape survives them.
+:meth:`QuantumCircuit.tape` returns the backing tape, or encodes the list
+afresh (never cached) when the circuit is list-backed.
 """
 
 from __future__ import annotations
@@ -12,9 +23,12 @@ from collections import Counter
 from functools import lru_cache
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from . import gate as g
 from .gate import Gate
 from .parameter import BindError, Parameter, ParameterExpression
+from .tape import GateTape, encode_structure
 
 
 @lru_cache(maxsize=None)
@@ -25,7 +39,7 @@ def _swap_cnots(a: int, b: int) -> Tuple[Gate, Gate, Gate]:
 
 
 class QuantumCircuit:
-    """An ordered list of gates on a fixed set of qubit wires.
+    """An ordered sequence of gates on a fixed set of qubit wires.
 
     Examples
     --------
@@ -37,18 +51,68 @@ class QuantumCircuit:
     1
     """
 
-    __slots__ = ("num_qubits", "gates", "name", "_tape_cache")
+    __slots__ = ("num_qubits", "name", "_gates", "_tape")
 
     def __init__(self, num_qubits: int, name: str = "") -> None:
         if num_qubits < 0:
             raise ValueError("num_qubits must be non-negative")
         self.num_qubits = num_qubits
-        self.gates: List[Gate] = []
         self.name = name
-        # Set by tape.cache_tape: (gates list object, length, GateTape).
-        # Consulted by tape.try_encode so tape-to-tape pass chains skip
-        # re-encoding; validated by list identity + length.
-        self._tape_cache = None
+        # Exactly one of the two is set: the gate list, or the tape it
+        # has not been decoded from yet.
+        self._gates: Optional[List[Gate]] = []
+        self._tape: Optional[GateTape] = None
+
+    @classmethod
+    def from_tape(cls, tape: GateTape) -> "QuantumCircuit":
+        """A circuit backed by ``tape`` (no gate is decoded yet)."""
+        out = cls(tape.num_qubits, tape.name)
+        out._gates = None
+        out._tape = tape
+        return out
+
+    # -- representation --------------------------------------------------------
+
+    @property
+    def gates(self) -> List[Gate]:
+        """The gate list.  A tape-backed circuit decodes it here, once,
+        and from then on the list is the circuit."""
+        gates = self._gates
+        if gates is None:
+            gates = self._gates = self._tape.decode()
+            self._tape = None
+        return gates
+
+    @gates.setter
+    def gates(self, gates: List[Gate]) -> None:
+        self._gates = gates
+        self._tape = None
+
+    @property
+    def tape_backed(self) -> bool:
+        """True while the circuit is a tape whose gates were never read."""
+        return self._tape is not None
+
+    def tape(self) -> GateTape:
+        """The circuit as a :class:`GateTape`.
+
+        The backing tape itself when tape-backed; otherwise a fresh
+        encoding of the gate list, which raises
+        :class:`~repro.circuit.tape.TapeError` for symbolic parameters
+        and barriers wider than two wires.  The fresh encoding is not
+        kept, so later edits of the list cannot leave it stale.
+        """
+        if self._tape is not None:
+            return self._tape
+        return GateTape.encode(self._gates, self.num_qubits, name=self.name)
+
+    def structure(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(codes, qubits)`` columns, parameters ignored — what the
+        metric scan reads (see :func:`repro.circuit.tape.encode_structure`
+        for gate lists that cannot be taped)."""
+        if self._tape is not None:
+            return self._tape.codes, self._tape.qubits
+        return encode_structure(self._gates)
 
     # -- construction ----------------------------------------------------------
 
@@ -58,7 +122,12 @@ class QuantumCircuit:
                 raise ValueError(
                     f"qubit {qubit} out of range for {self.num_qubits}-qubit circuit"
                 )
-        self.gates.append(gate)
+        # The emitters' hot path: skip the ``gates`` property unless the
+        # circuit is still a tape.
+        gates = self._gates
+        if gates is None:
+            gates = self.gates
+        gates.append(gate)
 
     def extend(self, gates: Iterable[Gate]) -> None:
         """Append many gates, validating qubit bounds once per gate.
@@ -130,7 +199,9 @@ class QuantumCircuit:
     # -- views -----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.gates)
+        if self._tape is not None:
+            return len(self._tape)
+        return len(self._gates)
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)

@@ -6,15 +6,105 @@ Definitions follow Sec. VI-A of the paper:
   Barriers are transparent; measures and resets occupy one layer.
 - *CNOT gate count* includes CNOTs decomposed from SWAPs.
 - *Total gate count* is 1Q + CNOT after SWAP decomposition.
+
+Every metric is one scan over the circuit's ``(code, q0, q1)`` columns
+(:meth:`QuantumCircuit.structure
+<repro.circuit.circuit.QuantumCircuit.structure>`): gate counts are an
+``np.bincount`` of the code column, and depth and duration come from one
+as-soon-as-possible pass with per-code layer and ``dt`` tables in which a
+SWAP weighs what its 3 CNOTs do.  No SWAP is ever decomposed to measure
+a circuit, and since the scan ignores angles it measures symbolic
+templates exactly as it measures their bindings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from . import gate as g
 from .circuit import QuantumCircuit
+from .gate import DEFAULT_DURATIONS
+from .tape import CODE_CX, CODE_NAMES, CODE_SWAP, GATE_CODES, IS_ONE_QUBIT
+
+#: Depth layers per gate code: a SWAP is its 3 CNOTs, a barrier only
+#: synchronizes its wires.
+LAYERS = [1] * len(CODE_NAMES)
+LAYERS[CODE_SWAP] = 3
+LAYERS[GATE_CODES[g.BARRIER]] = 0
+
+#: :data:`LAYERS` with 1Q gates free (the CNOT-depth of a circuit).
+TWO_QUBIT_LAYERS = [
+    0 if IS_ONE_QUBIT[code] else layers for code, layers in enumerate(LAYERS)
+]
+
+
+def dt_table(
+    durations: Optional[Mapping[str, int]] = None, swap_as_cnots: bool = True
+) -> List[int]:
+    """Per-code durations in ``dt`` from a gate-name table.
+
+    Names missing from ``durations`` take 160 dt; barriers take none.
+    With ``swap_as_cnots`` a SWAP lasts its 3 CNOTs, otherwise its own
+    table entry.
+    """
+    durations = durations or DEFAULT_DURATIONS
+    table = [durations.get(name, 160) for name in CODE_NAMES]
+    table[GATE_CODES[g.BARRIER]] = 0
+    if swap_as_cnots:
+        table[CODE_SWAP] = 3 * table[CODE_CX]
+    return table
+
+
+#: Per-code ``dt`` under :data:`~repro.circuit.gate.DEFAULT_DURATIONS`.
+DEFAULT_DT = dt_table()
+
+
+def critical_paths(
+    codes: np.ndarray,
+    qubits: np.ndarray,
+    num_qubits: int,
+    layers: List[int] = LAYERS,
+    dt: List[int] = DEFAULT_DT,
+) -> Tuple[int, int]:
+    """``(depth, duration)`` of the rows in one ASAP pass.
+
+    Each row starts when the latest of its wires is free and occupies
+    them for its ``layers[code]`` layers and ``dt[code]`` dt; a barrier
+    (zero of both) thus aligns its wires without occupying them.
+    """
+    # One spare slot absorbs the -1 padding of zero-wire barriers.
+    level = [0] * (num_qubits + 1)
+    ready = [0] * (num_qubits + 1)
+    # Weights are read from the tables per row: a per-row list of them
+    # would allocate one int object per row for every dt above 256.
+    for code, a, b in zip(
+        codes.tolist(), qubits[:, 0].tolist(), qubits[:, 1].tolist()
+    ):
+        if b < 0:
+            level[a] += layers[code]
+            ready[a] += dt[code]
+            continue
+        top = level[a]
+        other = level[b]
+        if other > top:
+            top = other
+        level[a] = level[b] = top + layers[code]
+        start = ready[a]
+        other = ready[b]
+        if other > start:
+            start = other
+        ready[a] = ready[b] = start + dt[code]
+    return max(level), max(ready)
+
+
+def gate_counts(codes: np.ndarray) -> Tuple[int, int]:
+    """``(cnots, one_qubit)`` of a code column, SWAP counted as 3 CNOTs."""
+    counts = np.bincount(codes, minlength=len(CODE_NAMES))
+    cnots = int(counts[CODE_CX]) + 3 * int(counts[CODE_SWAP])
+    return cnots, int(counts[IS_ONE_QUBIT].sum())
 
 
 def depth(circuit: QuantumCircuit, one_qubit_free: bool = False) -> int:
@@ -28,23 +118,9 @@ def depth(circuit: QuantumCircuit, one_qubit_free: bool = False) -> int:
         If True, 1Q gates do not contribute a layer (useful for comparing
         CNOT-depth between compilers).
     """
-    level: Dict[int, int] = {}
-    for gate in circuit.gates:
-        if gate.name == g.BARRIER:
-            if gate.qubits:
-                top = max(level.get(q, 0) for q in gate.qubits)
-                for q in gate.qubits:
-                    level[q] = top
-            continue
-        weight = 1
-        if gate.name == g.SWAP:
-            weight = 3
-        elif one_qubit_free and gate.is_one_qubit():
-            weight = 0
-        top = max(level.get(q, 0) for q in gate.qubits)
-        for q in gate.qubits:
-            level[q] = top + weight
-    return max(level.values(), default=0)
+    codes, qubits = circuit.structure()
+    layers = TWO_QUBIT_LAYERS if one_qubit_free else LAYERS
+    return critical_paths(codes, qubits, circuit.num_qubits, layers)[0]
 
 
 def two_qubit_depth(circuit: QuantumCircuit) -> int:
@@ -94,13 +170,12 @@ class CircuitMetrics:
 
 def measure_circuit(circuit: QuantumCircuit) -> CircuitMetrics:
     """Compute the basic metrics of ``circuit`` (no accounting fields)."""
-    decomposed = circuit.decompose_swaps()
-    cnots = decomposed.count_ops().get(g.CX, 0)
-    oneq = decomposed.num_one_qubit_gates()
+    codes, qubits = circuit.structure()
+    cnots, oneq = gate_counts(codes)
     return CircuitMetrics(
         num_qubits=circuit.num_qubits,
         total_gates=cnots + oneq,
         cnot_gates=cnots,
         one_qubit_gates=oneq,
-        depth=depth(circuit),
+        depth=critical_paths(codes, qubits, circuit.num_qubits)[0],
     )

@@ -1,12 +1,20 @@
 """The encoded gate tape: a circuit as structured numpy columns.
 
-A :class:`GateTape` is the array-of-structs view of a gate list that the
-vectorized passes (peephole cancellation, 1Q consolidation) run on: one
-``uint8`` gate-code column, an ``int32 [N, 2]`` qubit block (``-1``
-padding for 1Q/0Q operations) and a ``float64 [N, 3]`` parameter block
-(``u3`` uses all three lanes, rotations the first).  Encoding is exact
-and reversible — :meth:`GateTape.decode` reproduces the original gate
-list gate-for-gate, which the randomized round-trip tests pin down.
+A :class:`GateTape` holds a gate sequence as one ``uint8`` gate-code
+column, an ``int32 [N, 2]`` qubit block (``-1`` padding for 1Q/0Q
+operations) and a ``float64 [N, 3]`` parameter block (``u3`` uses all
+three lanes, rotations the first).  Encoding is exact and reversible —
+:meth:`GateTape.decode` reproduces the original gate list gate-for-gate,
+which the randomized round-trip tests pin down.
+
+From the first pass after synthesis through the metrics, a compile's
+circuit *is* a tape: :meth:`QuantumCircuit.from_tape
+<repro.circuit.circuit.QuantumCircuit.from_tape>` wraps one, routing,
+SWAP decomposition, cancellation and consolidation read and write its
+columns, and the metric scan (:mod:`repro.circuit.metrics`) reads only
+``(code, q0, q1)``.  Gate objects are built only when someone reads
+``circuit.gates``.  Tapes are never mutated in place: a pass that
+changes the circuit builds new columns.
 
 Codes are assigned so classification is pure integer comparison on the
 code column: every 1Q gate code is below :data:`CODE_CX`, the two 2Q
@@ -18,14 +26,15 @@ predicates into single fancy-indexing expressions over the code column.
 Two gate shapes cannot be encoded and raise :class:`TapeError`:
 symbolic (:class:`~repro.circuit.parameter.ParameterExpression`)
 parameters, which have no float representation, and barriers spanning
-more than two wires.  Callers fall back to the scalar reference
-implementation for those circuits — the vectorized passes do exactly
-that, so templates with free parameters compile unchanged.
+more than two wires.  Such circuits stay gate lists: the cleanup passes
+fall back to their scalar references (:mod:`repro.passes.reference`),
+and the router and the metrics read their structure through
+:func:`encode_structure`, which ignores parameters.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -158,32 +167,17 @@ class GateTape:
                 row = seen[key] = len(distinct)
                 distinct.append(gate)
             refs[index] = row
+        code_column, qubit_column = _structure_rows(distinct)
         d = len(distinct)
-        code_column = [0] * d
-        qubit_column = [-1] * (2 * d)
         param_column = [0.0] * (3 * d)
-        get_code = GATE_CODES.get
         param_count = PARAM_COUNT
         for index, gate in enumerate(distinct):
-            code = get_code(gate.name)
-            if code is None:
-                raise TapeError(f"unknown gate {gate.name!r} at {index}")
-            code_column[index] = code
-            wires = gate.qubits
-            if wires:
-                if len(wires) > 2:
-                    raise TapeError(
-                        f"{gate.name} on {len(wires)} qubits at {index} "
-                        "exceeds the tape's two-wire columns"
-                    )
-                qubit_column[2 * index] = wires[0]
-                if len(wires) > 1:
-                    qubit_column[2 * index + 1] = wires[1]
             values = gate.params
-            if len(values) != param_count[code]:
+            expected = param_count[code_column[index]]
+            if len(values) != expected:
                 raise TapeError(
                     f"{gate.name} at {index} carries {len(values)} "
-                    f"params, expected {param_count[code]}"
+                    f"params, expected {expected}"
                 )
             if values:
                 base = 3 * index
@@ -208,33 +202,59 @@ class GateTape:
         return cls.encode(circuit.gates, circuit.num_qubits, name=circuit.name)
 
     def decode(self) -> List[Gate]:
-        """Rebuild the gate list; exact inverse of :meth:`encode`."""
-        counts = PARAM_COUNT[self.codes]
-        out: List[Gate] = []
-        qubits = self.qubits
-        params = self.params
-        for index, code in enumerate(self.codes):
-            q0, q1 = qubits[index]
+        """Rebuild the gate list; exact inverse of :meth:`encode`.
+
+        Equal rows decode to one shared :class:`Gate` (gates are
+        immutable): compiled circuits repeat a small alphabet of rows,
+        so only the distinct ones are built.  Rows compare by their
+        exact bits, so ``-0.0`` and ``0.0`` angles stay distinct.
+        """
+        if not len(self.codes):
+            return []
+        bits = np.ascontiguousarray(self.params).view(np.int64)
+        rows = np.column_stack((self.codes, self.qubits, bits))
+        _, first, inverse = np.unique(
+            rows, axis=0, return_index=True, return_inverse=True
+        )
+        counts = PARAM_COUNT[self.codes[first]].tolist()
+        distinct = np.empty(len(first), dtype=object)
+        for slot, (code, (q0, q1), angles, count) in enumerate(
+            zip(
+                self.codes[first].tolist(),
+                self.qubits[first].tolist(),
+                self.params[first].tolist(),
+                counts,
+            )
+        ):
             if q0 < 0:
                 wires = ()
             elif q1 < 0:
-                wires = (int(q0),)
+                wires = (q0,)
             else:
-                wires = (int(q0), int(q1))
-            count = counts[index]
-            angle = (
-                tuple(float(v) for v in params[index, :count]) if count else ()
+                wires = (q0, q1)
+            distinct[slot] = Gate(
+                CODE_NAMES[code], wires, tuple(angles[:count])
             )
-            out.append(Gate(CODE_NAMES[code], wires, angle))
-        return out
+        return distinct[inverse.reshape(-1)].tolist()
 
-    def to_circuit(self):
-        """Decode into a fresh :class:`~repro.circuit.circuit.QuantumCircuit`."""
-        from .circuit import QuantumCircuit
-
-        out = QuantumCircuit(self.num_qubits, self.name)
-        out.gates = self.decode()
-        return out
+    def decompose_swaps(self) -> "GateTape":
+        """Every SWAP row rewritten as its 3 CNOT rows (the paper's
+        accounting rule): ``cx(a, b) cx(b, a) cx(a, b)``."""
+        swap = self.codes == CODE_SWAP
+        if not swap.any():
+            return self
+        repeats = np.where(swap, 3, 1)
+        rows = np.repeat(np.arange(len(self.codes)), repeats)
+        codes = self.codes[rows]
+        qubits = self.qubits[rows]
+        starts = (np.cumsum(repeats) - repeats)[swap]
+        codes[starts] = CODE_CX
+        codes[starts + 1] = CODE_CX
+        codes[starts + 2] = CODE_CX
+        qubits[starts + 1] = qubits[starts + 1, ::-1]
+        return GateTape(
+            self.num_qubits, codes, qubits, self.params[rows], name=self.name
+        )
 
     def select(self, mask: np.ndarray) -> "GateTape":
         """The sub-tape of rows where ``mask`` holds (order preserved)."""
@@ -246,31 +266,66 @@ class GateTape:
             name=self.name,
         )
 
-def cache_tape(circuit, tape: GateTape) -> None:
-    """Attach ``tape`` (an exact encoding of ``circuit.gates``) so a
-    downstream :func:`try_encode` returns it without re-encoding.
 
-    The cache is validated by gates-list identity and length, so
-    replacing or growing the list invalidates it naturally.
+def encode_structure(gates: Sequence[Gate]) -> Tuple[np.ndarray, np.ndarray]:
+    """The code and qubit columns of ``gates``, parameters ignored.
+
+    This is what the router and the metric scan read, so symbolic
+    gates encode too.  A barrier wider than two wires becomes a chain
+    of two-wire barriers over its wires — forward, then back — which
+    brings every one of them to their latest layer, exactly as the
+    wide barrier does.
     """
-    circuit._tape_cache = (circuit.gates, len(circuit.gates), tape)
-
-
-def try_encode(circuit) -> Optional[GateTape]:
-    """``GateTape.from_circuit`` returning None when unencodable.
-
-    The vectorized passes call this once and fall back to their scalar
-    reference implementation on None (symbolic templates, wide
-    barriers) — the fallback is exercised by the template test suite.
-    A tape published by an upstream pass via :func:`cache_tape` is
-    returned directly when still valid.
-    """
-    cached = getattr(circuit, "_tape_cache", None)
-    if cached is not None:
-        gates_obj, length, tape = cached
-        if circuit.gates is gates_obj and len(gates_obj) == length:
-            return tape
     try:
-        return GateTape.from_circuit(circuit)
+        code_column, qubit_column = _structure_rows(gates)
     except TapeError:
-        return None
+        if not any(
+            gate.name == g.BARRIER and len(gate.qubits) > 2 for gate in gates
+        ):
+            raise
+        code_column, qubit_column = _chained_structure(gates)
+    return (
+        np.array(code_column, dtype=np.uint8),
+        np.array(qubit_column, dtype=np.int32).reshape(-1, 2),
+    )
+
+
+def _chained_structure(gates: Sequence[Gate]) -> Tuple[List[int], List[int]]:
+    code_column: List[int] = []
+    qubit_column: List[int] = []
+    for gate in gates:
+        wires = gate.qubits
+        if gate.name == g.BARRIER and len(wires) > 2:
+            links = list(zip(wires, wires[1:]))
+            links += links[-2::-1]
+        else:
+            links = [tuple(_structure_rows([gate])[1])]
+        for link in links:
+            code_column.append(GATE_CODES[gate.name])
+            qubit_column.extend(link)
+    return code_column, qubit_column
+
+
+def _structure_rows(gates: Sequence[Gate]) -> Tuple[List[int], List[int]]:
+    """Flat code and (q0, q1) columns of ``gates``; raises
+    :class:`TapeError` for unknown gates and operations wider than two
+    qubits."""
+    code_column = [0] * len(gates)
+    qubit_column = [-1] * (2 * len(gates))
+    get_code = GATE_CODES.get
+    for index, gate in enumerate(gates):
+        code = get_code(gate.name)
+        if code is None:
+            raise TapeError(f"unknown gate {gate.name!r} at {index}")
+        code_column[index] = code
+        wires = gate.qubits
+        if wires:
+            if len(wires) > 2:
+                raise TapeError(
+                    f"{gate.name} on {len(wires)} qubits at {index} "
+                    "exceeds the tape's two-wire columns"
+                )
+            qubit_column[2 * index] = wires[0]
+            if len(wires) > 1:
+                qubit_column[2 * index + 1] = wires[1]
+    return code_column, qubit_column

@@ -18,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..circuit import gate as g
 from ..circuit.circuit import QuantumCircuit
-from ..circuit.duration import circuit_duration
-from ..circuit.metrics import CircuitMetrics, depth
+from ..circuit.metrics import CircuitMetrics, critical_paths, gate_counts
 from ..pauli.block import PauliBlock
 from ..routing.layout import Layout
 
@@ -67,9 +65,13 @@ class CompilationResult:
     extra: Dict[str, float] = field(default_factory=dict)
 
     def metrics(self) -> CircuitMetrics:
-        decomposed = self.circuit.decompose_swaps()
-        cnots = decomposed.count_ops().get(g.CX, 0)
-        oneq = decomposed.num_one_qubit_gates()
+        """The paper's metric set from one column scan of the circuit
+        (see :mod:`repro.circuit.metrics`)."""
+        codes, qubits = self.circuit.structure()
+        cnots, oneq = gate_counts(codes)
+        depth, duration = critical_paths(
+            codes, qubits, self.circuit.num_qubits
+        )
         swap_cnots = 3 * self.num_swaps
         emitted_logical = cnots - swap_cnots - self.bridge_overhead_cnots
         return CircuitMetrics(
@@ -77,8 +79,8 @@ class CompilationResult:
             total_gates=cnots + oneq,
             cnot_gates=cnots,
             one_qubit_gates=oneq,
-            depth=depth(self.circuit),
-            duration=circuit_duration(self.circuit),
+            depth=depth,
+            duration=duration,
             swap_cnots=swap_cnots,
             bridge_cnots=self.bridge_overhead_cnots,
             logical_cnots=self.logical_cnots,

@@ -4,15 +4,16 @@ After cancellation, maximal runs of adjacent single-qubit gates on one wire
 are multiplied out and re-emitted as at most one ``U3`` — the IBM-basis
 consolidation Qiskit O3 performs.  Identity runs are dropped entirely.
 
-The pass runs over the encoded gate tape: run grouping works on integer
-code/qubit columns, and the unitary products are memoized per run
-*shape* — a run's ZYZ angles depend only on its ``(name, params)``
-sequence, and compiled circuits repeat a small alphabet of such
-sequences (basis-change sandwiches, mirrored tree halves) thousands of
-times.  Cache hits skip the 2x2 matrix chain entirely; misses compute
-it exactly as the scalar reference does, so emitted angles are
-bit-for-bit identical.  Unencodable (symbolic) circuits fall back to
-:mod:`repro.passes.reference`.
+The pass runs over the encoded gate tape, tape in and tape out: run
+grouping works on integer code/qubit columns, and the unitary products
+are memoized per run *shape* — a run's ZYZ angles depend only on its
+``(name, params)`` sequence, and compiled circuits repeat a small
+alphabet of such sequences (basis-change sandwiches, mirrored tree
+halves) thousands of times.  Only runs of two or more gates read their
+parameters to build that key.  Cache hits skip the 2x2 matrix chain
+entirely; misses compute it exactly as the scalar reference does, so
+emitted angles are bit-for-bit identical.  Unencodable (symbolic)
+circuits fall back to :mod:`repro.passes.reference`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,14 @@ import numpy as np
 from ..circuit import gate as g
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.gate import Gate
-from ..circuit.tape import CODE_CX, try_encode
+from ..circuit.tape import (
+    CODE_CX,
+    CODE_NAMES,
+    GATE_CODES,
+    PARAM_COUNT,
+    GateTape,
+    TapeError,
+)
 from ..sim.unitaries import gate_unitary
 
 
@@ -54,75 +62,128 @@ def _zyz_angles(matrix: np.ndarray) -> Optional[tuple]:
     return theta, phi, lam
 
 
+_CODE_U3 = GATE_CODES[g.U3]
+
+
 @lru_cache(maxsize=4096)
 def _unitary_of(name: str, params: Tuple[float, ...]) -> np.ndarray:
     """The (qubit-independent) 2x2 unitary of a 1Q gate."""
     return gate_unitary(Gate(name, (0,), params))
 
 
-@lru_cache(maxsize=65536)
-def _run_angles(
-    run_key: Tuple[Tuple[str, Tuple[float, ...]], ...]
-) -> Optional[tuple]:
-    """ZYZ angles of a 1Q-gate sequence (None when it is the identity).
+#: One run row as its key bytes: the gate code, then its three
+#: parameter lanes (unused lanes are zero).
+_RUN_ROW = np.dtype([("code", "u1"), ("params", "<f8", (3,))])
 
-    Same matrix chain as the scalar reference — left-multiplied in run
-    order — so equal keys reproduce its floats exactly.
+
+@lru_cache(maxsize=65536)
+def _run_angles(run_key: bytes) -> Optional[tuple]:
+    """ZYZ angles of a 1Q-gate run (None when it is the identity).
+
+    ``run_key`` is the run's rows packed as :data:`_RUN_ROW` records, so
+    equal keys are bit-identical runs.  Same matrix chain as the scalar
+    reference — left-multiplied in run order — so the floats match it.
     """
     matrix = np.eye(2, dtype=complex)
-    for name, params in run_key:
-        matrix = _unitary_of(name, params) @ matrix
+    for code, params in np.frombuffer(run_key, dtype=_RUN_ROW).tolist():
+        matrix = _unitary_of(
+            CODE_NAMES[code], tuple(params[:PARAM_COUNT[code]])
+        ) @ matrix
     return _zyz_angles(matrix)
 
 
 def consolidate_one_qubit_runs(circuit: QuantumCircuit) -> QuantumCircuit:
-    """Collapse each maximal 1Q run into a single U3 (or nothing)."""
-    tape = try_encode(circuit)
-    if tape is None:
+    """Collapse each maximal 1Q run into a single U3 (or nothing).
+
+    Tape in, tape out.  A run is flushed where the reference flushes it:
+    just before the next non-1Q row on its wire (that row's first wire,
+    then its second), or at the end in wire order.  A run of one gate
+    keeps its row, a longer run becomes one new ``u3`` row (or nothing),
+    and every non-1Q row is copied.
+    """
+    try:
+        tape = circuit.tape()
+    except TapeError:
         # Symbolic gates split runs and pass through verbatim: scalar path.
         from .reference import consolidate_one_qubit_runs_reference
 
         return consolidate_one_qubit_runs_reference(circuit)
 
-    gates = circuit.gates
-    codes = tape.codes.tolist()
-    q0 = tape.qubits[:, 0].tolist()
-    q1 = tape.qubits[:, 1].tolist()
+    codes = tape.codes
+    num_qubits = circuit.num_qubits
 
-    out = QuantumCircuit(circuit.num_qubits, circuit.name)
-    out_gates = out.gates
-    pending: List[Optional[List[int]]] = [None] * circuit.num_qubits
+    # Wire occurrences in (wire, position) order; ``slot`` says which of
+    # its row's wires an occurrence is.
+    flat = tape.qubits.ravel()
+    present = np.nonzero(flat >= 0)[0]
+    order = present[np.argsort(flat[present].astype(np.uint16), kind="stable")]
+    position = order >> 1
+    slot = order & 1
+    wire = flat[order]
 
-    def flush(qubit: int) -> None:
-        run = pending[qubit]
-        pending[qubit] = None
-        if not run:
-            return
-        if len(run) == 1:
-            out_gates.append(gates[run[0]])
-            return
-        key = tuple((gates[i].name, gates[i].params) for i in run)
-        angles = _run_angles(key)
-        if angles is not None:
-            out_gates.append(Gate(g.U3, gates[run[0]].qubits, angles))
+    # Runs: maximal stretches of 1Q occurrences on one wire.
+    one = codes[position] < CODE_CX
+    continues = np.zeros(len(position), dtype=bool)
+    continues[1:] = one[1:] & one[:-1] & (wire[1:] == wire[:-1])
+    first = one & ~continues
+    starts = np.nonzero(first)[0]
+    run_of = np.cumsum(first) - 1
+    lengths = np.bincount(run_of[one], minlength=len(starts))
+    ends = starts + lengths
+    run_wire = wire[starts]
+    # Where each run is flushed, as (row, rank): before the next row on
+    # its wire, in that row's wire order (rank 0 or 1; the row itself
+    # ranks 2), or after every row in wire order.
+    blocked = ends < len(position)
+    blocked[blocked] = wire[ends[blocked]] == run_wire[blocked]
+    blocker = np.minimum(ends, len(position) - 1)
+    flush_row = np.where(blocked, position[blocker], len(codes))
+    flush_rank = np.where(blocked, slot[blocker], run_wire)
 
-    for position in range(len(codes)):
-        if codes[position] < CODE_CX:
-            qubit = q0[position]
-            run = pending[qubit]
-            if run is None:
-                pending[qubit] = [position]
-            else:
-                run.append(position)
-            continue
-        # 2Q / non-unitary: flush in the gate's own qubit order, then emit.
-        qubit = q0[position]
-        if qubit >= 0:
-            flush(qubit)
-            qubit = q1[position]
-            if qubit >= 0:
-                flush(qubit)
-        out_gates.append(gates[position])
-    for qubit in range(circuit.num_qubits):
-        flush(qubit)
-    return out
+    # Runs of two or more gates become one u3 each (none for identity),
+    # keyed by their rows packed in run order.
+    fused = np.zeros(0, dtype=np.intp)
+    u3_params = np.zeros((0, 3))
+    long_runs = np.nonzero(lengths > 1)[0]
+    if len(long_runs):
+        members = position[one & (lengths[run_of] > 1)]
+        records = np.empty(len(members), dtype=_RUN_ROW)
+        records["code"] = codes[members]
+        records["params"] = tape.params[members]
+        blob = records.tobytes()
+        bounds = (np.cumsum(lengths[long_runs]) * _RUN_ROW.itemsize).tolist()
+        angles = [
+            _run_angles(blob[low:high])
+            for low, high in zip([0] + bounds[:-1], bounds)
+        ]
+        fused = long_runs[[value is not None for value in angles]]
+        u3_params = np.array(
+            [value for value in angles if value is not None]
+        ).reshape(-1, 3)
+
+    # Emitted items: single-gate runs, fused u3 rows, copied non-1Q rows.
+    singles = np.nonzero(lengths == 1)[0]
+    kept = position[starts[singles]]
+    copied = np.nonzero(codes >= CODE_CX)[0]
+    u3_qubits = np.full((len(fused), 2), -1, dtype=np.int32)
+    u3_qubits[:, 0] = run_wire[fused]
+    item_codes = np.concatenate(
+        (codes[kept], np.full(len(fused), _CODE_U3, np.uint8), codes[copied])
+    )
+    item_qubits = np.concatenate(
+        (tape.qubits[kept], u3_qubits, tape.qubits[copied])
+    )
+    item_params = np.concatenate(
+        (tape.params[kept], u3_params, tape.params[copied])
+    )
+    runs = np.concatenate((singles, fused))
+    out = np.argsort(
+        np.concatenate((flush_row[runs], copied)) * (num_qubits + 2)
+        + np.concatenate((flush_rank[runs], np.full(len(copied), 2)))
+    )
+    return QuantumCircuit.from_tape(
+        GateTape(
+            num_qubits, item_codes[out], item_qubits[out], item_params[out],
+            name=circuit.name,
+        )
+    )

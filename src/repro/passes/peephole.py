@@ -11,16 +11,16 @@ Implements the cancellation rules the paper's evaluation relies on:
   CNOTs sharing the same control (or the same target).
 
 The pass runs to a fixpoint over the encoded gate tape
-(:class:`~repro.circuit.tape.GateTape`): the scan works on plain integer
-code/qubit columns instead of :class:`Gate` attributes, and each round
-is preceded by a vectorized candidate check over the wire-occurrence
-table — a round whose static occurrence pairs admit no cancellation is
-skipped outright, which in particular eliminates the final no-op
-verification round of every fixpoint.  Gate objects are only touched to
-build merged rotations; surviving gates are reused as-is, so the output
-is gate-for-gate identical to the scalar reference
-(:mod:`repro.passes.reference`), which also serves unencodable
-(symbolic/wide-barrier) circuits.
+(:class:`~repro.circuit.tape.GateTape`), tape in and tape out: the scan
+works on plain integer code/qubit columns, and each round is preceded
+by a vectorized candidate check over the wire-occurrence table — a
+round whose static occurrence pairs admit no cancellation is skipped
+outright, which in particular eliminates the final no-op verification
+round of every fixpoint.  No :class:`Gate` is built: the output is the
+surviving input rows, with merged rotation angles written into the
+first parameter column, and it is gate-for-gate identical to the scalar
+reference (:mod:`repro.passes.reference`), which also serves
+unencodable (symbolic/wide-barrier) circuits.
 
 The pass is semantics-preserving; soundness is property-tested against
 the statevector simulator, and scalar/vectorized agreement is pinned by
@@ -35,16 +35,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
-from ..circuit.gate import Gate
-from ..circuit.tape import (
-    CODE_CX,
-    CODE_MEASURE,
-    CODE_NAMES,
-    GATE_CODES,
-    GateTape,
-    cache_tape,
-    try_encode,
-)
+from ..circuit.tape import CODE_CX, CODE_MEASURE, GATE_CODES, GateTape, TapeError
 from ..circuit import gate as g
 
 _TWO_PI = 2.0 * math.pi
@@ -76,20 +67,23 @@ _CODE_SDG = GATE_CODES[g.SDG]
 
 
 def cancel_gates(circuit: QuantumCircuit, max_rounds: int = 20) -> QuantumCircuit:
-    """Run cancellation rounds to a fixpoint and return the reduced circuit."""
-    tape = try_encode(circuit)
-    if tape is None:
+    """Run cancellation rounds to a fixpoint and return the reduced
+    circuit (tape-backed unless the input cannot be taped)."""
+    try:
+        tape = circuit.tape()
+    except TapeError:
         # Symbolic parameters or wide barriers: scalar reference path.
         from .reference import cancel_gates_reference
 
         return cancel_gates_reference(circuit, max_rounds=max_rounds)
 
-    gates = list(circuit.gates)
     codes = tape.codes.astype(np.int64)
     q0 = tape.qubits[:, 0].astype(np.int64)
     q1 = tape.qubits[:, 1].astype(np.int64)
-    params_mat = tape.params
-    params0 = params_mat[:, 0].tolist()
+    # Surviving rows of the input tape, and the merged first angle of
+    # each (merges only ever rewrite a single-parameter rotation).
+    rows = np.arange(len(codes))
+    params0 = tape.params[:, 0].tolist()
 
     for _ in range(max_rounds):
         positions, cx_candidates = _round_candidates(
@@ -98,7 +92,7 @@ def cancel_gates(circuit: QuantumCircuit, max_rounds: int = 20) -> QuantumCircui
         if positions is None:
             break
         alive, changed = _cancel_round(
-            gates, codes.tolist(), q0.tolist(), q1.tolist(), params0,
+            codes.tolist(), q0.tolist(), q1.tolist(), params0,
             positions, cx_candidates, circuit.num_qubits,
         )
         if not changed:
@@ -107,29 +101,21 @@ def cancel_gates(circuit: QuantumCircuit, max_rounds: int = 20) -> QuantumCircui
         codes = codes[mask]
         q0 = q0[mask]
         q1 = q1[mask]
-        params_mat = params_mat[mask]
-        gates = [gate for keep, gate in zip(alive, gates) if keep]
+        rows = rows[mask]
         params0 = [p for keep, p in zip(alive, params0) if keep]
 
-    out = QuantumCircuit(circuit.num_qubits, circuit.name)
-    out.gates = gates
-    # The surviving columns already encode the output exactly (merges
-    # only touch single-param rotations, reflected in params0): publish
-    # them so the next tape pass skips its encode.
-    params_out = params_mat.copy()
-    if gates:
-        params_out[:, 0] = params0
-    cache_tape(
-        out,
+    params = tape.params[rows]
+    if len(rows):
+        params[:, 0] = params0
+    return QuantumCircuit.from_tape(
         GateTape(
             circuit.num_qubits,
-            codes.astype(np.uint8),
-            np.column_stack((q0, q1)).astype(np.int32),
-            params_out,
+            tape.codes[rows],
+            tape.qubits[rows],
+            params,
             name=circuit.name,
-        ),
+        )
     )
-    return out
 
 
 def _round_candidates(
@@ -198,7 +184,6 @@ def _round_candidates(
 
 
 def _cancel_round(
-    gates: List[Gate],
     codes: List[int],
     q0: List[int],
     q1: List[int],
@@ -213,8 +198,7 @@ def _cancel_round(
     order); every other gate survives untouched and its occurrence
     lists are never consulted, so skipping it is exact.
     """
-    n = len(gates)
-    alive = [True] * n
+    alive = [True] * len(codes)
     occurrences: List[List[int]] = [[] for _ in range(num_qubits)]
     changed = False
     self_inverse = _SELF_INVERSE_1Q
@@ -253,9 +237,6 @@ def _cancel_round(
                             # Merged to (-)identity: both gates drop.
                             alive[position] = False
                         else:
-                            gates[position] = Gate(
-                                CODE_NAMES[code], (wire_index,), (angle,)
-                            )
                             params0[position] = angle
                             wire.append(position)
                         continue

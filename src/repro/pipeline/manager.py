@@ -3,8 +3,9 @@
 :class:`PassManager` owns a named list of passes.  :meth:`PassManager.run`
 seeds a :class:`~repro.pipeline.base.PropertySet` with the workload and
 device, validates each pass's ``requires`` declaration, times every pass
-(always), snapshots the circuit around every pass (only when
-``profile=True`` — snapshots cost one linear scan each), and assembles
+(always), snapshots the circuit after every transformation pass (only
+when ``profile=True`` — a snapshot is one column scan, see
+:func:`~repro.pipeline.profile.snapshot`), and assembles
 the final :class:`~repro.compiler.base.CompilationResult` from the
 well-known state keys.
 
@@ -134,7 +135,7 @@ class PassManager:
         optimize_seconds = 0.0
         # The circuit only changes inside passes, so pass i+1's "before"
         # snapshot is pass i's "after" — carry it forward instead of
-        # re-scanning (snapshots cost a gate scan + depth computation).
+        # re-scanning.
         carried = snapshot(state.get("circuit")) if profile else None
         with obs_span(
             "pipeline:run", "pipeline", pipeline=self.name
@@ -158,7 +159,11 @@ class PassManager:
                 else:
                     compile_seconds += elapsed
                 if profile:
-                    after = snapshot(state.get("circuit"))
+                    # Analysis passes never touch the circuit.
+                    after = (
+                        before if pass_.is_analysis
+                        else snapshot(state.get("circuit"))
+                    )
                     carried = after
                     # Spans are live objects until the session exports, so
                     # the profile deltas (computed after the span closed)

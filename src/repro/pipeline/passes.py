@@ -19,6 +19,7 @@ from typing import Dict, List, Set, Tuple
 from ..circuit import gate as g
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.gate import Gate
+from ..circuit.tape import TapeError
 from ..compiler.base import interaction_pairs
 from ..compiler.mapping_utils import SwapTracker
 from ..passes.consolidate import consolidate_one_qubit_runs
@@ -598,14 +599,24 @@ class CancelLogicalPass(TransformationPass):
 
 class DecomposeSwapsPass(TransformationPass):
     """Decompose every SWAP into 3 CNOTs (idempotent; metric-neutral
-    because all metrics already count SWAP as 3)."""
+    because all metrics already count SWAP as 3).
+
+    The first cleanup pass, so it is where a synthesized gate list is
+    encoded once onto a tape; symbolic circuits stay gate lists."""
 
     name = "decompose-swaps"
     stage = "optimize"
     requires = ("circuit",)
 
     def run(self, state: PropertySet) -> None:
-        state["circuit"] = state["circuit"].decompose_swaps()
+        circuit = state["circuit"]
+        try:
+            # Encodes a gate-list circuit: the tail runs on tapes from here.
+            tape = circuit.tape()
+        except TapeError:
+            state["circuit"] = circuit.decompose_swaps()
+            return
+        state["circuit"] = QuantumCircuit.from_tape(tape.decompose_swaps())
 
 
 class CancelGatesPass(TransformationPass):

@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..circuit import gate as g
 from ..circuit.circuit import QuantumCircuit
-from ..circuit.metrics import depth
+from ..circuit.metrics import critical_paths, gate_counts
 
 
 @dataclass(frozen=True)
@@ -34,14 +33,18 @@ class GateSnapshot:
 
 
 def snapshot(circuit: Optional[QuantumCircuit]) -> GateSnapshot:
-    """Measure ``circuit`` without decomposing it (SWAP = 3 CNOTs/layers)."""
+    """Measure ``circuit`` with the metric scan (SWAP = 3 CNOTs/layers).
+
+    Reads only the ``(code, q0, q1)`` columns, so a tape-backed circuit
+    is never decoded between passes."""
     if circuit is None:
         return GateSnapshot()
-    ops = circuit.count_ops()
+    codes, qubits = circuit.structure()
+    cnot, one_qubit = gate_counts(codes)
     return GateSnapshot(
-        cnot=ops.get(g.CX, 0) + 3 * ops.get(g.SWAP, 0),
-        one_qubit=circuit.num_one_qubit_gates(),
-        depth=depth(circuit),
+        cnot=cnot,
+        one_qubit=one_qubit,
+        depth=critical_paths(codes, qubits, circuit.num_qubits)[0],
     )
 
 

@@ -2,17 +2,26 @@
 
 Used by the hardware-oblivious baselines (T|Ket>-like, PCOAST-like,
 max_cancel) that first build a logical circuit and then solve connectivity.
-The router walks the gate list in order; when a CNOT's qubits are distant it
-moves one endpoint along a shortest path, choosing the endpoint (and path)
-that also helps upcoming gates within a lookahead window.
+The router walks the circuit in order; when a CNOT's qubits are not
+coupled it moves one endpoint along a path, choosing the endpoint (and
+path) that also helps upcoming gates within a lookahead window.
 
-The lookahead score runs over arrays: upcoming-partner columns are
-prebuilt per logical qubit, the live logical->physical map is a numpy
-vector, and each window is a single fancy-indexed gather from the cached
-:meth:`~repro.hardware.coupling.CouplingGraph.distance_matrix` row.
-Only the final <=24-term decayed accumulation stays sequential — scoring
-must reproduce the scalar reference (:mod:`repro.routing.reference`)
-bit-for-bit, and pairwise numpy sums would not.
+One loop serves both routers.  :func:`route_circuit` scores by hop
+distance and follows :meth:`~repro.hardware.coupling.CouplingGraph.
+shortest_path`; :func:`route_circuit_noise` scores by the calibration's
+log-infidelity distance and follows its highest-fidelity
+:meth:`~repro.hardware.calibration.Calibration.noise_path`.
+
+The loop reads only the circuit's ``(code, q0, q1)`` columns and plans
+the output as rows: an input row on new wires, or a SWAP.  A tape-backed
+or encodable circuit becomes a tape-backed output with the input's
+parameter rows gathered and SWAP rows inline; a symbolic circuit (which
+no tape holds) is rebuilt gate by gate from the same plan.  Upcoming
+partners per logical qubit are prebuilt columns and each lookahead
+window is one gather from the distance rows; the decayed accumulation
+stays a sequential Python-float loop, because scoring must reproduce the
+scalar reference (:mod:`repro.routing.reference`) bit-for-bit and
+pairwise numpy sums would not.
 
 The emitted circuit is over *physical* wires; SWAPs are recorded as SWAP
 gates so downstream accounting can attribute their 3 CNOTs each.
@@ -20,19 +29,33 @@ gates so downstream accounting can attribute their 3 CNOTs each.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..circuit import gate as g
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.gate import Gate
+from ..circuit.tape import (
+    CODE_CX,
+    CODE_SWAP,
+    GATE_CODES,
+    GateTape,
+    TapeError,
+    encode_structure,
+)
 from ..hardware.coupling import CouplingGraph
 from .layout import Layout
 
 _LOOKAHEAD_WINDOW = 24
 _LOOKAHEAD_DECAY = 0.7
+#: The window's decay weights, multiplied out in the reference's order.
+_LOOKAHEAD_WEIGHTS = [1.0]
+for _ in range(_LOOKAHEAD_WINDOW - 1):
+    _LOOKAHEAD_WEIGHTS.append(_LOOKAHEAD_WEIGHTS[-1] * _LOOKAHEAD_DECAY)
+_CODE_BARRIER = GATE_CODES[g.BARRIER]
 
 
 @dataclass
@@ -56,121 +79,9 @@ def route_circuit(
     layout: Optional[Layout] = None,
 ) -> RoutingResult:
     """Route a logical circuit onto ``coupling``; returns physical circuit."""
-    if circuit.num_qubits > coupling.num_qubits:
-        raise ValueError("circuit wider than the device")
-    working = (layout or Layout.trivial(circuit.num_qubits, coupling.num_qubits)).copy()
-    initial = working.copy()
-    out = QuantumCircuit(coupling.num_qubits, circuit.name)
-    num_swaps = 0
-    num_logical = circuit.num_qubits
-
-    # Per-logical columns of upcoming 2Q gates for the lookahead score.
-    upcoming_lists: List[List[int]] = [[] for _ in range(2 * num_logical)]
-    for position, gate in enumerate(circuit.gates):
-        if gate.name == g.CX or gate.name == g.SWAP:
-            a, b = gate.qubits
-            upcoming_lists[2 * a].append(position)
-            upcoming_lists[2 * a + 1].append(b)
-            upcoming_lists[2 * b].append(position)
-            upcoming_lists[2 * b + 1].append(a)
-    upcoming_pos = [
-        np.asarray(upcoming_lists[2 * q], dtype=np.int64)
-        for q in range(num_logical)
-    ]
-    upcoming_partner = [
-        np.asarray(upcoming_lists[2 * q + 1], dtype=np.int64)
-        for q in range(num_logical)
-    ]
-    cursor = [0] * num_logical
-    distance = coupling.distance_matrix()
-
-    # Live logical -> physical vector (-1: unplaced) mirroring ``working``,
-    # so partner positions gather as one fancy index.
-    phys = np.full(num_logical + 1, -1, dtype=np.int64)
-    log_of = [-1] * coupling.num_qubits
-    for logical in range(num_logical):
-        try:
-            physical = working.physical(logical)
-        except KeyError:
-            continue
-        phys[logical] = physical
-        log_of[physical] = logical
-
-    def window_partners(logical: int, position: int) -> np.ndarray:
-        """Physical positions of the next placed partners of ``logical``
-        after ``position`` (at most the lookahead window)."""
-        start = cursor[logical]
-        positions = upcoming_pos[logical][start:]
-        partners = upcoming_partner[logical][start:]
-        placed = phys[partners[positions > position]]
-        placed = placed[placed >= 0]
-        return placed[:_LOOKAHEAD_WINDOW]
-
-    def lookahead_cost(partner_physicals: np.ndarray, physical: int) -> float:
-        """Decayed distance from ``physical`` to each partner.
-
-        The distances gather as one fancy index; the decayed sum stays a
-        sequential Python-float loop — IEEE-identical to the reference's
-        numpy-scalar accumulation, an order of magnitude cheaper."""
-        total = 0.0
-        weight = 1.0
-        for d in distance[physical][partner_physicals].tolist():
-            total += weight * d
-            weight *= _LOOKAHEAD_DECAY
-        return total
-
-    for position, gate in enumerate(circuit.gates):
-        if gate.num_qubits == 1:
-            qubit = gate.qubits[0]
-            physical = int(phys[qubit])
-            if physical < 0:
-                raise KeyError(qubit)
-            out.append(gate.remapped({qubit: physical}))
-            continue
-        if gate.name == g.BARRIER:
-            continue
-        a, b = gate.qubits
-        for q in (a, b):
-            entries = upcoming_pos[q]
-            while cursor[q] < len(entries) and entries[cursor[q]] <= position:
-                cursor[q] += 1
-        pa, pb = int(phys[a]), int(phys[b])
-        if pa < 0 or pb < 0:
-            raise KeyError(a if pa < 0 else b)
-        while distance[pa, pb] > 1:
-            path = coupling.shortest_path(pa, pb)
-            assert path is not None
-            # Two candidate moves: advance a's end or b's end one hop.
-            # Both scores share each endpoint's partner window.
-            move_a = (pa, path[1])
-            move_b = (pb, path[-2])
-            partners_a = window_partners(a, position)
-            partners_b = window_partners(b, position)
-            cost_a = lookahead_cost(partners_a, path[1]) + lookahead_cost(
-                partners_b, pb
-            )
-            cost_b = lookahead_cost(partners_a, pa) + lookahead_cost(
-                partners_b, path[-2]
-            )
-            chosen = move_a if cost_a <= cost_b else move_b
-            out.swap(*chosen)
-            working.swap_physical(*chosen)
-            first, second = chosen
-            la, lb = log_of[first], log_of[second]
-            if la >= 0:
-                phys[la] = second
-            if lb >= 0:
-                phys[lb] = first
-            log_of[first], log_of[second] = lb, la
-            num_swaps += 1
-            pa, pb = int(phys[a]), int(phys[b])
-        out.append(Gate(gate.name, (pa, pb), gate.params))
-
-    return RoutingResult(
-        circuit=out,
-        initial_layout=initial,
-        final_layout=working,
-        num_swaps=num_swaps,
+    return _route(
+        circuit, coupling, layout, coupling.distance_rows(),
+        coupling.shortest_path,
     )
 
 
@@ -182,44 +93,61 @@ def route_circuit_noise(
 ) -> RoutingResult:
     """SABRE-style routing scored by log-infidelity instead of hop count.
 
-    Same sequential algorithm as :func:`route_circuit`, with two
-    substitutions: the distance matrix is the calibration's noise-distance
-    matrix (``-log(1-p)`` edge weights, so "closer" means "connected by
-    better couplers"), and each distant CNOT advances along the
-    *highest-fidelity* path rather than the fewest-hop path.  Termination
-    switches from ``distance == 1`` to actual adjacency, since noise
-    distances are not hop counts.  Kept separate from ``route_circuit``
-    so the frozen reference gate streams of the noise-blind pipelines
-    stay untouched.
+    The :func:`route_circuit` loop with two substitutions: the distance
+    rows are the calibration's noise-distance matrix (``-log(1-p)`` edge
+    weights, so "closer" means "connected by better couplers"), and each
+    uncoupled CNOT advances along the *highest-fidelity* path rather
+    than the fewest-hop path.
     """
+    return _route(
+        circuit, coupling, layout,
+        calibration.noise_distance_matrix().tolist(), calibration.noise_path,
+    )
+
+
+def _route(
+    circuit: QuantumCircuit,
+    coupling: CouplingGraph,
+    layout: Optional[Layout],
+    distance: List[List[float]],
+    path_of: Callable[[int, int], Optional[List[int]]],
+) -> RoutingResult:
+    """The routing loop shared by both routers (see module docstring)."""
     if circuit.num_qubits > coupling.num_qubits:
         raise ValueError("circuit wider than the device")
     working = (layout or Layout.trivial(circuit.num_qubits, coupling.num_qubits)).copy()
     initial = working.copy()
-    out = QuantumCircuit(coupling.num_qubits, circuit.name)
-    num_swaps = 0
     num_logical = circuit.num_qubits
+    try:
+        tape: Optional[GateTape] = circuit.tape()
+        codes, qubits = tape.codes, tape.qubits
+    except TapeError:
+        tape = None
+        # The loop drops every barrier on two or more wires; dropping the
+        # wide ones here keeps rows and gates one to one.
+        gates = [
+            gate for gate in circuit.gates
+            if not (gate.name == g.BARRIER and len(gate.qubits) > 2)
+        ]
+        codes, qubits = encode_structure(gates)
 
-    upcoming_lists: List[List[int]] = [[] for _ in range(2 * num_logical)]
-    for position, gate in enumerate(circuit.gates):
-        if gate.name == g.CX or gate.name == g.SWAP:
-            a, b = gate.qubits
-            upcoming_lists[2 * a].append(position)
-            upcoming_lists[2 * a + 1].append(b)
-            upcoming_lists[2 * b].append(position)
-            upcoming_lists[2 * b + 1].append(a)
+    # Per-logical columns of upcoming 2Q rows (position-sorted) for the
+    # lookahead score.
+    two = np.nonzero((codes == CODE_CX) | (codes == CODE_SWAP))[0]
+    ends = np.concatenate((qubits[two, 0], qubits[two, 1]))
+    order = np.lexsort((np.concatenate((two, two)), ends))
+    positions = np.concatenate((two, two))[order].tolist()
+    partners = np.concatenate((qubits[two, 1], qubits[two, 0]))[order].tolist()
+    bounds = np.searchsorted(ends[order], np.arange(num_logical + 1)).tolist()
     upcoming_pos = [
-        np.asarray(upcoming_lists[2 * q], dtype=np.int64)
-        for q in range(num_logical)
+        positions[bounds[q]:bounds[q + 1]] for q in range(num_logical)
     ]
     upcoming_partner = [
-        np.asarray(upcoming_lists[2 * q + 1], dtype=np.int64)
-        for q in range(num_logical)
+        partners[bounds[q]:bounds[q + 1]] for q in range(num_logical)
     ]
-    cursor = [0] * num_logical
-    distance = calibration.noise_distance_matrix()
 
-    phys = np.full(num_logical + 1, -1, dtype=np.int64)
+    # Live logical -> physical map (-1: unplaced) mirroring ``working``.
+    phys = [-1] * num_logical
     log_of = [-1] * coupling.num_qubits
     for logical in range(num_logical):
         try:
@@ -229,44 +157,60 @@ def route_circuit_noise(
         phys[logical] = physical
         log_of[physical] = logical
 
-    def window_partners(logical: int, position: int) -> np.ndarray:
-        start = cursor[logical]
-        positions = upcoming_pos[logical][start:]
-        partners = upcoming_partner[logical][start:]
-        placed = phys[partners[positions > position]]
-        placed = placed[placed >= 0]
-        return placed[:_LOOKAHEAD_WINDOW]
+    def window_partners(logical: int, position: int) -> List[int]:
+        """Physical positions of the next partners of ``logical`` after
+        ``position`` (at most the lookahead window).  Routing never
+        places a qubit, so an unplaced partner raises KeyError at its own
+        row before the route can finish."""
+        start = bisect_right(upcoming_pos[logical], position)
+        return [
+            phys[p]
+            for p in upcoming_partner[logical][start:start + _LOOKAHEAD_WINDOW]
+        ]
 
-    def lookahead_cost(partner_physicals: np.ndarray, physical: int) -> float:
+    def lookahead_cost(partner_physicals: List[int], physical: int) -> float:
+        """Decayed distance from ``physical`` to each partner — a
+        sequential Python-float sum, IEEE-identical to the reference's
+        numpy-scalar accumulation."""
+        row = distance[physical]
         total = 0.0
-        weight = 1.0
-        for d in distance[physical][partner_physicals].tolist():
-            total += weight * d
-            weight *= _LOOKAHEAD_DECAY
+        for weight, partner in zip(_LOOKAHEAD_WEIGHTS, partner_physicals):
+            total += weight * row[partner]
         return total
 
-    for position, gate in enumerate(circuit.gates):
-        if gate.num_qubits == 1:
-            qubit = gate.qubits[0]
-            physical = int(phys[qubit])
+    # Output plan: the input row each output row copies (-1: a SWAP) and
+    # its physical wires.
+    out_rows: List[int] = []
+    out_q0: List[int] = []
+    out_q1: List[int] = []
+    num_swaps = 0
+    connected = coupling.are_connected
+    for position, (code, a, b) in enumerate(
+        zip(codes.tolist(), qubits[:, 0].tolist(), qubits[:, 1].tolist())
+    ):
+        if b < 0:
+            if a < 0:
+                continue  # a barrier on no wire
+            physical = phys[a]
             if physical < 0:
-                raise KeyError(qubit)
-            out.append(gate.remapped({qubit: physical}))
+                raise KeyError(a)
+            out_rows.append(position)
+            out_q0.append(physical)
+            out_q1.append(-1)
             continue
-        if gate.name == g.BARRIER:
+        if code == _CODE_BARRIER:
             continue
-        a, b = gate.qubits
-        for q in (a, b):
-            entries = upcoming_pos[q]
-            while cursor[q] < len(entries) and entries[cursor[q]] <= position:
-                cursor[q] += 1
-        pa, pb = int(phys[a]), int(phys[b])
+        pa, pb = phys[a], phys[b]
         if pa < 0 or pb < 0:
             raise KeyError(a if pa < 0 else b)
-        while not coupling.are_connected(pa, pb):
-            path = calibration.noise_path(pa, pb)
-            move_a = (pa, path[1])
-            move_b = (pb, path[-2])
+        while not connected(pa, pb):
+            path = path_of(pa, pb)
+            if path is None:
+                raise ValueError(
+                    f"no path between physical qubits {pa} and {pb}"
+                )
+            # Two candidate moves: advance a's end or b's end one hop.
+            # Both scores share each endpoint's partner window.
             partners_a = window_partners(a, position)
             partners_b = window_partners(b, position)
             cost_a = lookahead_cost(partners_a, path[1]) + lookahead_cost(
@@ -275,10 +219,11 @@ def route_circuit_noise(
             cost_b = lookahead_cost(partners_a, pa) + lookahead_cost(
                 partners_b, path[-2]
             )
-            chosen = move_a if cost_a <= cost_b else move_b
-            out.swap(*chosen)
-            working.swap_physical(*chosen)
-            first, second = chosen
+            first, second = (pa, path[1]) if cost_a <= cost_b else (pb, path[-2])
+            out_rows.append(-1)
+            out_q0.append(first)
+            out_q1.append(second)
+            working.swap_physical(first, second)
             la, lb = log_of[first], log_of[second]
             if la >= 0:
                 phys[la] = second
@@ -286,15 +231,56 @@ def route_circuit_noise(
                 phys[lb] = first
             log_of[first], log_of[second] = lb, la
             num_swaps += 1
-            pa, pb = int(phys[a]), int(phys[b])
-        out.append(Gate(gate.name, (pa, pb), gate.params))
+            pa, pb = phys[a], phys[b]
+        out_rows.append(position)
+        out_q0.append(pa)
+        out_q1.append(pb)
 
+    if tape is None:
+        out = QuantumCircuit(coupling.num_qubits, circuit.name)
+        out.gates = _rebuild(gates, out_rows, out_q0, out_q1)
+    else:
+        out = QuantumCircuit.from_tape(GateTape(
+            coupling.num_qubits,
+            *_gather(tape, out_rows, out_q0, out_q1),
+            name=circuit.name,
+        ))
     return RoutingResult(
         circuit=out,
         initial_layout=initial,
         final_layout=working,
         num_swaps=num_swaps,
     )
+
+
+def _gather(tape: GateTape, rows: List[int], q0: List[int], q1: List[int]):
+    """The routed ``(codes, qubits, params)`` columns: input rows on
+    their new wires, SWAP rows inline."""
+    rows = np.array(rows, dtype=np.intp)
+    swap = rows < 0
+    codes = tape.codes[rows]
+    codes[swap] = CODE_SWAP
+    params = tape.params[rows]
+    params[swap] = 0.0
+    qubits = np.stack(
+        (np.array(q0, dtype=np.int32), np.array(q1, dtype=np.int32)), axis=1
+    )
+    return codes, qubits, params
+
+
+def _rebuild(
+    gates: List[Gate], rows: List[int], q0: List[int], q1: List[int]
+) -> List[Gate]:
+    """The routed gate list of a circuit no tape holds (symbolic angles
+    pass through untouched)."""
+    out: List[Gate] = []
+    for row, a, b in zip(rows, q0, q1):
+        if row < 0:
+            out.append(Gate(g.SWAP, (a, b)))
+            continue
+        gate = gates[row]
+        out.append(Gate(gate.name, (a,) if b < 0 else (a, b), gate.params))
+    return out
 
 
 def verify_hardware_compliant(circuit: QuantumCircuit, coupling: CouplingGraph) -> bool:

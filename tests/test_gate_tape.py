@@ -5,7 +5,8 @@ correctness rests on the tape being a *lossless* view of the gate list.
 These tests pin that down with randomized encode/decode round-trips
 (including circuits that share gate objects, the dedup fast path), the
 ``TapeError`` cases that force the scalar-reference fallback, and the
-``cache_tape``/``try_encode`` invalidation rules.
+ownership rule of tape-backed circuits: ``.gates`` decodes once and from
+then on the list is the circuit.
 """
 
 import numpy as np
@@ -25,9 +26,9 @@ from repro.circuit.tape import (
     IS_TWO_QUBIT,
     PARAM_COUNT,
     TapeError,
-    cache_tape,
-    try_encode,
+    encode_structure,
 )
+from repro.passes import cancel_gates, consolidate_one_qubit_runs
 
 
 def random_circuit(rng, num_qubits, num_gates):
@@ -75,7 +76,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(seed)
         qc = random_circuit(rng, 4, int(rng.integers(1, 40)))
         qc.name = "rt"
-        out = GateTape.from_circuit(qc).to_circuit()
+        out = QuantumCircuit.from_tape(GateTape.from_circuit(qc))
         assert out.num_qubits == qc.num_qubits
         assert out.name == qc.name
         assert out.gates == qc.gates
@@ -150,28 +151,89 @@ class TestUnencodable:
         with pytest.raises(TapeError, match="params"):
             GateTape.encode([Gate(g.H, (0,), (0.1,))], 1)
 
-    def test_try_encode_returns_none(self):
+    def test_circuit_tape_raises_for_symbolic(self):
         qc = QuantumCircuit(2)
         qc.h(0)
         qc.rz(Parameter("a"), 1)
-        assert try_encode(qc) is None
+        with pytest.raises(TapeError, match="symbolic"):
+            qc.tape()
+
+    def test_structure_ignores_parameters(self):
+        qc = QuantumCircuit(2)
+        qc.h(0)
+        qc.rz(Parameter("a"), 1)
+        qc.cx(0, 1)
+        codes, qubits = encode_structure(qc.gates)
+        assert codes.tolist() == [GATE_CODES[g.H], GATE_CODES[g.RZ],
+                                  GATE_CODES[g.CX]]
+        assert qubits.tolist() == [[0, -1], [1, -1], [0, 1]]
+
+    def test_structure_chains_wide_barriers(self):
+        gates = [Gate(g.H, (0,)), Gate(g.BARRIER, (0, 1, 2, 3)),
+                 Gate(g.CX, (2, 3))]
+        codes, qubits = encode_structure(gates)
+        barrier = GATE_CODES[g.BARRIER]
+        assert codes.tolist() == [GATE_CODES[g.H]] + [barrier] * 5 + [
+            GATE_CODES[g.CX]]
+        assert qubits.tolist()[1:6] == [[0, 1], [1, 2], [2, 3], [1, 2],
+                                        [0, 1]]
 
 
-class TestTapeCache:
-    def test_cache_hit_and_invalidation(self):
+class TestTapeOwnership:
+    def test_tape_backed_gates_equal_decode(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            tape = GateTape.from_circuit(random_circuit(rng, 4, 50))
+            qc = QuantumCircuit.from_tape(tape)
+            assert qc.tape_backed and qc.tape() is tape
+            assert len(qc) == len(tape)
+            assert qc.gates == tape.decode()
+            assert not qc.tape_backed
+
+    def test_equal_rows_decode_to_one_gate(self):
+        qc = QuantumCircuit(2)
+        for _ in range(3):
+            qc.cx(0, 1)
+            qc.rz(0.5, 1)
+        qc.rz(-0.0, 1)
+        qc.rz(0.0, 1)
+        gates = GateTape.from_circuit(qc).decode()
+        assert gates == qc.gates
+        assert gates[0] is gates[2] is gates[4]
+        assert gates[1] is gates[3] is gates[5]
+        # -0.0 and 0.0 are equal but print apart: kept distinct.
+        assert repr(gates[6].params) == "(-0.0,)"
+        assert repr(gates[7].params) == "(0.0,)"
+
+    def test_gates_read_takes_ownership(self):
         qc = QuantumCircuit(2)
         qc.h(0)
         qc.cx(0, 1)
-        tape = GateTape.from_circuit(qc)
-        cache_tape(qc, tape)
-        assert try_encode(qc) is tape
-        # Growing the list invalidates by length; the fresh encode must
-        # still be exact.
+        backed = QuantumCircuit.from_tape(GateTape.from_circuit(qc))
+        gates = backed.gates
+        assert not backed.tape_backed
+        # The list is the circuit now: edits in place (same length) and
+        # growth both show in the next tape.
+        gates[0] = Gate(g.X, (1,))
+        assert backed.tape().decode() == [Gate(g.X, (1,)), Gate(g.CX, (0, 1))]
+        backed.h(1)
+        assert backed.tape().decode() == backed.gates
+        assert len(backed.tape()) == 3
+
+    def test_in_place_edit_after_cancel_is_seen(self):
+        # Regression: a tape cached beside the list by cancel_gates was
+        # checked only by list identity and length, so a same-length edit
+        # of ``out.gates`` was ignored and consolidate fused h(0) with
+        # x(1) into one u3 on qubit 0.
+        qc = QuantumCircuit(2)
+        qc.h(0)
+        qc.cx(0, 1)
         qc.h(1)
-        fresh = try_encode(qc)
-        assert fresh is not tape
-        assert fresh.decode() == qc.gates
-        # Replacing the list object invalidates by identity.
-        cache_tape(qc, fresh)
-        qc.gates = list(qc.gates)
-        assert try_encode(qc) is not fresh
+        qc.x(1)
+        out = cancel_gates(qc)
+        out.gates[2] = Gate(g.H, (0,))
+        fused = consolidate_one_qubit_runs(out)
+        assert fused.gates == [
+            Gate(g.H, (0,)), Gate(g.CX, (0, 1)), Gate(g.H, (0,)),
+            Gate(g.X, (1,)),
+        ]

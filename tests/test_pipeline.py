@@ -88,6 +88,17 @@ PRE_REFACTOR_GATE_HASHES = {
         "7a543691c859926a95ef4678afd7646df440a7d26192c7472553f41152da83c1",
 }
 
+#: Gate-sequence hashes of ``max-cancel:noise-aware`` — the only
+#: registered pipeline that runs ``route-noise`` — on calibrated
+#: (seed 0) smoke cells, recorded before ``route`` and ``route-noise``
+#: were merged into one routing loop.
+ROUTE_NOISE_GATE_HASHES = {
+    ("max-cancel:noise-aware", "chem:LiH", "heavy-hex:ibm-65", 4, 3):
+        "bc1587c0dc5b905d3399a9b28c7ba7f5b3fbe375f1eb7a261dc9fccfb78aa9cb",
+    ("max-cancel:noise-aware", "chem:LiH", "heavy-hex:ibm-65", 0, 3):
+        "741b0add3d8af6ed4b8d097e3fb21d821c609560a003882db2df07ba2c23ea22",
+}
+
 #: Content hashes (schema v2) of the six legacy compiler names on a
 #: fixed smoke cell, recorded pre-refactor.  These are on-disk cache
 #: keys: they must never change.
@@ -121,6 +132,25 @@ class TestGateForGateRegression:
         run = run_pipeline(compiler, cell_blocks, coupling,
                            optimization_level=opt)
         assert gate_hash(run.result.circuit) == PRE_REFACTOR_GATE_HASHES[cell]
+
+    @pytest.mark.parametrize(
+        "cell", sorted(ROUTE_NOISE_GATE_HASHES),
+        ids=lambda c: "-".join(map(str, c)),
+    )
+    def test_route_noise_matches_pre_merge_router(self, cell):
+        from repro.hardware.calibration import resolve_calibration
+
+        compiler, bench, device, blocks, opt = cell
+        job, cell_blocks, coupling = smoke_cell(
+            compiler, bench=bench, device=device, blocks=blocks, opt=opt
+        )
+        calibration = resolve_calibration(
+            device, job.calibration, cell_blocks[0].num_qubits
+        )
+        run = run_pipeline(compiler, cell_blocks, coupling,
+                           optimization_level=opt, calibration=calibration)
+        assert "route-noise" in build_pipeline(compiler).pass_names()
+        assert gate_hash(run.result.circuit) == ROUTE_NOISE_GATE_HASHES[cell]
 
     def test_service_path_matches_pre_refactor_compiler(self):
         cell = ("tetris", "chem:LiH", "grid:4x4", 4, 3)

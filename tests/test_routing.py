@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.circuit import QuantumCircuit
+from repro.circuit import Parameter, QuantumCircuit
 from repro.circuit.gate import Gate
-from repro.hardware import grid, linear, ring
+from repro.hardware import CouplingGraph, grid, linear, ring, synthetic_calibration
 from repro.routing import (
     Layout,
     bridge_chain_gates,
@@ -15,6 +15,8 @@ from repro.routing import (
     swap_route_cost,
     verify_hardware_compliant,
 )
+from repro.routing.reference import route_circuit_reference
+from repro.routing.router import route_circuit_noise
 from repro.sim import Statevector
 
 from helpers import embed_state, random_logical_state
@@ -135,6 +137,45 @@ class TestRouter:
         qc = QuantumCircuit(3)
         qc.cx(0, 2)
         assert not verify_hardware_compliant(qc, linear(3))
+
+    def test_disconnected_device_raises(self):
+        # Two components, {0, 1} and {2, 3}: no SWAP chain can bring a CX
+        # across them together, so both routers refuse instead of
+        # emitting a CX on an uncoupled pair.
+        coupling = CouplingGraph.from_edges(4, [(0, 1), (2, 3)], name="split")
+        qc = QuantumCircuit(4)
+        qc.cx(0, 1)
+        qc.cx(1, 2)
+        with pytest.raises(ValueError, match="no path"):
+            route_circuit(qc, coupling)
+        with pytest.raises(ValueError, match="no path"):
+            route_circuit_noise(qc, coupling, synthetic_calibration(coupling))
+
+    @pytest.mark.parametrize("symbolic", [False, True])
+    def test_gate_list_fallback_matches_reference(self, symbolic):
+        # Symbolic angles and barriers wider than two wires keep a circuit
+        # off the tape; the router then rebuilds the gate list, and must
+        # still make the reference's decisions gate for gate.
+        angle = Parameter("theta") if symbolic else 0.25
+        qc = QuantumCircuit(5)
+        qc.h(0)
+        qc.cx(0, 4)
+        qc.barrier(1)
+        qc.rz(angle, 4)
+        qc.barrier(0, 1, 2, 3)
+        qc.cx(1, 3)
+        qc.barrier(2, 3)
+        qc.cx(4, 0)
+        qc.barrier()
+        qc.rz(angle, 2)
+        routed = route_circuit(qc, linear(5))
+        reference = route_circuit_reference(qc, linear(5))
+        assert not routed.circuit.tape_backed
+        assert routed.circuit.gates == reference.circuit.gates
+        assert routed.num_swaps == reference.num_swaps > 0
+        assert routed.final_layout.as_physical_list() == (
+            reference.final_layout.as_physical_list()
+        )
 
 
 class TestBridging:
