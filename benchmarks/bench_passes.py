@@ -41,9 +41,9 @@ from typing import Callable, List, Tuple
 from repro.circuit.circuit import QuantumCircuit
 from repro.compiler.base import interaction_pairs
 from repro.compiler.max_cancel import max_cancel_logical_circuit
-from repro.compiler.paulihedral import similarity_chain_order
 from repro.compiler.tetris.ir import lower_blocks
 from repro.compiler.tetris.reference import run_tetris_reference
+from repro.compiler.tetris.scheduler import chain_order
 from repro.hardware.families import resolve_device
 from repro.passes.consolidate import consolidate_one_qubit_runs
 from repro.passes.peephole import cancel_gates
@@ -125,7 +125,7 @@ def live_e2e(blocks, coupling, num_logical: int,
 
 def reference_routed_e2e(blocks, coupling, num_logical: int) -> QuantumCircuit:
     """The max-cancel chain with the frozen layout, router and cleanup."""
-    ordered = [blocks[index] for index in similarity_chain_order(blocks)]
+    ordered = [blocks[index] for index in chain_order(blocks)]
     logical = max_cancel_logical_circuit(ordered)
     layout = greedy_interaction_layout_reference(
         num_logical, coupling, interaction_pairs(blocks)

@@ -21,8 +21,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..compiler.paulihedral import similarity_chain_order
 from ..compiler.tetris.ir import lower_blocks
+from ..compiler.tetris.scheduler import chain_order
 from ..pauli.block import PauliBlock
 from ..pauli.pauli_string import PauliString
 from ..pauli.table import PauliTable
@@ -30,9 +30,8 @@ from ..pauli.table import PauliTable
 
 def max_cancel_upper_bound(blocks: Sequence[PauliBlock]) -> float:
     """The Fig. 2 "max_cancel" ratio: cancellable / original logical CNOTs."""
-    order = similarity_chain_order(blocks)
     strings: List[PauliString] = []
-    for index in order:
+    for index in chain_order(blocks):
         strings.extend(lower_blocks([blocks[index]])[0].strings)
     if not strings:
         return 0.0

@@ -16,7 +16,6 @@ from .molecules import (
     MOLECULES,
     SYNTHETIC_SIZES,
     Molecule,
-    all_benchmark_names,
     benchmark_blocks,
     benchmark_num_qubits,
     molecule,
@@ -70,7 +69,6 @@ __all__ = [
     "synthetic_ucc_blocks",
     "benchmark_blocks",
     "benchmark_num_qubits",
-    "all_benchmark_names",
     "synthetic_amplitudes",
     "ENCODERS",
     "encoder_by_name",

@@ -143,7 +143,3 @@ def benchmark_num_qubits(name: str) -> int:
     if name.startswith("UCC-"):
         return int(name.split("-")[1])
     return molecule(name).num_qubits
-
-
-def all_benchmark_names() -> List[str]:
-    return list(MOLECULE_ORDER) + [f"UCC-{n}" for n in SYNTHETIC_SIZES]

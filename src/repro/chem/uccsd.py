@@ -16,7 +16,7 @@ the paper's Table I Pauli-string *and* CNOT counts exactly (e.g. LiH:
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -300,8 +300,3 @@ def uccsd_blocks(
         for index in range(len(excitations))
     ]
     return encode_excitations(excitations, encoder, 2 * num_spatial, amplitudes)
-
-
-def iter_block_strings(blocks: Sequence[PauliBlock]) -> Iterator:
-    for block in blocks:
-        yield from block.strings

@@ -4,8 +4,8 @@ Each compiler of the evaluation is a registered pass sequence in
 :data:`repro.pipeline.registry.PIPELINES` (``tetris``, ``paulihedral``,
 ``max-cancel``, ``tket-like``, ``pcoast-like``, ``2qan-like``,
 ``tetris-qaoa``); this package holds what those passes are made of:
-the Tetris IR, scheduler and Algorithm-1 synthesis, the baselines'
-ordering and emission routines, and the shared
+the Tetris IR, the block order every block compiler shares and
+Algorithm-1 synthesis, the baselines' emission routines, and the shared
 :class:`~repro.compiler.base.CompilationResult` record.
 """
 
@@ -16,14 +16,8 @@ from .base import (
     logical_one_qubit_count,
 )
 from .max_cancel import max_cancel_logical_circuit
-from .paulihedral import similarity_chain_order
 from .qaoa_2qan import extract_edges
-from .tetris import (
-    RecursiveTetrisIR,
-    TetrisBlockIR,
-    lower_blocks,
-    lower_blocks_recursive,
-)
+from .tetris import TetrisBlockIR, chain_order, lower_blocks
 
 __all__ = [
     "CompilationResult",
@@ -32,9 +26,7 @@ __all__ = [
     "interaction_pairs",
     "TetrisBlockIR",
     "lower_blocks",
-    "RecursiveTetrisIR",
-    "lower_blocks_recursive",
-    "similarity_chain_order",
+    "chain_order",
     "max_cancel_logical_circuit",
     "extract_edges",
 ]

@@ -216,7 +216,6 @@ def _place_block_reference(
         else:
             _move_adjacent_reference(tracker, coupling, mapped, chosen, anchor)
 
-    tree.compute_depths()
     return tree
 
 
@@ -262,9 +261,9 @@ def synthesize_tetris_block_reference(
         ir, tracker, coupling, root_qubits, leaf_qubits, swap_weight, enable_bridging
     )
     if ir.uniform_support and _tree_edges_adjacent(tree, layout, coupling):
-        _emit_uniform(ir, tracker, coupling, tree, stats)
+        _emit_uniform(ir, tracker, tree, stats)
     else:
-        _emit_per_string(ir, tracker, coupling, tree, stats)
+        _emit_per_string(ir, tracker, coupling, tree)
     stats.swaps = tracker.num_swaps - swaps_before
     return stats
 

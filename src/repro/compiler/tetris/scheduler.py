@@ -1,14 +1,14 @@
-"""Lookahead block scheduling (paper Sec. V-B).
+"""Block ordering (paper Sec. V-B), shared by every block compiler.
 
 1. Start with the block of largest *active length* (most non-identity
    operators) — the block with the most cancellation potential.
 2. Repeatedly: rank remaining blocks by leaf-tree similarity (Eq. 1) to the
    last scheduled block, take the top-K candidates, and among them schedule
-   the one whose root tree is cheapest to gather under the current mapping.
+   the one whose ``cost`` is smallest (ties keep the similarity rank).
 
-The SWAP-cost estimate is the clustering cost of the candidate's root-tree
-qubits: the summed distance of each root qubit to the set's centre, minus
-the one free hop each (already-adjacent qubits cost nothing).
+With ``lookahead=1`` this is Paulihedral's greedy similarity chain (and
+Tetris without lookahead, Fig. 14); Tetris passes K=10 and a trial
+placement of each candidate against its live layout as ``cost``.
 
 All Eq. (1) similarities are precomputed as one batch matrix kernel over
 the blocks' packed leaf tables (:func:`repro.pauli.similarity.
@@ -18,185 +18,57 @@ arithmetic instead of per-pair leaf-profile reconstruction.
 
 from __future__ import annotations
 
-import inspect
-from typing import Callable, List, Optional, Sequence
+import heapq
+from typing import Callable, Iterator, Optional, Sequence
 
-import numpy as np
-
-from ...hardware.coupling import CouplingGraph
+from ...pauli.block import PauliBlock
 from ...pauli.similarity import block_similarity_matrix
-from ...routing.layout import Layout
-from ..mapping_utils import find_center
-from .ir import TetrisBlockIR
 
+#: Tetris' K (Fig. 19): how many of the most similar blocks are
+#: trial-placed at each step.
 DEFAULT_LOOKAHEAD = 10
 
 
-def estimate_root_gather_cost(
-    ir: TetrisBlockIR,
-    layout: Layout,
-    coupling: CouplingGraph,
-) -> int:
-    """Estimated SWAPs to cluster the block's root-tree qubits."""
-    qubits = ir.root_qubits or ir.leaf_qubits
-    if len(qubits) <= 1:
-        return 0
-    positions = [layout.physical(q) for q in qubits]
-    center = find_center(coupling, positions)
-    distance = coupling.distance_matrix()
-    return sum(max(0, int(distance[p, center]) - 1) for p in positions)
+def chain_order(
+    blocks: Sequence[PauliBlock],
+    lookahead: int = 1,
+    cost: Optional[Callable[[int, Optional[float]], float]] = None,
+) -> Iterator[int]:
+    """Yield a scheduling order (indices into ``blocks``).
 
-
-def _similarity_matrix(blocks: Sequence[TetrisBlockIR]) -> np.ndarray:
-    """The pairwise Eq. (1) matrix for a list of IR blocks."""
-    return block_similarity_matrix([ir.block for ir in blocks])
-
-
-def lookahead_order(
-    blocks: Sequence[TetrisBlockIR],
-    lookahead: int = DEFAULT_LOOKAHEAD,
-    cost_of: Optional[Callable[[TetrisBlockIR], float]] = None,
-) -> List[int]:
-    """Return a scheduling order (indices into ``blocks``).
-
-    ``cost_of`` supplies the SWAP-cost estimate for a candidate under the
-    *current* mapping; the compiler passes a closure over its live layout
-    and calls this incrementally.  When ``cost_of`` is None the tie-break
-    is purely similarity (useful for tests).
+    ``cost(index, cap)`` scores a candidate when the caller asks for the
+    next index, so a cost that reads the caller's state (Tetris' trial
+    placement of the candidate against its live layout) sees the state
+    the previous block left.  Candidates are scored in similarity-rank
+    order against a running incumbent, and ``cap`` is the incumbent's
+    cost (None for the first): a later candidate only wins on strictly
+    smaller cost, so a cost at or above ``cap`` may stop early and return
+    ``cap``.  Costs are non-negative, so a 0-cost incumbent ends the
+    search, and a lone candidate is scheduled without scoring.
     """
     remaining = list(range(len(blocks)))
     if not remaining:
-        return []
-    similarity = _similarity_matrix(blocks)
-    first = max(remaining, key=lambda i: (blocks[i].active_length, -i))
-    order = [first]
-    remaining.remove(first)
-    while remaining:
-        last_row = similarity[order[-1]]
-        ranked = sorted(remaining, key=lambda i: (-last_row[i], i))
-        candidates = ranked[: max(1, lookahead)]
-        if cost_of is None:
-            chosen = candidates[0]
-        else:
-            chosen = min(candidates, key=lambda i: (cost_of(blocks[i]), i))
-        order.append(chosen)
-        remaining.remove(chosen)
-    return order
-
-
-class LookaheadScheduler:
-    """Stateful scheduler used by the Tetris compiler (pick-next interface).
-
-    ``cost_of(block, layout)`` supplies the SWAP cost of a candidate under
-    the live mapping; the compiler passes a trial-placement closure (the
-    artifact's ``try_block``).  Without it, a fast distance-based estimate
-    is used.
-
-    Candidates are evaluated in similarity-rank order against a running
-    incumbent; a ``cost_of`` accepting a ``cap`` keyword receives the
-    incumbent's cost so it can abort trials that already reached it
-    (exact branch-and-bound — a later candidate only wins on strictly
-    smaller cost).
-    """
-
-    def __init__(
-        self,
-        blocks: Sequence[TetrisBlockIR],
-        lookahead: int = DEFAULT_LOOKAHEAD,
-        cost_of: Optional[Callable] = None,
-    ) -> None:
-        self.blocks = list(blocks)
-        self.lookahead = max(1, lookahead)
-        self.cost_of = cost_of
-        self._cap_aware = False
-        if cost_of is not None:
-            try:
-                self._cap_aware = (
-                    "cap" in inspect.signature(cost_of).parameters
-                )
-            except (TypeError, ValueError):
-                self._cap_aware = False
-        self._similarity = _similarity_matrix(self.blocks)
-        self._remaining = list(range(len(self.blocks)))
-        self._last: Optional[int] = None
-
-    def __bool__(self) -> bool:
-        return bool(self._remaining)
-
-    def pick_next(self, layout: Layout, coupling: CouplingGraph) -> TetrisBlockIR:
-        if not self._remaining:
-            raise IndexError("all blocks scheduled")
-        if self._last is None:
-            choice = max(
-                self._remaining,
-                key=lambda i: (self.blocks[i].active_length, -i),
-            )
-        else:
-            last_row = self._similarity[self._last]
-            ranked = sorted(
-                self._remaining, key=lambda i: (-last_row[i], i)
-            )
-            candidates = ranked[: self.lookahead]
-            # Tie-break equal SWAP cost by similarity rank (candidates are
-            # already in descending-similarity order).
-            if self.cost_of is not None:
-                choice = candidates[0]
-                best_cost = None
-                for index in candidates:
-                    if self._cap_aware:
-                        cost = self.cost_of(
-                            self.blocks[index], layout, cap=best_cost
-                        )
-                    else:
-                        cost = self.cost_of(self.blocks[index], layout)
-                    if best_cost is None or cost < best_cost:
-                        best_cost = cost
-                        choice = index
-                        if best_cost == 0:
-                            # SWAP counts cannot go negative: no later
-                            # candidate can beat a 0-cost incumbent, and
-                            # ties keep the earlier similarity rank.
-                            break
-            else:
-                choice = min(
-                    enumerate(candidates),
-                    key=lambda pair: (
-                        estimate_root_gather_cost(self.blocks[pair[1]], layout, coupling),
-                        pair[0],
-                    ),
-                )[1]
-        self._remaining.remove(choice)
-        self._last = choice
-        return self.blocks[choice]
-
-
-class SimilarityScheduler:
-    """Paulihedral-style scheduler: pure similarity chaining (no SWAP cost).
-
-    This is the "Tetris" (without lookahead) configuration of Fig. 14 —
-    Tetris synthesis driven by the baseline scheduler.
-    """
-
-    def __init__(self, blocks: Sequence[TetrisBlockIR]) -> None:
-        self.blocks = list(blocks)
-        self._similarity = _similarity_matrix(self.blocks)
-        self._remaining = list(range(len(self.blocks)))
-        self._last: Optional[int] = None
-
-    def __bool__(self) -> bool:
-        return bool(self._remaining)
-
-    def pick_next(self, layout: Layout, coupling: CouplingGraph) -> TetrisBlockIR:
-        if not self._remaining:
-            raise IndexError("all blocks scheduled")
-        if self._last is None:
-            choice = max(
-                self._remaining,
-                key=lambda i: (self.blocks[i].active_length, -i),
-            )
-        else:
-            last_row = self._similarity[self._last]
-            choice = max(self._remaining, key=lambda i: (last_row[i], -i))
-        self._remaining.remove(choice)
-        self._last = choice
-        return self.blocks[choice]
+        return
+    similarity = block_similarity_matrix(blocks)
+    choice = max(remaining, key=lambda i: (blocks[i].active_length, -i))
+    width = max(1, lookahead)
+    while True:
+        remaining.remove(choice)
+        yield choice
+        if not remaining:
+            return
+        row = similarity[choice].tolist()
+        candidates = heapq.nsmallest(
+            width, remaining, key=lambda i: (-row[i], i)
+        )
+        choice = candidates[0]
+        if cost is None or len(candidates) == 1:
+            continue
+        best = None
+        for index in candidates:
+            value = cost(index, best)
+            if best is None or value < best:
+                best = value
+                choice = index
+                if best == 0:
+                    break

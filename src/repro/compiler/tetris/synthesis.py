@@ -22,7 +22,7 @@ For each Tetris block:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 
@@ -30,7 +30,9 @@ from ...circuit import gate as g
 from ...circuit.gate import Gate
 from ...hardware.coupling import CouplingGraph
 from ...pauli.operators import I
+from ...routing.bridging import bridge_chain_gates
 from ...synthesis.basis_change import post_rotation_gates, pre_rotation_gates
+from ...synthesis.tree import emit_exponential, fan_in
 from ..mapping_utils import (
     SwapTracker,
     cluster_qubits,
@@ -106,9 +108,7 @@ class BlockSynthesisStats:
 
     swaps: int = 0
     bridge_overhead_cnots: int = 0
-    emitted_cnots: int = 0
     bridged_edges: int = 0
-    extra: Dict[str, int] = field(default_factory=dict)
 
 
 def synthesize_tetris_block(
@@ -133,11 +133,11 @@ def synthesize_tetris_block(
         ir, tracker, coupling, root_qubits, leaf_qubits, swap_weight, enable_bridging
     )
     if ir.uniform_support and _tree_edges_adjacent(tree, layout, coupling):
-        _emit_uniform(ir, tracker, coupling, tree, stats)
+        _emit_uniform(ir, tracker, tree, stats)
     else:
         # Rare placement fallback (or non-uniform support, common under BK):
         # emit string by string with deterministic trees.
-        _emit_per_string(ir, tracker, coupling, tree, stats)
+        _emit_per_string(ir, tracker, coupling, tree)
     stats.swaps = tracker.num_swaps - swaps_before
     return stats
 
@@ -155,18 +155,6 @@ class _BlockTree:
     root_set: Set[int]
     leaf_set: Set[int]
     bridge_paths: Dict[int, List[int]]  # leaf child -> physical path to parent
-    depth: Dict[int, int] = field(default_factory=dict)
-
-    def compute_depths(self) -> None:
-        self.depth = {self.root: 0}
-
-        def depth_of(node: int) -> int:
-            if node not in self.depth:
-                self.depth[node] = depth_of(self.parent[node]) + 1
-            return self.depth[node]
-
-        for node in self.parent:
-            depth_of(node)
 
 
 def _place_block(
@@ -181,9 +169,9 @@ def _place_block(
     layout = tracker.layout
     rows = coupling.distance_rows()
     phys = layout.physical_map()
-    # Counting-only trials never emit the tree, so the spanning-tree and
-    # depth computations (pure functions of the clustered positions — no
-    # SWAPs, no layout changes) are skipped for them.
+    # Counting-only trials never emit the tree, so the spanning-tree
+    # computation (a pure function of the clustered positions — no SWAPs,
+    # no layout changes) is skipped for them.
     trial = tracker.circuit is None
 
     # 1. Cluster the root qubits around the centre (Algorithm 1 lines 4-8),
@@ -337,8 +325,6 @@ def _place_block(
         else:
             _move_adjacent(tracker, coupling, mapped, chosen, anchor)
 
-    if not trial:
-        tree.compute_depths()
     return tree
 
 
@@ -391,24 +377,15 @@ def _edge_gates(
     child: int,
 ) -> List[Gate]:
     """Physical CNOT(s) realizing tree edge ``child -> parent`` (fan-in)."""
-    if child in tree.bridge_paths:
-        path = tree.bridge_paths[child]
-        return [
-            Gate(g.CX, (path[index], path[index + 1]))
-            for index in range(len(path) - 1)
-        ]
+    path = tree.bridge_paths.get(child)
+    if path is not None:
+        return bridge_chain_gates(path)
     return [Gate(g.CX, (layout.physical(child), layout.physical(tree.parent[child])))]
-
-
-def _schedule(tree: _BlockTree, children: Sequence[int]) -> List[int]:
-    """Children ordered deepest-first for the fan-in half."""
-    return sorted(children, key=lambda c: (-tree.depth[c], c))
 
 
 def _emit_uniform(
     ir: TetrisBlockIR,
     tracker: SwapTracker,
-    coupling: CouplingGraph,
     tree: _BlockTree,
     stats: BlockSynthesisStats,
 ) -> None:
@@ -416,52 +393,35 @@ def _emit_uniform(
     layout = tracker.layout
     first = ir.strings[0]
 
-    leaf_internal = [c for c in tree.parent if c in tree.leaf_set
-                     and tree.parent[c] in tree.leaf_set]
-    connectors = [c for c in tree.parent if c in tree.leaf_set
-                  and tree.parent[c] in tree.root_set]
-    root_internal = [c for c in tree.parent if c in tree.root_set]
+    # The leaf forest (leaf -> leaf edges) is fanned in once per block;
+    # the connectors (leaf -> root) and the root tree are fanned in per
+    # string.  The layout is fixed throughout emission, so both CNOT
+    # lists are built once.
+    prologue_gates: List[Gate] = []
+    body: List[Gate] = []
+    for child, parent in fan_in(tree.parent, tree.root):
+        gates = _edge_gates(tree, layout, child)
+        if child in tree.leaf_set and parent in tree.leaf_set:
+            prologue_gates.extend(gates)
+        else:
+            body.extend(gates)
 
     # Block prologue: leaf basis changes + leaf-forest fan-in (emitted once).
     for qubit in sorted(tree.leaf_set):
-        for gate in pre_rotation_gates(first[qubit], layout.physical(qubit)):
-            circuit.append(gate)
-    prologue_gates: List[Gate] = []
-    for child in _schedule(tree, leaf_internal):
-        prologue_gates.extend(_edge_gates(tree, layout, child))
+        circuit.extend(pre_rotation_gates(first[qubit], layout.physical(qubit)))
     circuit.extend(prologue_gates)
 
     # Per-string sections: root basis + connectors + root tree + RZ + mirror.
-    # The layout is fixed throughout emission, so the tree-edge CNOT body
-    # is identical for every string — built once, appended per string.
-    per_string_children = _schedule(tree, connectors + root_internal)
     root_position = layout.physical(tree.root)
-    root_sorted = sorted(tree.root_set)
-    root_positions = [layout.physical(q) for q in root_sorted]
-    body: List[Gate] = []
-    for child in per_string_children:
-        body.extend(_edge_gates(tree, layout, child))
-    body_reversed = body[::-1]
+    root_positions = [(q, layout.physical(q)) for q in sorted(tree.root_set)]
     for string, weight in zip(ir.strings, ir.weights):
-        for qubit, position in zip(root_sorted, root_positions):
-            op = string[qubit]
-            if op != I:
-                for gate in pre_rotation_gates(op, position):
-                    circuit.append(gate)
-        circuit.extend(body)
-        circuit.rz(ir.angle * weight, root_position)
-        circuit.extend(body_reversed)
-        for qubit, position in zip(root_sorted, root_positions):
-            op = string[qubit]
-            if op != I:
-                for gate in post_rotation_gates(op, position):
-                    circuit.append(gate)
+        ops = [(string[q], p) for q, p in root_positions if string[q] != I]
+        emit_exponential(circuit, ops, body, root_position, ir.angle * weight)
 
     # Block epilogue: mirrored leaf forest + leaf basis restoration.
     circuit.extend(reversed(prologue_gates))
     for qubit in sorted(tree.leaf_set):
-        for gate in post_rotation_gates(first[qubit], layout.physical(qubit)):
-            circuit.append(gate)
+        circuit.extend(post_rotation_gates(first[qubit], layout.physical(qubit)))
 
     # Accounting: a bridged edge of ``h`` hops emits ``h`` CNOTs instead of
     # one; leaf-internal edges are emitted twice per block (fan-in/fan-out).
@@ -475,42 +435,27 @@ def _emit_per_string(
     tracker: SwapTracker,
     coupling: CouplingGraph,
     tree: _BlockTree,
-    stats: BlockSynthesisStats,
 ) -> None:
-    """Non-uniform support: deterministic per-string trees (BK fallback)."""
-    circuit = tracker.circuit
+    """Non-uniform support: deterministic per-string trees (BK fallback).
+
+    Ignores ``tree.bridge_paths``: each string's support is SWAPped into
+    one connected component and emitted over its own BFS tree."""
     layout = tracker.layout
-    distance = coupling.distance_matrix()
+    rows = coupling.distance_rows()
     center = layout.physical(tree.root)
 
     for string, weight in zip(ir.strings, ir.weights):
-        support = list(string.support)
+        support = string.support
         if not support:
             continue
         connect_support(tracker, coupling, support)
         positions = [layout.physical(q) for q in support]
-        root_position = min(positions, key=lambda p: (int(distance[p, center]), p))
-        parent_physical = physical_spanning_tree(coupling, positions, root_position)
-        depth: Dict[int, int] = {root_position: 0}
-
-        def depth_of(node: int) -> int:
-            if node not in depth:
-                depth[node] = depth_of(parent_physical[node]) + 1
-            return depth[node]
-
-        for node in parent_physical:
-            depth_of(node)
-        schedule = sorted(parent_physical, key=lambda c: (-depth[c], c))
-
-        for qubit in support:
-            for gate in pre_rotation_gates(string[qubit], layout.physical(qubit)):
-                circuit.append(gate)
-        body = [Gate(g.CX, (child, parent_physical[child])) for child in schedule]
-        for gate in body:
-            circuit.append(gate)
-        circuit.rz(ir.angle * weight, root_position)
-        for gate in reversed(body):
-            circuit.append(gate)
-        for qubit in support:
-            for gate in post_rotation_gates(string[qubit], layout.physical(qubit)):
-                circuit.append(gate)
+        root = min(positions, key=lambda p: (rows[p][center], p))
+        parent = physical_spanning_tree(coupling, positions, root)
+        emit_exponential(
+            tracker.circuit,
+            [(string[q], p) for q, p in zip(support, positions)],
+            [Gate(g.CX, edge) for edge in fan_in(parent, root)],
+            root,
+            ir.angle * weight,
+        )

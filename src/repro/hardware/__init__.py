@@ -10,17 +10,14 @@ from .calibration import (
     CALIBRATION_VERSION,
     Calibration,
     calibration_digest,
-    clear_calibration_cache,
     resolve_calibration,
     synthetic_calibration,
 )
 from .coupling import CouplingGraph
-from .device import Device, ithaca_device, sycamore_device
 from .families import (
     DEVICE_FAMILIES,
     DeviceFamily,
     canonical_device_spec,
-    describe_devices,
     device_names,
     resolve_device,
 )
@@ -32,18 +29,13 @@ __all__ = [
     "CALIBRATION_VERSION",
     "Calibration",
     "calibration_digest",
-    "clear_calibration_cache",
     "resolve_calibration",
     "synthetic_calibration",
     "CouplingGraph",
-    "Device",
-    "ithaca_device",
-    "sycamore_device",
     "DEVICE_FAMILIES",
     "DeviceFamily",
     "resolve_device",
     "canonical_device_spec",
-    "describe_devices",
     "device_names",
     "heavy_hex",
     "ibm_ithaca_65",

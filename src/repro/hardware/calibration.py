@@ -359,11 +359,6 @@ def select_best_subgraph(
 _CALIBRATION_CACHE: Dict[Tuple[str, int, int], Calibration] = {}
 
 
-def clear_calibration_cache() -> None:
-    """Drop memoized calibrations (tests, memory-sensitive callers)."""
-    _CALIBRATION_CACHE.clear()
-
-
 def resolve_calibration(
     device_spec: str, seed: int = 0, num_logical: Optional[int] = None
 ) -> Calibration:

@@ -278,11 +278,6 @@ def canonical_device_spec(spec: str) -> str:
 _RESOLVE_CACHE: Dict[Tuple[str, str, Optional[int]], CouplingGraph] = {}
 
 
-def clear_device_cache() -> None:
-    """Drop memoized coupling graphs (tests, memory-sensitive callers)."""
-    _RESOLVE_CACHE.clear()
-
-
 def resolve_device(spec: str, num_logical: Optional[int] = None) -> CouplingGraph:
     """Build (or fetch the memoized) coupling graph for a device spec.
 
@@ -315,8 +310,3 @@ def resolve_device(spec: str, num_logical: Optional[int] = None) -> CouplingGrap
 def device_names() -> List[str]:
     """Every accepted device label: family names plus aliases."""
     return DEVICE_FAMILIES.all_labels()
-
-
-def describe_devices() -> List[dict]:
-    """Metadata rows (name, aliases, grammar, description) per family."""
-    return DEVICE_FAMILIES.describe()

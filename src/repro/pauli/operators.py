@@ -78,11 +78,6 @@ MATRICES = {
 }
 
 
-def is_pauli_char(char: str) -> bool:
-    """Return True if ``char`` is one of ``I``, ``X``, ``Y``, ``Z``."""
-    return char in PAULI_CHARS
-
-
 def char_of_xz(x: int, z: int) -> str:
     """Return the Pauli character for symplectic bits ``(x, z)``."""
     return _CHAR_OF_XZ[(int(x) & 1, int(z) & 1)]

@@ -8,7 +8,6 @@ dropping terms with negligible coefficients.
 
 from __future__ import annotations
 
-import cmath
 from typing import Dict, Iterator, Tuple
 
 from .pauli_string import PauliString
@@ -76,13 +75,6 @@ class QubitOperator:
         """
         for string in sorted(self._terms):
             yield string, self._terms[string]
-
-    def to_table(self) -> PauliTable:
-        """The terms (in :meth:`terms` order) as one packed table."""
-        return PauliTable.from_strings(
-            [string for string, _ in self.terms()],
-            num_qubits=self._num_qubits,
-        )
 
     def coefficient(self, string: PauliString) -> complex:
         return self._terms.get(string, 0j)
@@ -168,15 +160,3 @@ class QubitOperator:
         )
         suffix = ", ..." if len(self) > 4 else ""
         return f"QubitOperator({self._num_qubits}q, {len(self)} terms: {preview}{suffix})"
-
-
-def phase_as_angle(coefficient: complex) -> float:
-    """Return the rotation angle for a term ``coefficient * P`` in exp(sum).
-
-    For an anti-Hermitian generator ``T = i * theta/2 * P`` the synthesized
-    gate is ``RZ(theta)`` at the tree root; this maps the coefficient to
-    ``theta``.
-    """
-    return 2.0 * (coefficient / 1j).real if abs(coefficient.real) < 1e-12 else 2.0 * abs(
-        coefficient
-    ) * cmath.phase(coefficient)

@@ -52,7 +52,6 @@ from .profile import (
     GateSnapshot,
     PassProfile,
     PipelineProfile,
-    merge_profiles,
     profile_columns,
     snapshot,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "GateSnapshot",
     "snapshot",
     "profile_columns",
-    "merge_profiles",
     "PROFILE_COLUMNS",
     "PASSES",
     "PIPELINES",

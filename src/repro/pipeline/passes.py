@@ -22,15 +22,15 @@ from ..circuit.gate import Gate
 from ..circuit.tape import TapeError
 from ..compiler.base import interaction_pairs
 from ..compiler.mapping_utils import SwapTracker
+from ..compiler.tetris.scheduler import DEFAULT_LOOKAHEAD, chain_order
+from ..compiler.tetris.synthesis import DEFAULT_SWAP_WEIGHT
 from ..passes.consolidate import consolidate_one_qubit_runs
 from ..passes.peephole import cancel_gates
+from ..routing.bridging import bridge_chain_gates
 from ..routing.layout import greedy_interaction_layout
 from ..routing.router import route_circuit, route_circuit_noise
 from ..synthesis.chain import synthesize_chain
 from .base import AnalysisPass, PipelineError, PropertySet, TransformationPass
-
-DEFAULT_SWAP_WEIGHT = 3.0
-DEFAULT_LOOKAHEAD = 10
 
 
 # ---------------------------------------------------------------------------
@@ -155,18 +155,15 @@ class LowerTetrisIRPass(AnalysisPass):
 class SimilarityOrderPass(AnalysisPass):
     """Greedy nearest-neighbour block chain over similarity (Eq. 1).
 
-    The Paulihedral ordering stage.  All pairwise Eq. (1) values come from
-    one :func:`repro.pauli.similarity.block_similarity_matrix` batch kernel
-    over the blocks' packed leaf tables; the greedy chain then only indexes
-    the matrix.  Provides ``block_order`` (also recorded in ``extra`` for
+    The Paulihedral ordering stage: the shared block order
+    (:func:`~repro.compiler.tetris.scheduler.chain_order`) without
+    lookahead.  Provides ``block_order`` (also recorded in ``extra`` for
     replay verification)."""
 
     name = "order-similarity"
 
     def run(self, state: PropertySet) -> None:
-        from ..compiler.paulihedral import similarity_chain_order
-
-        order = similarity_chain_order(state["blocks"])
+        order = list(chain_order(state["blocks"]))
         state["block_order"] = order
         state["extra"]["block_order"] = order
 
@@ -213,10 +210,6 @@ class TetrisSynthesisPass(TransformationPass):
         self.enable_bridging = enable_bridging
 
     def run(self, state: PropertySet) -> None:
-        from ..compiler.tetris.scheduler import (
-            LookaheadScheduler,
-            SimilarityScheduler,
-        )
         from ..compiler.tetris.synthesis import synthesize_tetris_block, try_block
 
         coupling = state["coupling"]
@@ -225,31 +218,28 @@ class TetrisSynthesisPass(TransformationPass):
         circuit = QuantumCircuit(coupling.num_qubits, name="tetris")
         tracker = SwapTracker(circuit, layout)
 
-        if self.lookahead > 0:
-            def trial_cost(candidate, live_layout, cap=None):
-                return try_block(
-                    candidate,
-                    live_layout,
-                    coupling,
-                    swap_weight=self.swap_weight,
-                    enable_bridging=self.enable_bridging,
-                    cap=cap,
-                )
-
-            scheduler = LookaheadScheduler(
-                ir_blocks, lookahead=self.lookahead, cost_of=trial_cost
+        def trial_cost(index, cap):
+            return try_block(
+                ir_blocks[index],
+                layout,
+                coupling,
+                swap_weight=self.swap_weight,
+                enable_bridging=self.enable_bridging,
+                cap=cap,
             )
-        else:
-            scheduler = SimilarityScheduler(ir_blocks)
 
-        index_of = {id(ir): position for position, ir in enumerate(ir_blocks)}
         block_order = []
         bridge_overhead = 0
-        while scheduler:
-            ir = scheduler.pick_next(layout, coupling)
-            block_order.append(index_of[id(ir)])
+        # ``lookahead=0`` (Fig. 14's plain "Tetris") chains by similarity
+        # alone, exactly as K=1 does.
+        for index in chain_order(
+            [ir.block for ir in ir_blocks],
+            lookahead=self.lookahead,
+            cost=trial_cost,
+        ):
+            block_order.append(index)
             stats = synthesize_tetris_block(
-                ir,
+                ir_blocks[index],
                 tracker,
                 coupling,
                 swap_weight=self.swap_weight,
@@ -507,15 +497,10 @@ class QAOABridgingSynthesisPass(TransformationPass):
             if bridge_viable and not swap_helps_future:
                 # Bridge: endpoints stay put, ancillas restored by the
                 # mirrored chain.
-                chain = [
-                    Gate(g.CX, (free_path[i], free_path[i + 1]))
-                    for i in range(len(free_path) - 1)
-                ]
-                for gate in chain:
-                    circuit.append(gate)
+                chain = bridge_chain_gates(free_path)
+                circuit.extend(chain)
                 circuit.rz(angle, free_path[-1])
-                for gate in reversed(chain):
-                    circuit.append(gate)
+                circuit.extend(reversed(chain))
                 bridge_overhead += 2 * (len(free_path) - 2)
                 finish_edge(target)
                 continue

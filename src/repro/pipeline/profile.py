@@ -17,7 +17,7 @@ a :class:`~repro.service.jobs.JobResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.metrics import critical_paths, gate_counts
@@ -195,13 +195,3 @@ def profile_columns(profile: Optional["PipelineProfile"]) -> Dict[str, str]:
     if profile is None:
         return {column: "" for column in PROFILE_COLUMNS}
     return profile.columns()
-
-
-def merge_profiles(
-    pipeline: str, parts: Sequence[PipelineProfile]
-) -> PipelineProfile:
-    """Concatenate several profiles into one (compiler + cleanup stages)."""
-    merged: List[PassProfile] = []
-    for part in parts:
-        merged.extend(part.passes)
-    return PipelineProfile(pipeline=pipeline, passes=merged)

@@ -40,6 +40,7 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..compiler.tetris import DEFAULT_LOOKAHEAD, DEFAULT_SWAP_WEIGHT
 from ..registry import Registry, RegistryError
 from .base import Pass
 from .manager import PassManager, PipelineRun
@@ -120,8 +121,8 @@ def _noise_front(noise_aware: bool, select: int) -> List[Pass]:
 
 
 def _tetris_passes(
-    swap_weight: float = 3.0,
-    lookahead: int = 10,
+    swap_weight: float = DEFAULT_SWAP_WEIGHT,
+    lookahead: int = DEFAULT_LOOKAHEAD,
     enable_bridging: bool = True,
     sort_strings: bool = True,
     noise_aware: bool = False,
@@ -133,10 +134,10 @@ def _tetris_passes(
 
     ``swap_weight`` is the ``w`` of the leaf-attachment score (one SWAP
     = 3 CNOTs; Sec. V-A and Fig. 20).  ``lookahead`` is the scheduler's
-    K (Fig. 19); ``lookahead=0`` selects the similarity-only scheduler,
-    the paper's plain "Tetris" bar in Fig. 14.  ``enable_bridging``
-    toggles fast bridging for leaf edges, and ``sort_strings`` the
-    Gray-code string order within a block.
+    K (Fig. 19); ``lookahead=0``, like ``lookahead=1``, chains blocks
+    by similarity alone, the paper's plain "Tetris" bar in Fig. 14.
+    ``enable_bridging`` toggles fast bridging for leaf edges, and
+    ``sort_strings`` the Gray-code string order within a block.
     """
     return [
         LowerTetrisIRPass(sort_strings=sort_strings),

@@ -3,7 +3,6 @@
 from .bridging import (
     bridge_chain_gates,
     bridged_cnot_cost,
-    emit_bridged_pair,
     swap_route_cost,
 )
 from .layout import Layout, greedy_interaction_layout
@@ -18,5 +17,4 @@ __all__ = [
     "bridge_chain_gates",
     "bridged_cnot_cost",
     "swap_route_cost",
-    "emit_bridged_pair",
 ]

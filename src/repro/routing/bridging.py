@@ -10,16 +10,17 @@ exponential circuits mirror their CNOT fan-in, emitting the *reversed* chain
 after the rotation both applies the mirrored logical CNOT and restores every
 ancilla to |0> (deferred un-compute, Fig. 8(b)/(c)).
 
-Correctness is property-tested in ``tests/test_bridging.py`` against the
-statevector simulator.
+:func:`bridge_chain_gates` is the one bridge chain: Tetris' bridged leaf
+edges and the ``synth-qaoa-reuse`` pass both emit through it.  Correctness
+is tested in ``tests/test_routing.py`` and ``tests/test_tetris_synthesis.py``
+against the statevector simulator.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from ..circuit import gate as g
-from ..circuit.circuit import QuantumCircuit
 from ..circuit.gate import Gate
 
 
@@ -47,21 +48,3 @@ def swap_route_cost(path_length: int) -> int:
     """
     return 3 * (path_length - 1) + 2
 
-
-def emit_bridged_pair(
-    circuit: QuantumCircuit,
-    path: Sequence[int],
-    body_gates: Sequence[Gate],
-) -> Tuple[int, int]:
-    """Emit forward bridge, then ``body_gates``, then the mirrored bridge.
-
-    Returns ``(forward_count, mirror_count)`` of bridge CNOTs emitted.
-    """
-    forward = bridge_chain_gates(path)
-    for gate in forward:
-        circuit.append(gate)
-    for gate in body_gates:
-        circuit.append(gate)
-    for gate in reversed(forward):
-        circuit.append(gate)
-    return len(forward), len(forward)

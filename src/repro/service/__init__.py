@@ -50,7 +50,7 @@ from .pool import (
     run_batch,
     worker_count,
 )
-from .sink import CsvSink, JsonlSink, write_results
+from .sink import CsvSink, JsonlSink
 from .templates import as_parametric, parametrize_blocks
 
 __all__ = [
@@ -79,7 +79,6 @@ __all__ = [
     "WorkerPool",
     "JsonlSink",
     "CsvSink",
-    "write_results",
     "as_parametric",
     "parametrize_blocks",
 ]

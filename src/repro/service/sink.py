@@ -1,4 +1,4 @@
-"""Result sinks: JSONL and CSV writers with a progress hook.
+"""Result sinks: JSONL and CSV writers.
 
 Both sinks are context managers with a uniform ``write(result)`` method.
 The JSONL sink emits one canonical (sorted-key, compact) JSON object per
@@ -9,10 +9,9 @@ job matrix produces a byte-identical file.
 from __future__ import annotations
 
 import csv
-from typing import Iterable, List, Optional
+from typing import Optional
 
 from .jobs import JobResult
-from .pool import ProgressFn
 
 
 class JsonlSink:
@@ -77,34 +76,3 @@ class CsvSink:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def write_results(
-    results: Iterable[JobResult],
-    jsonl_path: Optional[str] = None,
-    csv_path: Optional[str] = None,
-    progress: Optional[ProgressFn] = None,
-    total: Optional[int] = None,
-) -> List[JobResult]:
-    """Drain ``results`` through the configured sinks; returns them all.
-
-    ``progress`` receives ``(completed, total, result)`` per result —
-    pass ``total`` when ``results`` is a generator of known length.
-    """
-    collected: List[JobResult] = []
-    sinks = []
-    if jsonl_path:
-        sinks.append(JsonlSink(jsonl_path))
-    if csv_path:
-        sinks.append(CsvSink(csv_path))
-    try:
-        for result in results:
-            collected.append(result)
-            for sink in sinks:
-                sink.write(result)
-            if progress is not None:
-                progress(len(collected), total or 0, result)
-    finally:
-        for sink in sinks:
-            sink.close()
-    return collected

@@ -1,18 +1,13 @@
 """Circuit synthesis for Pauli-string exponentials."""
 
 from .basis_change import post_rotation_gates, pre_rotation_gates
-from .chain import chain_tree, synthesize_chain
-from .exponential import synthesize_block_naive, synthesize_pauli_exponential
-from .tree import PauliTree
-from .tree_synth import synthesize_from_tree
+from .chain import synthesize_chain
+from .tree import emit_exponential, fan_in
 
 __all__ = [
-    "PauliTree",
-    "chain_tree",
+    "emit_exponential",
+    "fan_in",
     "pre_rotation_gates",
     "post_rotation_gates",
-    "synthesize_from_tree",
     "synthesize_chain",
-    "synthesize_pauli_exponential",
-    "synthesize_block_naive",
 ]

@@ -7,23 +7,13 @@ the per-string building block of the tket-like baseline.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
+from ..circuit import gate as g
 from ..circuit.circuit import QuantumCircuit
+from ..circuit.gate import Gate
 from ..pauli.pauli_string import PauliString
-from .tree import PauliTree
-from .tree_synth import synthesize_from_tree
-
-
-def chain_tree(string: PauliString, order: Optional[Sequence[int]] = None) -> PauliTree:
-    """A path tree over the string's support (root = last qubit in order)."""
-    support = list(string.support)
-    if order is not None:
-        order = list(order)
-        if sorted(order) != sorted(support):
-            raise ValueError("order must be a permutation of the support")
-        support = order
-    return PauliTree.chain(support)
+from .tree import emit_exponential
 
 
 def synthesize_chain(
@@ -32,6 +22,10 @@ def synthesize_chain(
     circuit: Optional[QuantumCircuit] = None,
 ) -> QuantumCircuit:
     """Emit the exponential with an ascending-index CNOT ladder."""
-    if string.is_identity():
-        return circuit if circuit is not None else QuantumCircuit(string.num_qubits)
-    return synthesize_from_tree(string, angle, chain_tree(string), circuit)
+    out = circuit if circuit is not None else QuantumCircuit(string.num_qubits)
+    support = string.support
+    if support:
+        ladder = [Gate(g.CX, edge) for edge in zip(support, support[1:])]
+        ops = [(string[qubit], qubit) for qubit in support]
+        emit_exponential(out, ops, ladder, support[-1], angle)
+    return out

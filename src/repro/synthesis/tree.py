@@ -1,117 +1,61 @@
-"""The CNOT tree abstraction (paper Sec. I, Fig. 1).
+"""CNOT-tree emission of a Pauli exponential (paper Sec. I, Fig. 1).
 
-A :class:`PauliTree` is a rooted, directed tree over the supported qubits of
-a Pauli string.  Every directed edge ``child -> parent`` becomes a
-``CNOT(child, parent)``; edges deeper in the tree execute first, the root
-receives the accumulated parity, an ``RZ`` fires on the root, and the CNOTs
-mirror back.  Any valid tree over the support yields a correct circuit — the
-freedom Tetris exploits.
+``exp(-i angle/2 P)`` over a rooted tree spanning P's support: basis
+changes map every operator onto Z, each directed edge ``child -> parent``
+becomes a ``CNOT(child, parent)`` with edges deeper in the tree first,
+the root receives the accumulated parity and an ``RZ``, and the CNOTs
+and basis changes mirror back.  Any tree over the support yields a
+correct circuit — the freedom Tetris exploits.  Every compiler emits its
+exponentials through :func:`emit_exponential`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
+
+from ..circuit.circuit import QuantumCircuit
+from ..circuit.gate import Gate
+from .basis_change import post_rotation_gates, pre_rotation_gates
 
 
-class PauliTree:
-    """A rooted tree over qubit indices.
+def fan_in(parent: Mapping[int, int], root: int) -> List[Tuple[int, int]]:
+    """The tree's ``(child, parent)`` edges in fan-in execution order.
 
-    Parameters
-    ----------
-    root:
-        The root qubit (receives the RZ rotation).
-    parent:
-        Mapping ``child -> parent`` for every non-root node.
+    An edge runs after every edge in its child's subtree, so edges come
+    deepest child first; edges at equal depth are independent and are
+    ordered by child for determinism.
     """
+    depth: Dict[int, int] = {root: 0}
+    for node in parent:
+        trail = []
+        while node not in depth:
+            trail.append(node)
+            node = parent[node]
+        base = depth[node]
+        for node in reversed(trail):
+            base += 1
+            depth[node] = base
+    return sorted(parent.items(), key=lambda edge: (-depth[edge[0]], edge[0]))
 
-    __slots__ = ("root", "parent", "_depths")
 
-    def __init__(self, root: int, parent: Dict[int, int]) -> None:
-        self.root = root
-        self.parent = dict(parent)
-        if root in self.parent:
-            raise ValueError("the root cannot have a parent")
-        self._depths = self._compute_depths()
+def emit_exponential(
+    circuit: QuantumCircuit,
+    ops: Sequence[Tuple[str, int]],
+    edges: Sequence[Gate],
+    root: int,
+    angle: float,
+) -> None:
+    """Append ``exp(-i angle/2 P)`` to ``circuit``.
 
-    @classmethod
-    def chain(cls, qubits: Sequence[int]) -> "PauliTree":
-        """A path tree: qubits[0] -> qubits[1] -> ... -> qubits[-1] (root)."""
-        if not qubits:
-            raise ValueError("a tree needs at least one qubit")
-        parent = {qubits[i]: qubits[i + 1] for i in range(len(qubits) - 1)}
-        return cls(qubits[-1], parent)
-
-    @classmethod
-    def star(cls, root: int, leaves: Iterable[int]) -> "PauliTree":
-        """All leaves point directly at the root."""
-        return cls(root, {leaf: root for leaf in leaves})
-
-    def _compute_depths(self) -> Dict[int, int]:
-        depths: Dict[int, int] = {self.root: 0}
-
-        def depth_of(node: int, trail: Tuple[int, ...]) -> int:
-            if node in depths:
-                return depths[node]
-            if node in trail:
-                raise ValueError(f"cycle detected through qubit {node}")
-            if node not in self.parent:
-                raise ValueError(f"qubit {node} has no path to the root")
-            depths[node] = depth_of(self.parent[node], trail + (node,)) + 1
-            return depths[node]
-
-        for node in self.parent:
-            depth_of(node, ())
-        return depths
-
-    # -- views -----------------------------------------------------------------
-
-    @property
-    def nodes(self) -> FrozenSet[int]:
-        return frozenset(self._depths)
-
-    @property
-    def size(self) -> int:
-        return len(self._depths)
-
-    def depth_of(self, node: int) -> int:
-        return self._depths[node]
-
-    def children_of(self, node: int) -> Tuple[int, ...]:
-        return tuple(sorted(c for c, p in self.parent.items() if p == node))
-
-    def leaves(self) -> Tuple[int, ...]:
-        parents = set(self.parent.values())
-        return tuple(sorted(n for n in self._depths if n not in parents))
-
-    def edges(self) -> Tuple[Tuple[int, int], ...]:
-        """All ``(child, parent)`` edges."""
-        return tuple(sorted(self.parent.items()))
-
-    # -- scheduling --------------------------------------------------------------
-
-    def cnot_schedule(self) -> List[Tuple[int, int]]:
-        """Edges in execution order for the fan-in half of the circuit.
-
-        An edge ``(c, p)`` must run after every edge in ``c``'s subtree, so
-        edges are emitted in order of decreasing child depth.  Edges at equal
-        depth are independent and may run in parallel; we order them by qubit
-        index for determinism.
-        """
-        return sorted(
-            self.parent.items(), key=lambda edge: (-self._depths[edge[0]], edge[0])
-        )
-
-    def subtree_nodes(self, node: int) -> FrozenSet[int]:
-        """All nodes in the subtree rooted at ``node`` (inclusive)."""
-        out = {node}
-        frontier = [node]
-        while frontier:
-            current = frontier.pop()
-            for child in self.children_of(current):
-                if child not in out:
-                    out.add(child)
-                    frontier.append(child)
-        return frozenset(out)
-
-    def __repr__(self) -> str:
-        return f"PauliTree(root={self.root}, size={self.size})"
+    ``ops`` pairs each non-identity operator of P with its qubit (the
+    basis-change order), ``edges`` are the fan-in CNOTs in execution
+    order (a bridged tree edge contributes its whole chain), and ``root``
+    is the qubit that takes the ``RZ``.
+    """
+    for op, qubit in ops:
+        circuit.extend(pre_rotation_gates(op, qubit))
+    circuit.extend(edges)
+    circuit.rz(angle, root)
+    circuit.extend(reversed(edges))
+    for op, qubit in ops:
+        circuit.extend(post_rotation_gates(op, qubit))

@@ -6,15 +6,21 @@ steps into ``noise-smoke`` and dropped noise-smoke's own checks.  The
 loader here refuses duplicate keys, so that cannot happen unnoticed.
 """
 
+import ast
+import glob
 import os
+import sys
 
 import pytest
 
 yaml = pytest.importorskip("yaml")
 
-WORKFLOW = os.path.join(
-    os.path.dirname(__file__), os.pardir, ".github", "workflows", "ci.yml"
-)
+TESTS = os.path.dirname(os.path.abspath(__file__))
+WORKFLOW = os.path.join(TESTS, os.pardir, ".github", "workflows", "ci.yml")
+SRC = os.path.join(TESTS, os.pardir, "src")
+
+#: Import name -> pip distribution name, where the two differ.
+DISTRIBUTIONS = {"yaml": "pyyaml"}
 
 JOBS = ["tier1", "noise-smoke", "perf-smoke", "trace-smoke", "serve-smoke", "docs"]
 
@@ -85,8 +91,33 @@ def test_docs_runs_every_example():
     assert "scipy" in install  # examples/vqe_energy.py minimizes with scipy
 
 
+def imported_modules():
+    """Top-level module names every ``tests/*.py`` file imports."""
+    names = set()
+    for path in glob.glob(os.path.join(TESTS, "*.py")):
+        with open(path) as handle:
+            tree = ast.parse(handle.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module.split(".")[0])
+    return names
+
+
 def test_tier1_installs_pyyaml():
     job = load_workflow()["jobs"]["tier1"]
     install = next(s["run"] for s in job["steps"]
                    if s.get("name") == "Install dependencies")
     assert "pyyaml" in install
+    # Every third-party module a test imports is installed, or the
+    # suite stops at collection on a clean runner.
+    local = {os.path.splitext(name)[0] for name in os.listdir(TESTS)}
+    local.update(os.listdir(SRC))
+    third_party = imported_modules() - set(sys.stdlib_module_names) - local
+    packages = set(install.split())
+    missing = sorted(
+        DISTRIBUTIONS.get(name, name) for name in third_party
+        if DISTRIBUTIONS.get(name, name) not in packages
+    )
+    assert not missing, f"tier-1 does not install {missing}"

@@ -5,17 +5,14 @@ import pytest
 
 from repro.hardware import (
     CouplingGraph,
-    Device,
     fully_connected,
     google_sycamore_64,
     grid,
     heavy_hex,
     ibm_ithaca_65,
-    ithaca_device,
     linear,
     ring,
     sycamore,
-    sycamore_device,
 )
 
 
@@ -114,14 +111,3 @@ class TestTopologies:
         assert graph.are_connected(0, 2)
         assert not graph.are_connected(0, 3)
 
-
-class TestDevices:
-    def test_catalog(self):
-        assert ithaca_device().num_qubits == 65
-        assert sycamore_device().num_qubits == 64
-
-    def test_device_defaults(self):
-        device = Device(coupling=linear(3))
-        assert device.two_qubit_error == pytest.approx(1e-3)
-        assert device.one_qubit_error == pytest.approx(1e-4)
-        assert device.name == "linear-3"

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import QuantumCircuit
+from repro.circuit import gate as g
+from repro.circuit.gate import Gate
 from repro.passes import cancel_gates, consolidate_one_qubit_runs
 from repro.pauli import PauliString
 from repro.sim import circuit_unitary, unitaries_equal
-from repro.synthesis import PauliTree, synthesize_from_tree
+from repro.synthesis import emit_exponential, fan_in
 
 
 def full_cleanup(qc):
@@ -144,13 +146,18 @@ class TestFig3:
     def test_tree_choice_controls_cancellation(self):
         """Fig. 3: same strings, different trees, 0 vs 4 CNOTs canceled."""
         p1, p2 = PauliString("YZZZY"), PauliString("XZZZX")
+
+        def emit(circuit, string, parent, root):
+            edges = [Gate(g.CX, edge) for edge in fan_in(parent, root)]
+            ops = [(string[q], q) for q in string.support]
+            emit_exponential(circuit, ops, edges, root, 0.5)
+
         ladder = QuantumCircuit(5)
         for p in (p1, p2):
-            synthesize_from_tree(p, 0.5, PauliTree.chain([0, 1, 2, 3, 4]), ladder)
+            emit(ladder, p, {0: 1, 1: 2, 2: 3, 3: 4}, 4)
         good = QuantumCircuit(5)
-        tree = PauliTree(4, {1: 2, 2: 3, 3: 0, 0: 4})
         for p in (p1, p2):
-            synthesize_from_tree(p, 0.5, tree, good)
+            emit(good, p, {1: 2, 2: 3, 3: 0, 0: 4}, 4)
         assert cancel_gates(ladder).count_ops()["cx"] == 16
         assert cancel_gates(good).count_ops()["cx"] == 12
         assert unitaries_equal(circuit_unitary(ladder), circuit_unitary(good))

@@ -52,9 +52,11 @@ def gate_hash(circuit) -> str:
     return digest.hexdigest()
 
 
-def smoke_cell(compiler, bench="chem:LiH", device="grid:4x4", blocks=4, opt=3):
+def smoke_cell(compiler, bench="chem:LiH", device="grid:4x4", blocks=4, opt=3,
+               encoder="JW"):
     job = CompileJob(bench=bench, compiler=compiler, device=device,
-                     scale="smoke", blocks=blocks, optimization_level=opt)
+                     encoder=encoder, scale="smoke", blocks=blocks,
+                     optimization_level=opt)
     cell_blocks = job_blocks(job)
     coupling = resolve_device(job.device, cell_blocks[0].num_qubits)
     return job, cell_blocks, coupling
@@ -62,7 +64,9 @@ def smoke_cell(compiler, bench="chem:LiH", device="grid:4x4", blocks=4, opt=3):
 
 #: Gate-sequence hashes of the pre-refactor monolithic compilers
 #: (recorded before the pipeline refactor; cells chosen to exercise
-#: SWAP insertion, routing, bridging paths, and the O1 cleanup level).
+#: SWAP insertion, routing and the O1 cleanup level).  None of them
+#: emits a bridge CNOT, a per-string Tetris block or a similarity-only
+#: Tetris schedule: :data:`EMISSION_GATE_HASHES` pins those paths.
 PRE_REFACTOR_GATE_HASHES = {
     ("tetris", "chem:LiH", "grid:4x4", 4, 3):
         "d888be1616ef93ca1d4ff14dbb227cda28ea6736b74874f3dc3196cc196e573b",
@@ -97,6 +101,30 @@ ROUTE_NOISE_GATE_HASHES = {
         "bc1587c0dc5b905d3399a9b28c7ba7f5b3fbe375f1eb7a261dc9fccfb78aa9cb",
     ("max-cancel:noise-aware", "chem:LiH", "heavy-hex:ibm-65", 0, 3):
         "741b0add3d8af6ed4b8d097e3fb21d821c609560a003882db2df07ba2c23ea22",
+}
+
+#: Gate-sequence hashes of the paths the cells above miss, recorded
+#: before the block schedulers, tree emitters and bridge chains were
+#: merged into one each.  Keys are ``(compiler, bench, encoder, device,
+#: blocks, opt)``.  Under Bravyi-Kitaev most LiH blocks have non-uniform
+#: support, so ``tetris`` emits them string by string; ``k=1`` and
+#: ``no-lookahead`` give the same similarity-chain schedule; the QAOA
+#: cells on heavy-hex emit bridge chains (4 and 12 bridge CNOTs).
+EMISSION_GATE_HASHES = {
+    ("tetris", "chem:LiH", "BK", "grid:4x4", 8, 3):
+        "401faf20d5a2b1c081debc06895b76bcba0e0639b7bf10467053fe4a097a424e",
+    ("tetris:no-lookahead", "chem:LiH", "JW", "grid:4x4", 8, 3):
+        "2c700e9a2319b0c7439f320425b054238770495764d2413cda36c1cd709635a7",
+    ("tetris:k=1", "chem:LiH", "JW", "grid:4x4", 8, 3):
+        "2c700e9a2319b0c7439f320425b054238770495764d2413cda36c1cd709635a7",
+    ("paulihedral", "chem:LiH", "BK", "grid:4x4", 8, 3):
+        "0ca1fcdefa3cc273c30ba953c7bfe0f24f3bbbae7d6457eea673acbd858d6af8",
+    ("tket-like", "chem:LiH", "BK", "grid:4x4", 8, 3):
+        "e7cda1252471769ff0ef45ef7ee1e0ef23bcff2807341972fcb31b87d7f2570c",
+    ("tetris-qaoa", "qaoa:Rand-16", "JW", "heavy-hex:ibm-65", 0, 3):
+        "7df46da902b6a946dd917d6b64cd9861077b312535dbf5e3edbf020c6c569fa4",
+    ("tetris-qaoa:wrappers", "qaoa:Rand-16", "JW", "heavy-hex:ibm-65", 0, 3):
+        "450aae2af1839891e55d193f88093b0af7a6ae0a2a48caba77d1befb32e01297",
 }
 
 #: Content hashes (schema v2) of the six legacy compiler names on a
@@ -151,6 +179,20 @@ class TestGateForGateRegression:
                            optimization_level=opt, calibration=calibration)
         assert "route-noise" in build_pipeline(compiler).pass_names()
         assert gate_hash(run.result.circuit) == ROUTE_NOISE_GATE_HASHES[cell]
+
+    @pytest.mark.parametrize(
+        "cell", sorted(EMISSION_GATE_HASHES),
+        ids=lambda c: "-".join(map(str, c)),
+    )
+    def test_emission_paths_match_pre_merge_emitters(self, cell):
+        compiler, bench, encoder, device, blocks, opt = cell
+        _job, cell_blocks, coupling = smoke_cell(
+            compiler, bench=bench, device=device, blocks=blocks, opt=opt,
+            encoder=encoder,
+        )
+        run = run_pipeline(compiler, cell_blocks, coupling,
+                           optimization_level=opt)
+        assert gate_hash(run.result.circuit) == EMISSION_GATE_HASHES[cell]
 
     def test_service_path_matches_pre_refactor_compiler(self):
         cell = ("tetris", "chem:LiH", "grid:4x4", 4, 3)

@@ -7,68 +7,53 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from repro.circuit import QuantumCircuit
+from repro.circuit import gate as g
+from repro.circuit.gate import Gate
 from repro.pauli import PauliString
 from repro.sim import circuit_unitary, pauli_matrix, unitaries_equal
 from repro.synthesis import (
-    PauliTree,
-    chain_tree,
+    emit_exponential,
+    fan_in,
     post_rotation_gates,
     pre_rotation_gates,
-    synthesize_block_naive,
     synthesize_chain,
-    synthesize_from_tree,
-    synthesize_pauli_exponential,
 )
 
-from helpers import random_pauli_string
+from helpers import random_pauli_string, reference_circuit
 
 
 def exact(string: PauliString, theta: float) -> np.ndarray:
     return expm(-1j * theta / 2 * pauli_matrix(string))
 
 
-class TestPauliTree:
+def tree_exponential(string: PauliString, theta: float, parent, root):
+    """``exp(-i theta/2 string)`` emitted over the tree ``parent``."""
+    qc = QuantumCircuit(string.num_qubits)
+    emit_exponential(
+        qc,
+        [(string[q], q) for q in string.support],
+        [Gate(g.CX, edge) for edge in fan_in(parent, root)],
+        root,
+        theta,
+    )
+    return qc
+
+
+class TestFanIn:
     def test_chain(self):
-        tree = PauliTree.chain([3, 1, 0])
-        assert tree.root == 0
-        assert tree.depth_of(3) == 2
-        assert tree.leaves() == (3,)
-        assert tree.edges() == ((1, 0), (3, 1))
+        assert fan_in({3: 1, 1: 0}, 0) == [(3, 1), (1, 0)]
 
     def test_star(self):
-        tree = PauliTree.star(2, [0, 1, 4])
-        assert tree.root == 2
-        assert set(tree.leaves()) == {0, 1, 4}
-        assert all(tree.depth_of(leaf) == 1 for leaf in (0, 1, 4))
-
-    def test_cycle_detection(self):
-        with pytest.raises(ValueError):
-            PauliTree(0, {1: 2, 2: 1})
-
-    def test_orphan_detection(self):
-        with pytest.raises(ValueError):
-            PauliTree(0, {1: 5})
-
-    def test_root_cannot_have_parent(self):
-        with pytest.raises(ValueError):
-            PauliTree(0, {0: 1, 1: 0})
+        assert fan_in({4: 2, 0: 2, 1: 2}, 2) == [(0, 2), (1, 2), (4, 2)]
 
     def test_schedule_respects_dependencies(self):
-        tree = PauliTree(0, {1: 0, 2: 1, 3: 1, 4: 2})
-        schedule = tree.cnot_schedule()
+        parent = {1: 0, 2: 1, 3: 1, 4: 2}
+        schedule = fan_in(parent, 0)
+        assert schedule == [(4, 2), (2, 1), (3, 1), (1, 0)]
         position = {edge[0]: i for i, edge in enumerate(schedule)}
-        for child, parent in tree.parent.items():
-            if parent in position:  # parent is itself a child somewhere
-                assert position[child] < position[parent]
-
-    def test_subtree_nodes(self):
-        tree = PauliTree(0, {1: 0, 2: 1, 3: 1})
-        assert tree.subtree_nodes(1) == frozenset({1, 2, 3})
-        assert tree.subtree_nodes(0) == frozenset({0, 1, 2, 3})
-
-    def test_children_of(self):
-        tree = PauliTree(0, {1: 0, 2: 0})
-        assert tree.children_of(0) == (1, 2)
+        for child, node in parent.items():
+            if node in position:  # parent is itself a child somewhere
+                assert position[child] < position[node]
 
 
 class TestBasisChanges:
@@ -119,30 +104,17 @@ class TestSynthesis:
         parent = {}
         for index in range(1, len(support)):
             parent[support[index]] = support[int(rng.integers(index))]
-        tree = PauliTree(support[0], parent)
-        qc = synthesize_from_tree(string, 0.9, tree)
+        qc = tree_exponential(string, 0.9, parent, support[0])
         assert unitaries_equal(circuit_unitary(qc), exact(string, 0.9))
-
-    def test_tree_support_mismatch_rejected(self):
-        string = PauliString("XXI")
-        with pytest.raises(ValueError):
-            synthesize_from_tree(string, 0.1, PauliTree.chain([0, 2]))
 
     def test_identity_string_synthesizes_empty(self):
         qc = synthesize_chain(PauliString("III"), 0.5)
         assert len(qc) == 0
 
     def test_single_qubit_string(self):
-        qc = synthesize_pauli_exponential(PauliString("IYI"), 0.4)
+        qc = synthesize_chain(PauliString("IYI"), 0.4)
         assert unitaries_equal(circuit_unitary(qc), exact(PauliString("IYI"), 0.4))
         assert qc.count_ops().get("cx", 0) == 0
-
-    def test_chain_tree_custom_order(self):
-        string = PauliString("XXX")
-        tree = chain_tree(string, order=[2, 0, 1])
-        assert tree.root == 1
-        with pytest.raises(ValueError):
-            chain_tree(string, order=[0, 1])
 
     def test_appends_into_existing_circuit(self):
         qc = QuantumCircuit(3)
@@ -163,6 +135,6 @@ class TestBlockSynthesis:
         block = PauliBlock(
             [PauliString("XZI"), PauliString("YZI")], weights=[0.5, -0.5], angle=0.8
         )
-        qc = synthesize_block_naive(block)
+        qc = reference_circuit([block])
         expected = exact(PauliString("YZI"), -0.4) @ exact(PauliString("XZI"), 0.4)
         assert unitaries_equal(circuit_unitary(qc), expected)

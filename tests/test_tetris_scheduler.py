@@ -1,96 +1,97 @@
-"""Tests for lookahead block scheduling and try_block trial placement."""
+"""Tests for the shared block order and try_block trial placement."""
 
 import pytest
 
 from repro.compiler.base import interaction_pairs
-from repro.compiler.tetris import (
-    LookaheadScheduler,
-    SimilarityScheduler,
-    estimate_root_gather_cost,
-    lookahead_order,
-    lower_blocks,
-)
+from repro.compiler.tetris import chain_order, lower_blocks
 from repro.compiler.tetris.synthesis import try_block
-from repro.hardware import ibm_ithaca_65, linear
+from repro.hardware import ibm_ithaca_65
 from repro.pauli import PauliBlock, PauliString
-from repro.routing import Layout, greedy_interaction_layout
+from repro.pauli.similarity import block_similarity
+from repro.routing import greedy_interaction_layout
 
 
-def sample_irs():
-    blocks = [
+def sample_blocks():
+    return [
         PauliBlock([PauliString("ZZZZII")], label="long"),          # active 4
         PauliBlock([PauliString("XZZIII"), PauliString("YZZIII")]),  # active 3
         PauliBlock([PauliString("IXZZZY"), PauliString("IYZZZX")]),  # active 5
         PauliBlock([PauliString("ZIIIII")]),                         # active 1
     ]
-    return lower_blocks(blocks)
 
 
 class TestLookaheadOrder:
     def test_starts_with_longest_active_length(self):
-        irs = sample_irs()
-        order = lookahead_order(irs)
+        order = list(chain_order(sample_blocks()))
         assert order[0] == 2  # active length 5
 
     def test_is_a_permutation(self):
-        irs = sample_irs()
-        order = lookahead_order(irs, lookahead=2)
-        assert sorted(order) == list(range(len(irs)))
+        blocks = sample_blocks()
+        order = list(chain_order(blocks, lookahead=2, cost=lambda i, cap: i))
+        assert sorted(order) == list(range(len(blocks)))
 
     def test_empty(self):
-        assert lookahead_order([]) == []
+        assert list(chain_order([])) == []
 
 
 class TestSchedulers:
     def test_lookahead_scheduler_exhausts(self):
-        irs = sample_irs()
-        coupling = linear(8)
-        layout = Layout.trivial(6, 8)
-        scheduler = LookaheadScheduler(irs, lookahead=2)
-        picked = []
-        while scheduler:
-            picked.append(scheduler.pick_next(layout, coupling))
-        assert len(picked) == len(irs)
-        with pytest.raises(IndexError):
-            scheduler.pick_next(layout, coupling)
+        blocks = sample_blocks()
+        order = chain_order(blocks, lookahead=2, cost=lambda i, cap: 0)
+        picked = [next(order) for _ in blocks]
+        assert sorted(picked) == list(range(len(blocks)))
+        with pytest.raises(StopIteration):
+            next(order)
 
     def test_similarity_scheduler_chains_similar_blocks(self):
-        irs = sample_irs()
-        coupling = linear(8)
-        layout = Layout.trivial(6, 8)
-        scheduler = SimilarityScheduler(irs)
-        first = scheduler.pick_next(layout, coupling)
-        assert first is irs[2]
+        blocks = sample_blocks()
+        order = list(chain_order(blocks))
+        for last, chosen in zip(order, order[1:]):
+            later = order[order.index(chosen):]
+            best = max(block_similarity(blocks[last], blocks[i]) for i in later)
+            assert block_similarity(blocks[last], blocks[chosen]) == best
 
     def test_cost_function_is_used(self):
-        irs = sample_irs()
-        coupling = linear(8)
-        layout = Layout.trivial(6, 8)
+        blocks = sample_blocks()
         calls = []
 
-        def cost(ir, live_layout):
-            calls.append(ir)
-            return 0
+        def cost(index, cap):
+            calls.append((index, cap))
+            return 0 if index == 1 else 1
 
-        scheduler = LookaheadScheduler(irs, lookahead=3, cost_of=cost)
-        scheduler.pick_next(layout, coupling)
-        scheduler.pick_next(layout, coupling)
-        assert calls  # candidates were evaluated
+        order = chain_order(blocks, lookahead=3, cost=cost)
+        assert next(order) == 2
+        assert calls == []  # the first block is chosen by active length
+        # Block 0 is the most similar to block 2, but block 1 costs less;
+        # candidates are scored in similarity rank with the incumbent's
+        # cost as the cap, and a 0-cost incumbent ends the search.
+        assert next(order) == 1
+        assert calls == [(0, None), (1, 1)]
+
+    def test_cost_sees_state_left_by_the_previous_block(self):
+        blocks = sample_blocks()
+        live = {"placed": 0}
+        seen = []
+
+        def cost(index, cap):
+            seen.append(live["placed"])
+            return index
+
+        for _ in chain_order(blocks, lookahead=2, cost=cost):
+            live["placed"] += 1
+        assert seen and seen == sorted(seen) and seen[0] == 1
+
+    def test_lone_candidate_is_not_scored(self):
+        blocks = sample_blocks()
+        calls = []
+        order = list(
+            chain_order(blocks, lookahead=1, cost=lambda i, cap: calls.append(i))
+        )
+        assert sorted(order) == list(range(len(blocks)))
+        assert calls == []
 
 
 class TestCostEstimates:
-    def test_gather_cost_zero_when_adjacent(self):
-        irs = lower_blocks([PauliBlock([PauliString("XYIIII"), PauliString("YXIIII")])])
-        layout = Layout.trivial(6, 8)
-        assert estimate_root_gather_cost(irs[0], layout, linear(8)) == 0
-
-    def test_gather_cost_positive_when_spread(self):
-        irs = lower_blocks(
-            [PauliBlock([PauliString("XIIIIY"), PauliString("YIIIIX")])]
-        )
-        layout = Layout.trivial(6, 8)
-        assert estimate_root_gather_cost(irs[0], layout, linear(8)) > 0
-
     def test_try_block_does_not_mutate_layout(self):
         from repro.chem import molecule_blocks
 

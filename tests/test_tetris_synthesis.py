@@ -5,8 +5,12 @@ import pytest
 
 from repro.circuit import QuantumCircuit
 from repro.compiler.mapping_utils import SwapTracker
-from repro.compiler.tetris import lower_blocks, synthesize_tetris_block
-from repro.compiler.tetris.synthesis import try_block
+from repro.compiler.tetris import (
+    BlockSynthesisStats,
+    lower_blocks,
+    synthesize_tetris_block,
+)
+from repro.compiler.tetris.synthesis import _BlockTree, _emit_uniform, try_block
 from repro.hardware import grid, linear
 from repro.passes import cancel_gates
 from repro.pauli import PauliBlock, PauliString
@@ -108,8 +112,10 @@ class TestNonUniformEmission:
 
 class TestBridging:
     def test_bridge_used_when_ancilla_available(self):
-        """Leaf qubits separated by a free |0> slot get a CNOT bridge."""
-        # 4 logical qubits on a 7-qubit line, placed with gaps.
+        """A leaf edge through a free |0> slot is emitted as a CNOT bridge.
+
+        Placement almost never leaves a bridge (it falls back to SWAPs),
+        so the emitter is driven from a hand-built tree."""
         blocks = [
             PauliBlock(
                 [PauliString("XZZY"), PauliString("YZZX")],
@@ -117,20 +123,31 @@ class TestBridging:
                 angle=0.6,
             )
         ]
-        coupling = linear(7)
-        layout = Layout(4, 7)
-        # Roots (0,3) together; leaves 1,2 with a gap: q2 at slot 5.
-        for logical, physical in ((0, 0), (1, 2), (2, 5), (3, 1)):
-            layout.place(logical, physical)
-        circuit = QuantumCircuit(7)
-        tracker = SwapTracker(circuit, layout)
         ir = lower_blocks(blocks)[0]
-        stats = synthesize_tetris_block(ir, tracker, coupling, enable_bridging=True)
-        initial = [0, 2, 5, 1]
-        final = [layout.physical(q) for q in range(4)]
-        check_equivalence(blocks, circuit, initial, final, 7)
-        # Either it bridged (overhead > 0) or placement found an adjacency.
-        assert stats.bridge_overhead_cnots >= 0
+        assert (ir.root_qubits, ir.leaf_qubits) == ((0, 3), (1, 2))
+        coupling = linear(5)
+        # Roots 0 and 3 adjacent, leaf 1 next to root 3, leaf 2 beyond
+        # the free slot 3.
+        initial = [0, 2, 4, 1]
+        layout = Layout(4, 5)
+        for logical, physical in enumerate(initial):
+            layout.place(logical, physical)
+        path = [4, 3, 2]  # leaf 2 -> leaf 1
+        tree = _BlockTree(
+            root=0,
+            parent={3: 0, 1: 3, 2: 1},
+            root_set={0, 3},
+            leaf_set={1, 2},
+            bridge_paths={2: path},
+        )
+        circuit = QuantumCircuit(5)
+        stats = BlockSynthesisStats()
+        _emit_uniform(ir, SwapTracker(circuit, layout), tree, stats)
+        assert stats.bridged_edges == 1
+        assert stats.bridge_overhead_cnots == 2 * (len(path) - 2)
+        # A direct CX(4, 2) for the bridged edge would leave the coupling map.
+        assert verify_hardware_compliant(circuit, coupling)
+        check_equivalence(blocks, circuit, initial, initial, 5)
 
     def test_bridging_toggle_changes_nothing_semantically(self):
         blocks = fig5_like_blocks()
