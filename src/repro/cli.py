@@ -76,7 +76,6 @@ from .pipeline import (
     PASSES,
     PIPELINES,
     PipelineError,
-    resolve_compiler_spec,
     split_opt_suffix,
 )
 from .registry import RegistryError
@@ -114,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--encoder", default="JW", choices=["JW", "BK"])
     parser.add_argument("--blocks", type=int, default=0,
                         help="truncate to the first N blocks (0 = all)")
-    parser.add_argument("--swap-weight", type=float, default=None)
-    parser.add_argument("--lookahead", type=int, default=None)
     parser.add_argument("--opt-level", type=int, default=3, choices=[0, 1, 3])
     parser.add_argument("--calibration-seed", type=int, default=None,
                         metavar="N",
@@ -189,18 +186,6 @@ def print_pipelines() -> None:
     print("registered passes (for custom lists):")
     for entry in PASSES.entries():
         print(f"  {entry.name}: {entry.description}")
-
-
-def _single_compiler_params(base: str, args) -> dict:
-    """Explicitly-set tetris tuning flags (None = builder/variant default)."""
-    name, _ = resolve_compiler_spec(base)
-    params = {}
-    if name == "tetris":
-        if args.swap_weight is not None:
-            params["swap_weight"] = args.swap_weight
-        if args.lookahead is not None:
-            params["lookahead"] = args.lookahead
-    return params
 
 
 def main(argv=None) -> int:
@@ -298,7 +283,6 @@ def single_main(argv) -> int:
             optimization_level=(
                 args.opt_level if suffix_level is None else suffix_level
             ),
-            params=_single_compiler_params(base_spec, args),
             parametric=args.parametric,
             calibration=args.calibration_seed,
         )

@@ -2,7 +2,8 @@
 
 These helpers operate on a mutable :class:`Layout` and append SWAP gates to
 a target circuit, maintaining the invariant that emitted SWAPs are always on
-coupled pairs.
+coupled pairs.  :func:`emit_string_over_spanning_tree` is the per-string
+emitter of Paulihedral and of Tetris' non-uniform-support blocks.
 """
 
 from __future__ import annotations
@@ -10,9 +11,12 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 
+from ..circuit import gate as g
 from ..circuit.circuit import QuantumCircuit
+from ..circuit.gate import Gate
 from ..hardware.coupling import CouplingGraph
 from ..routing.layout import Layout
+from ..synthesis.tree import emit_exponential, fan_in
 
 
 class SwapTracker:
@@ -247,3 +251,35 @@ def physical_spanning_tree(
     if len(seen) != len(node_set):
         raise ValueError("positions do not induce a connected subgraph")
     return parent
+
+
+def emit_string_over_spanning_tree(
+    tracker: SwapTracker,
+    coupling: CouplingGraph,
+    string,
+    angle: float,
+    anchors: Optional[Sequence[int]] = None,
+) -> None:
+    """SWAP the string's support into one component, then emit it over a
+    BFS tree.
+
+    Paulihedral's SWAP-centric mapping (:func:`connect_support`): the
+    tree is rooted at the support position nearest ``anchors`` (physical
+    positions; by default the support itself, i.e. its centre), with no
+    root/leaf distinction.
+    """
+    layout = tracker.layout
+    support = string.support
+    if not support:
+        return
+    connect_support(tracker, coupling, support)
+    positions = [layout.physical(q) for q in support]
+    root = find_center(coupling, anchors or positions, candidates=positions)
+    parent = physical_spanning_tree(coupling, positions, root)
+    emit_exponential(
+        tracker.circuit,
+        [(string[q], p) for q, p in zip(support, positions)],
+        [Gate(g.CX, edge) for edge in fan_in(parent, root)],
+        root,
+        angle,
+    )

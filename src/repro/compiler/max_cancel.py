@@ -14,7 +14,7 @@ pipeline (``order-similarity``, ``synth-single-leaf``, ``layout``,
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from ..circuit import gate as g
 from ..circuit.circuit import QuantumCircuit
@@ -22,6 +22,7 @@ from ..circuit.gate import Gate
 from ..pauli.block import PauliBlock
 from ..pauli.operators import I
 from ..synthesis.basis_change import post_rotation_gates, pre_rotation_gates
+from ..synthesis.tree import emit_exponential
 from .base import blocks_num_qubits
 from .tetris.ir import TetrisBlockIR, lower_blocks
 
@@ -58,36 +59,20 @@ def _emit_block_single_leaf_tree(circuit: QuantumCircuit, ir: TetrisBlockIR) -> 
         Gate(g.CX, (leaf[index], leaf[index + 1])) for index in range(len(leaf) - 1)
     ]
     for qubit in leaf:
-        for gate in pre_rotation_gates(first[qubit], qubit):
-            circuit.append(gate)
-    for gate in leaf_chain:
-        circuit.append(gate)
+        circuit.extend(pre_rotation_gates(first[qubit], qubit))
+    circuit.extend(leaf_chain)
 
     for string, weight in zip(ir.strings, ir.weights):
         string_roots = [q for q in root if string[q] != I]
-        for qubit in string_roots:
-            for gate in pre_rotation_gates(string[qubit], qubit):
-                circuit.append(gate)
-        body: List[Gate] = []
-        if leaf and string_roots:
-            body.append(Gate(g.CX, (leaf[-1], string_roots[0])))
-        body.extend(
-            Gate(g.CX, (string_roots[index], string_roots[index + 1]))
-            for index in range(len(string_roots) - 1)
+        chain = leaf[-1:] + string_roots
+        emit_exponential(
+            circuit,
+            [(string[q], q) for q in string_roots],
+            [Gate(g.CX, (a, b)) for a, b in zip(chain, chain[1:])],
+            chain[-1],
+            ir.angle * weight,
         )
-        rotation_qubit = string_roots[-1] if string_roots else leaf[-1]
-        for gate in body:
-            circuit.append(gate)
-        circuit.rz(ir.angle * weight, rotation_qubit)
-        for gate in reversed(body):
-            circuit.append(gate)
-        for qubit in string_roots:
-            for gate in post_rotation_gates(string[qubit], qubit):
-                circuit.append(gate)
 
-    for gate in reversed(leaf_chain):
-        circuit.append(gate)
+    circuit.extend(reversed(leaf_chain))
     for qubit in leaf:
-        for gate in post_rotation_gates(first[qubit], qubit):
-            circuit.append(gate)
-
+        circuit.extend(post_rotation_gates(first[qubit], qubit))

@@ -2,16 +2,16 @@
 
 QAOA cost-layer terms all commute, so gates may be scheduled in any order —
 the freedom 2QAN (Lao & Browne, ISCA 2022) exploits.  Two pipelines in
-:mod:`repro.pipeline.registry` use it:
+:mod:`repro.pipeline.registry` use it, through one scheduling loop:
 
 - ``2qan-like`` — commutation-aware greedy scheduling: emit every
   currently-executable edge, then insert the SWAP that best serves the
   remaining edges (``extract-edges``, ``layout``, ``synth-2qan``).
-- ``tetris-qaoa`` — the paper's Sec. V-C optimization: the same commuting
-  freedom, plus a lookahead choice between SWAP insertion and fast
-  bridging, and mid-circuit measurement to retire finished qubits so
-  their slots become |0> bridge ancillas (``extract-edges``, ``layout``,
-  ``synth-qaoa-reuse``).
+- ``tetris-qaoa`` — the paper's Sec. V-C optimization: ``synth-2qan``
+  plus two decisions, a lookahead choice between SWAP insertion and
+  fast bridging, and mid-circuit measurement to retire finished qubits
+  so their slots become |0> bridge ancillas (``extract-edges``,
+  ``layout``, ``synth-qaoa-reuse``).
 
 Both take the MaxCut blocks of :mod:`repro.qaoa` (one ZZ string per
 edge); :func:`extract_edges` turns them into ``(u, v, angle)`` terms.

@@ -36,7 +36,7 @@ from ...synthesis.tree import emit_exponential, fan_in
 from ..mapping_utils import (
     SwapTracker,
     cluster_qubits,
-    connect_support,
+    emit_string_over_spanning_tree,
     find_center,
     physical_spanning_tree,
 )
@@ -439,23 +439,10 @@ def _emit_per_string(
     """Non-uniform support: deterministic per-string trees (BK fallback).
 
     Ignores ``tree.bridge_paths``: each string's support is SWAPped into
-    one connected component and emitted over its own BFS tree."""
-    layout = tracker.layout
-    rows = coupling.distance_rows()
-    center = layout.physical(tree.root)
-
+    one connected component and emitted over its own BFS tree, rooted
+    nearest the block root's position before the first string."""
+    anchors = [tracker.layout.physical(tree.root)]
     for string, weight in zip(ir.strings, ir.weights):
-        support = string.support
-        if not support:
-            continue
-        connect_support(tracker, coupling, support)
-        positions = [layout.physical(q) for q in support]
-        root = min(positions, key=lambda p: (rows[p][center], p))
-        parent = physical_spanning_tree(coupling, positions, root)
-        emit_exponential(
-            tracker.circuit,
-            [(string[q], p) for q, p in zip(support, positions)],
-            [Gate(g.CX, edge) for edge in fan_in(parent, root)],
-            root,
-            ir.angle * weight,
+        emit_string_over_spanning_tree(
+            tracker, coupling, string, ir.angle * weight, anchors=anchors
         )

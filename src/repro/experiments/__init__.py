@@ -31,6 +31,8 @@ from . import (
 )
 from .spec import CheckResult, ExperimentSpec, PinnedMetric  # noqa: F401
 
+#: Experiment id -> module, in paper order: the report renders in this
+#: order (:data:`repro.report.manifest.PAPER_ORDER`).
 REGISTRY = {
     "table1": table1,
     "fig02": fig02,

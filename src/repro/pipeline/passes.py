@@ -21,15 +21,20 @@ from ..circuit.circuit import QuantumCircuit
 from ..circuit.gate import Gate
 from ..circuit.tape import TapeError
 from ..compiler.base import interaction_pairs
-from ..compiler.mapping_utils import SwapTracker
+from ..compiler.mapping_utils import SwapTracker, emit_string_over_spanning_tree
 from ..compiler.tetris.scheduler import DEFAULT_LOOKAHEAD, chain_order
 from ..compiler.tetris.synthesis import DEFAULT_SWAP_WEIGHT
 from ..passes.consolidate import consolidate_one_qubit_runs
 from ..passes.peephole import cancel_gates
-from ..routing.bridging import bridge_chain_gates
+from ..routing.bridging import (
+    bridge_chain_gates,
+    bridged_cnot_cost,
+    swap_route_cost,
+)
 from ..routing.layout import greedy_interaction_layout
 from ..routing.router import route_circuit, route_circuit_noise
 from ..synthesis.chain import synthesize_chain
+from ..synthesis.tree import emit_exponential
 from .base import AnalysisPass, PipelineError, PropertySet, TransformationPass
 
 
@@ -270,8 +275,6 @@ class SpanningTreeSynthesisPass(TransformationPass):
         self.sort_strings = sort_strings
 
     def run(self, state: PropertySet) -> None:
-        from ..compiler.paulihedral import emit_string_over_spanning_tree
-
         coupling = state["coupling"]
         blocks = state["blocks"]
         circuit = QuantumCircuit(coupling.num_qubits, name="paulihedral")
@@ -329,11 +332,20 @@ class ChainSynthesisPass(TransformationPass):
 
 
 class CommutingScheduleSynthesisPass(TransformationPass):
-    """2QAN-style commutation-aware greedy scheduling with mapping-serving
-    SWAPs (QAOA cost layers only)."""
+    """2QAN-style commutation-aware greedy scheduling (QAOA cost layers).
+
+    The one QAOA scheduling loop.  Cost-layer terms commute, so every
+    edge whose endpoints are adjacent is emitted as soon as it is; then
+    the closest distant edge gets the SWAP, next to one of its
+    endpoints, that leaves the least total distance over the remaining
+    edges.  Each term is a one-edge CNOT tree rooted at its target.
+    ``include_wrappers`` adds the H layer in front and the RX mixer plus
+    measurement behind."""
 
     name = "synth-2qan"
     requires = ("edges", "layout")
+    #: Tetris' two Sec. V-C decisions, on in ``synth-qaoa-reuse``.
+    bridging = False
 
     def __init__(self, include_wrappers: bool = False) -> None:
         self.include_wrappers = include_wrappers
@@ -343,76 +355,15 @@ class CommutingScheduleSynthesisPass(TransformationPass):
         layout = state["layout"]
         edges = state["edges"]
         num_logical = state["num_logical"]
-        circuit = QuantumCircuit(coupling.num_qubits, name="2qan-like")
+        circuit = QuantumCircuit(
+            coupling.num_qubits,
+            name="tetris-qaoa" if self.bridging else "2qan-like",
+        )
         tracker = SwapTracker(circuit, layout)
-        if self.include_wrappers:
-            for logical in range(num_logical):
-                circuit.h(layout.physical(logical))
-
-        remaining = list(range(len(edges)))
-        distance = coupling.distance_matrix()
-        while remaining:
-            progressed = True
-            while progressed:
-                progressed = False
-                for index in list(remaining):
-                    u, v, angle = edges[index]
-                    pu, pv = layout.physical(u), layout.physical(v)
-                    if coupling.are_connected(pu, pv):
-                        _emit_zz(circuit, pu, pv, angle)
-                        remaining.remove(index)
-                        progressed = True
-            if not remaining:
-                break
-            # Everything left is distant: pick the closest edge and insert
-            # the single SWAP that minimizes the remaining total distance.
-            def edge_distance(index: int) -> int:
-                u, v, _ = edges[index]
-                return int(distance[layout.physical(u), layout.physical(v)])
-
-            target = min(remaining, key=lambda i: (edge_distance(i), i))
-            u, v, _ = edges[target]
-            pu, pv = layout.physical(u), layout.physical(v)
-            path = coupling.shortest_path(pu, pv)
-            assert path is not None
-
-            def total_cost_after(swap: Tuple[int, int]) -> int:
-                layout.swap_physical(*swap)
-                cost = sum(edge_distance(i) for i in remaining)
-                layout.swap_physical(*swap)
-                return cost
-
-            candidates = [(pu, path[1]), (pv, path[-2])]
-            chosen = min(candidates, key=lambda s: (total_cost_after(s), s))
-            tracker.swap(*chosen)
-
-        if self.include_wrappers:
-            for logical in range(num_logical):
-                physical = layout.physical(logical)
-                circuit.rx(0.3, physical)
-                circuit.measure(physical)
-
-        state["circuit"] = circuit
-        state["num_swaps"] = state.get("num_swaps", 0) + tracker.num_swaps
-
-
-class QAOABridgingSynthesisPass(TransformationPass):
-    """Tetris' QAOA path: SWAP-vs-bridge lookahead plus mid-circuit
-    measurement to retire finished qubits (paper Sec. V-C)."""
-
-    name = "synth-qaoa-reuse"
-    requires = ("edges", "layout")
-
-    def __init__(self, include_wrappers: bool = False) -> None:
-        self.include_wrappers = include_wrappers
-
-    def run(self, state: PropertySet) -> None:
-        coupling = state["coupling"]
-        layout = state["layout"]
-        edges = state["edges"]
-        num_logical = state["num_logical"]
-        circuit = QuantumCircuit(coupling.num_qubits, name="tetris-qaoa")
-        tracker = SwapTracker(circuit, layout)
+        # Qubit reuse needs the measure+reset wrappers; without them a
+        # finished qubit's slot cannot be certified |0>, so it stays
+        # occupied.
+        reuse = self.bridging and self.include_wrappers
         if self.include_wrappers:
             for logical in range(num_logical):
                 circuit.h(layout.physical(logical))
@@ -422,23 +373,25 @@ class QAOABridgingSynthesisPass(TransformationPass):
             pending[u].add(index)
             pending[v].add(index)
         remaining = list(range(len(edges)))
-        retired: Set[int] = set()
         bridge_overhead = 0
         distance = coupling.distance_matrix()
 
-        def finish_edge(index: int) -> None:
-            remaining.remove(index)
+        def edge_distance(index: int) -> int:
             u, v, _ = edges[index]
-            for logical in (u, v):
+            return int(distance[layout.physical(u), layout.physical(v)])
+
+        def distance_after(swap: Tuple[int, int], indices: List[int]) -> int:
+            layout.swap_physical(*swap)
+            cost = sum(edge_distance(i) for i in indices)
+            layout.swap_physical(*swap)
+            return cost
+
+        def finish(index: int, chain: List[Gate], root: int) -> None:
+            emit_exponential(circuit, (), chain, root, edges[index][2])
+            remaining.remove(index)
+            for logical in edges[index][:2]:
                 pending[logical].discard(index)
-                # Qubit reuse needs the measure+reset wrappers; without them
-                # the slot cannot be certified |0>, so keep it occupied.
-                if (
-                    self.include_wrappers
-                    and not pending[logical]
-                    and logical not in retired
-                ):
-                    retired.add(logical)
+                if reuse and not pending[logical]:
                     physical = layout.physical(logical)
                     circuit.rx(0.3, physical)
                     circuit.measure(physical)
@@ -450,70 +403,51 @@ class QAOABridgingSynthesisPass(TransformationPass):
             while progressed:
                 progressed = False
                 for index in list(remaining):
-                    u, v, angle = edges[index]
+                    u, v, _ = edges[index]
                     pu, pv = layout.physical(u), layout.physical(v)
                     if coupling.are_connected(pu, pv):
-                        _emit_zz(circuit, pu, pv, angle)
-                        finish_edge(index)
+                        finish(index, [Gate(g.CX, (pu, pv))], pv)
                         progressed = True
             if not remaining:
                 break
-
-            def edge_distance(index: int) -> int:
-                u, v, _ = edges[index]
-                return int(distance[layout.physical(u), layout.physical(v)])
-
             target = min(remaining, key=lambda i: (edge_distance(i), i))
-            u, v, angle = edges[target]
+            u, v, _ = edges[target]
             pu, pv = layout.physical(u), layout.physical(v)
             path = coupling.shortest_path(pu, pv)
             assert path is not None
-            # Bridges may detour through free |0> qubits: 2 CNOTs per hop
-            # still beats a SWAP route (3 per hop) for modest detours.
-            occupied = {
-                node
-                for node in range(coupling.num_qubits)
-                if layout.is_occupied(node) and node not in (pu, pv)
-            }
-            free_path = coupling.shortest_path(pu, pv, blocked=occupied)
-            swap_cost = 3 * (len(path) - 2) + 2
-            bridge_viable = (
-                free_path is not None and 2 * (len(free_path) - 1) <= swap_cost
-            )
-            # Lookahead (Sec. V-C): if a SWAP would also shorten *other*
-            # pending edges, prefer it; otherwise bridge when viable.
-            others = [i for i in remaining if i != target]
-
-            def future_gain(swap: Tuple[int, int]) -> int:
+            swaps = [(pu, path[1]), (pv, path[-2])]
+            if self.bridging:
+                # Bridges may detour through free |0> qubits: 2 CNOTs per
+                # hop still beats a SWAP route (3 per hop) for modest
+                # detours.  Lookahead: a SWAP that also shortens another
+                # remaining edge wins over the bridge.
+                occupied = {
+                    node
+                    for node in range(coupling.num_qubits)
+                    if layout.is_occupied(node) and node not in (pu, pv)
+                }
+                bridge = coupling.shortest_path(pu, pv, blocked=occupied)
+                others = [i for i in remaining if i != target]
                 before = sum(edge_distance(i) for i in others)
-                layout.swap_physical(*swap)
-                after = sum(edge_distance(i) for i in others)
-                layout.swap_physical(*swap)
-                return before - after
-
-            swap_helps_future = others and max(
-                future_gain((pu, path[1])), future_gain((pv, path[-2]))
-            ) > 0
-            if bridge_viable and not swap_helps_future:
-                # Bridge: endpoints stay put, ancillas restored by the
-                # mirrored chain.
-                chain = bridge_chain_gates(free_path)
-                circuit.extend(chain)
-                circuit.rz(angle, free_path[-1])
-                circuit.extend(reversed(chain))
-                bridge_overhead += 2 * (len(free_path) - 2)
-                finish_edge(target)
-                continue
-
-            def total_cost_after(swap: Tuple[int, int]) -> int:
-                layout.swap_physical(*swap)
-                cost = sum(edge_distance(i) for i in remaining)
-                layout.swap_physical(*swap)
-                return cost
-
-            candidates = [(pu, path[1]), (pv, path[-2])]
-            chosen = min(candidates, key=lambda s: (total_cost_after(s), s))
+                if (
+                    bridge is not None
+                    and bridged_cnot_cost(len(bridge) - 1)
+                    <= swap_route_cost(len(path) - 1)
+                    and not any(distance_after(s, others) < before for s in swaps)
+                ):
+                    # Endpoints stay put; the mirrored chain restores the
+                    # ancillas.
+                    finish(target, bridge_chain_gates(bridge), bridge[-1])
+                    bridge_overhead += 2 * (len(bridge) - 2)
+                    continue
+            chosen = min(swaps, key=lambda s: (distance_after(s, remaining), s))
             tracker.swap(*chosen)
+
+        if self.include_wrappers and not reuse:
+            for logical in range(num_logical):
+                physical = layout.physical(logical)
+                circuit.rx(0.3, physical)
+                circuit.measure(physical)
 
         state["circuit"] = circuit
         state["num_swaps"] = state.get("num_swaps", 0) + tracker.num_swaps
@@ -522,10 +456,15 @@ class QAOABridgingSynthesisPass(TransformationPass):
         )
 
 
-def _emit_zz(circuit: QuantumCircuit, pu: int, pv: int, angle: float) -> None:
-    circuit.append(Gate(g.CX, (pu, pv)))
-    circuit.rz(angle, pv)
-    circuit.append(Gate(g.CX, (pu, pv)))
+class QAOABridgingSynthesisPass(CommutingScheduleSynthesisPass):
+    """Tetris' QAOA path (paper Sec. V-C): ``synth-2qan`` plus its two
+    decisions — bridge the closest distant edge through free |0> qubits
+    unless a SWAP also shortens another remaining edge, and, with the
+    wrappers, measure and reset each qubit once its last edge is done,
+    so its slot becomes a bridge ancilla."""
+
+    name = "synth-qaoa-reuse"
+    bridging = True
 
 
 # ---------------------------------------------------------------------------

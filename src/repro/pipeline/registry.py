@@ -151,6 +151,17 @@ def _tetris_passes(
 
 
 def _paulihedral_passes(sort_strings: bool = True) -> List[Pass]:
+    """A Paulihedral-style baseline (Li et al., ASPLOS 2022).
+
+    Blocks are chained greedily by similarity with no SWAP-cost
+    lookahead, and strings within a block are sorted lexicographically
+    (``sort_strings``) for 1Q cancellation.  Per string, the largest
+    connected component of the mapped support absorbs the other qubits
+    by SWAPs, and the string is emitted over a BFS tree rooted at the
+    component's centre, without Tetris' root/leaf distinction, so 2Q
+    cancellation is mostly missed (Fig. 4(b)); gate cancellation is left
+    to the O3 tail.
+    """
     return [
         SimilarityOrderPass(),
         InteractionLayoutPass(),

@@ -164,17 +164,12 @@ class ReproClient:
     ) -> BindReply:
         """Bind angles into the job's server-resident compiled template.
 
-        The job is forced parametric; the first call compiles the
+        The daemon forces the job parametric; the first call compiles the
         structure once, every later call (any ``theta``) is a cheap
         rebind.  ``theta=None`` binds the workload's own baked angles.
         """
-        from dataclasses import replace
-
-        compile_job = _as_job(job, spec)
-        if not compile_job.parametric:
-            compile_job = replace(compile_job, parametric=True)
         payload: Dict[str, Any] = {
-            "job": compile_job.to_dict(),
+            "job": _as_job(job, spec).to_dict(),
             "priority": priority,
             "qasm": qasm,
         }

@@ -160,18 +160,13 @@ def parse_bind_request(
 ) -> Tuple[CompileJob, Optional[List[float]], str, int, bool]:
     """Decode one bind body -> (job, theta, tenant, priority, qasm).
 
-    The job is forced parametric regardless of the spec's own flag (a
-    bind request is *about* the template); ``theta`` of null/absent
-    means "bind the workload's own baked angles"; any other entry than a
-    finite number is a :class:`ProtocolError` naming its index.
+    ``theta`` of null/absent means "bind the workload's own baked
+    angles"; any other entry than a finite number is a
+    :class:`ProtocolError` naming its index.
     """
     job, tenant, priority, _profile = parse_compile_request(
         payload, default_tenant
     )
-    if not job.parametric:
-        from dataclasses import replace
-
-        job = replace(job, parametric=True)
     theta = payload.get("theta")
     if theta is not None:
         if not isinstance(theta, (list, tuple)):
@@ -205,22 +200,51 @@ def parse_compile_request(
     Raises :class:`ProtocolError` on missing/invalid fields so transports
     can map it to a 400 uniformly.
     """
+    _require_object(payload)
+    return (_parse_job(payload.get("job")),
+            *_parse_options(payload, default_tenant))
+
+
+def parse_batch_request(
+    payload: Mapping[str, Any], default_tenant: str = "default"
+) -> Tuple[List[CompileJob], str, int, bool]:
+    """Decode one batch request body -> (jobs, tenant, priority, profile).
+
+    The options mean what they mean on a compile request and apply to
+    every job of the batch.
+    """
+    _require_object(payload)
+    specs = payload.get("jobs")
+    if not isinstance(specs, list):
+        raise ProtocolError('batch request must carry a "jobs" list')
+    return ([_parse_job(spec) for spec in specs],
+            *_parse_options(payload, default_tenant))
+
+
+def _require_object(payload: Any) -> None:
     if not isinstance(payload, Mapping):
         raise ProtocolError("request body must be a JSON object")
-    spec = payload.get("job")
+
+
+def _parse_job(spec: Any) -> CompileJob:
     if not isinstance(spec, Mapping):
         raise ProtocolError('request must carry a "job" object')
     try:
-        job = CompileJob.from_dict(spec)
+        return CompileJob.from_dict(spec)
     except (ValueError, TypeError) as exc:
         raise ProtocolError(f"bad job spec: {exc}") from None
+
+
+def _parse_options(
+    payload: Mapping[str, Any], default_tenant: str
+) -> Tuple[str, int, bool]:
+    """The tenant, priority and profile fields every request shares."""
     tenant = str(payload.get("tenant") or default_tenant)
     try:
         priority = int(payload.get("priority", 0))
     except (ValueError, TypeError):
         raise ProtocolError("priority must be an integer") from None
-    profile = bool(payload.get("profile", False))
-    return job, tenant, priority, profile
+    return tenant, priority, bool(payload.get("profile", False))
 
 
 @dataclass

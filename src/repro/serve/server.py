@@ -79,6 +79,7 @@ from .protocol import (
     http_response,
     last_chunk,
     ndjson_line,
+    parse_batch_request,
     parse_bind_request,
     parse_compile_request,
     read_http_request,
@@ -701,7 +702,10 @@ class ReproServer:
             elif request.path == "/bind" and request.method == "POST":
                 await self._route_bind(request, writer)
             elif request.path == "/shutdown" and request.method == "POST":
-                drain = bool(request.json().get("drain", True))
+                payload = request.json()
+                if not isinstance(payload, dict):
+                    raise ProtocolError("request body must be a JSON object")
+                drain = bool(payload.get("drain", True))
                 writer.write(http_response(
                     200, {"ok": True, "draining": True}, keep_alive=False
                 ))
@@ -758,19 +762,9 @@ class ReproServer:
 
     async def _route_batch(self, request: HttpRequest, writer) -> None:
         payload = request.json()
-        if not isinstance(payload, dict) or not isinstance(
-            payload.get("jobs"), list
-        ):
-            raise ProtocolError('batch request must carry a "jobs" list')
-        jobs = []
-        for spec in payload["jobs"]:
-            job, _tenant, _priority, _profile = parse_compile_request(
-                {"job": spec}
-            )
-            jobs.append(job)
-        tenant = self._request_tenant(request, payload)
-        priority = int(payload.get("priority", 0))
-        profile = bool(payload.get("profile", False))
+        jobs, tenant, priority, profile = parse_batch_request(
+            payload, default_tenant=self._request_tenant(request, payload)
+        )
         replies = self.submit_batch(jobs, tenant=tenant, priority=priority,
                                     profile=profile)
         # Admission errors surface before the first result; after the
@@ -840,15 +834,9 @@ async def run_stdio(server: ReproServer, stdin=None, stdout=None) -> int:
                 )
                 emit({"id": request_id, **reply.to_payload()})
             elif op == "batch":
-                jobs = [
-                    parse_compile_request({"job": spec})[0]
-                    for spec in payload.get("jobs", [])
-                ]
-                tenant = str(payload.get("tenant") or "default")
+                jobs, tenant, priority, profile = parse_batch_request(payload)
                 replies = server.submit_batch(
-                    jobs, tenant=tenant,
-                    priority=int(payload.get("priority", 0)),
-                    profile=bool(payload.get("profile", False)),
+                    jobs, tenant=tenant, priority=priority, profile=profile
                 )
                 seq = 0
                 async for reply in replies:
@@ -880,6 +868,9 @@ async def run_stdio(server: ReproServer, stdin=None, stdout=None) -> int:
         except ServeRejected as exc:
             emit({"id": request_id, "error": exc.reason,
                   "status": exc.status})
+        except Exception as exc:  # noqa: BLE001 — daemon must not die
+            emit({"id": request_id, "error": f"{type(exc).__name__}: {exc}",
+                  "status": 500})
     await server.shutdown(drain=True)
     return 0
 

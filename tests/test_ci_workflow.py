@@ -81,6 +81,21 @@ def test_perf_smoke_gates_and_uploads_benchmarks():
     assert "BENCH_workloads.json" in upload
 
 
+def test_serve_smoke_stdio_survives_a_malformed_line():
+    """A daemon that dies on a bad line must fail the step: the
+    malformed batch sits between the compile and the shutdown, whose
+    reply is grepped for, and the pipe fails with the daemon."""
+    job = load_workflow()["jobs"]["serve-smoke"]
+    run = next(s["run"] for s in job["steps"]
+               if s.get("name", "").startswith("Serve stdio smoke"))
+    assert "set -o pipefail" in run
+    malformed = '{"op": "batch", "id": 2, "jobs": [], "priority": "high"}'
+    assert run.index('"op": "compile"') < run.index(malformed)
+    assert run.index(malformed) < run.index('"op": "shutdown", "id": 3')
+    assert """grep -q '"id": 2, .*"status": 400' stdio.out""" in run
+    assert """grep -q '"id": 3, "ok": true' stdio.out""" in run
+
+
 def test_docs_runs_every_example():
     job = load_workflow()["jobs"]["docs"]
     step = next(s for s in job["steps"]

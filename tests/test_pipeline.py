@@ -107,9 +107,12 @@ ROUTE_NOISE_GATE_HASHES = {
 #: before the block schedulers, tree emitters and bridge chains were
 #: merged into one each.  Keys are ``(compiler, bench, encoder, device,
 #: blocks, opt)``.  Under Bravyi-Kitaev most LiH blocks have non-uniform
-#: support, so ``tetris`` emits them string by string; ``k=1`` and
-#: ``no-lookahead`` give the same similarity-chain schedule; the QAOA
-#: cells on heavy-hex emit bridge chains (4 and 12 bridge CNOTs).
+#: support, so ``tetris`` emits them string by string and ``max-cancel``
+#: drops the root qubits a string lacks from its per-string section;
+#: ``k=1`` and ``no-lookahead`` give the same similarity-chain schedule;
+#: the ``tetris-qaoa`` cells on heavy-hex emit bridge chains (4, 12 and
+#: 26 bridge CNOTs) and the ``2qan-like`` ones SWAP every distant edge,
+#: recorded before the two QAOA schedulers were merged into one loop.
 EMISSION_GATE_HASHES = {
     ("tetris", "chem:LiH", "BK", "grid:4x4", 8, 3):
         "401faf20d5a2b1c081debc06895b76bcba0e0639b7bf10467053fe4a097a424e",
@@ -125,6 +128,18 @@ EMISSION_GATE_HASHES = {
         "7df46da902b6a946dd917d6b64cd9861077b312535dbf5e3edbf020c6c569fa4",
     ("tetris-qaoa:wrappers", "qaoa:Rand-16", "JW", "heavy-hex:ibm-65", 0, 3):
         "450aae2af1839891e55d193f88093b0af7a6ae0a2a48caba77d1befb32e01297",
+    ("tetris-qaoa:wrappers", "qaoa:REG3-20", "JW", "heavy-hex:ibm-65", 0, 0):
+        "66b9a2948184c4c89d9dd3ce0a308e163f8887211923ec5b36aa300e82bfff05",
+    ("2qan-like", "qaoa:Rand-16", "JW", "heavy-hex:ibm-65", 0, 3):
+        "b2da9be3f177ff2c848f004e3d0d437b22eaa64e8372b1703df6c0a645657ca9",
+    ("2qan-like:wrappers", "qaoa:Rand-16", "JW", "heavy-hex:ibm-65", 0, 3):
+        "9714b5455b7f896aa86345273c302fc8f39bd5b399820110c9b41ce876c6a48b",
+    ("2qan-like:wrappers", "qaoa:REG3-20", "JW", "heavy-hex:ibm-65", 0, 0):
+        "bc4260054bd7a223aa09e71ae57c41d8c45ad3bc8bfddc1204bab03dd8801cc7",
+    ("max-cancel", "chem:LiH", "BK", "grid:4x4", 8, 3):
+        "a2f10c6ac57efe4d1af85918057750d402b8b587ab340a7115e3967df5734ec8",
+    ("max-cancel", "chem:LiH", "BK", "grid:4x4", 8, 0):
+        "b071cebb11794a5c135d0c19baa22a599729da5adcd284e7243954f7c281a78f",
 }
 
 #: Content hashes (schema v2) of the six legacy compiler names on a

@@ -17,6 +17,7 @@ pool path end to end.
 
 import asyncio
 import http.client
+import io
 import json
 import os
 import subprocess
@@ -44,6 +45,7 @@ from repro.serve import (
     ServeError,
     ServeRejected,
     ServeReply,
+    run_stdio,
 )
 from repro.serve.protocol import (
     chunk,
@@ -507,6 +509,20 @@ class TestServeHttp:
             finally:
                 conn.close()
 
+    @pytest.mark.parametrize(
+        "path, body",
+        [("/batch", {"jobs": [], "priority": "high"}), ("/shutdown", [])],
+        ids=["batch-priority", "shutdown-list"],
+    )
+    def test_malformed_body_is_400_and_daemon_serves_on(self, path, body):
+        with inline_server() as bg:
+            with bg.client() as client:
+                with pytest.raises(ServeError) as excinfo:
+                    client._json("POST", path, body)
+                health = client.healthz()
+        assert excinfo.value.status == 400
+        assert health["ok"] is True and health["draining"] is False
+
     def test_tenant_header_routes_accounting(self):
         with inline_server() as bg:
             with bg.client(tenant="team-a") as client:
@@ -671,3 +687,32 @@ class TestServeStdio:
         assert stats["server"]["requests"]["jobs_executed"] == 1
         assert stats["hot_cache"]["hits"] == 1
         assert lines[4]["ok"] is True
+
+    def test_stdio_answers_the_lines_after_a_bad_one(self, monkeypatch):
+        """A malformed batch is a 400 line and an unexpected error a 500
+        line; neither stops the daemon reading the next request."""
+        requests = [
+            {"op": "batch", "id": 2, "jobs": [], "priority": "high"},
+            {"op": "stats", "id": 3},
+            {"op": "healthz", "id": 4},
+        ]
+        stdin = io.StringIO("".join(json.dumps(r) + "\n" for r in requests))
+        stdout = io.StringIO()
+
+        def broken_stats():
+            raise RuntimeError("stats exploded")
+
+        async def scenario():
+            config = ServeConfig(workers=0, use_disk_cache=False)
+            server = await ReproServer(config).start(listen=False)
+            monkeypatch.setattr(server, "stats_payload", broken_stats)
+            return await run_stdio(server, stdin=stdin, stdout=stdout)
+
+        assert asyncio.run(scenario()) == 0
+        lines = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert [line["id"] for line in lines] == [2, 3, 4]
+        assert lines[0]["status"] == 400
+        assert "priority" in lines[0]["error"]
+        assert lines[1]["status"] == 500
+        assert lines[1]["error"] == "RuntimeError: stats exploded"
+        assert lines[2]["ok"] is True
