@@ -4,8 +4,9 @@ Extends the ``BENCH_pauli.json`` pattern from kernels to passes.  Each
 cell times a frozen pre-vectorization reference (:mod:`repro.passes
 .reference`, :mod:`repro.routing.reference`, :mod:`repro.compiler.tetris
 .reference`) against the live implementation on the same UCC-n workload,
-asserts the outputs are gate-for-gate identical first, and records the
-pinned gate-sequence hash alongside the timings.  Cells:
+in back-to-back pairs that alternate which side runs first, asserts the
+outputs are gate-for-gate identical, and records the pinned
+gate-sequence hash alongside the timings.  Cells:
 
 - ``cancel`` / ``consolidate-1q``: peephole cancellation and 1Q-run
   consolidation over the raw synthesized circuit;
@@ -93,15 +94,32 @@ def sig(circuit: QuantumCircuit) -> List[Tuple]:
     return [(g.name, tuple(g.qubits), tuple(g.params)) for g in circuit.gates]
 
 
-def timeit(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
-    """Best-of-N wall time of ``fn()`` plus its (last) result."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+def timeit_pair(
+    reference: Callable[[], object],
+    live: Callable[[], object],
+    repeats: int,
+    reference_repeats: int = 0,
+) -> Tuple[float, float, object, object]:
+    """Best-of-N wall times of ``reference()`` and ``live()`` plus the last
+    result of each: ``(old_s, new_s, old_out, new_out)``.
+
+    Each repeat times the two back to back and alternates which runs
+    first, so host drift during a cell lands on both sides rather than on
+    whichever block of repeats ran second.  ``reference_repeats`` (default
+    ``repeats``) lets a slow reference run fewer repeats; the surplus live
+    repeats then run alone.
+    """
+    sides = (reference, live)
+    counts = (reference_repeats or repeats, repeats)
+    best = [float("inf"), float("inf")]
+    outs: List[object] = [None, None]
+    for index in range(max(counts)):
+        for side in ((0, 1) if index % 2 == 0 else (1, 0)):
+            if index < counts[side]:
+                start = time.perf_counter()
+                outs[side] = sides[side]()
+                best[side] = min(best[side], time.perf_counter() - start)
+    return best[0], best[1], outs[0], outs[1]
 
 
 def reference_e2e(blocks, coupling, num_logical: int) -> QuantumCircuit:
@@ -164,11 +182,10 @@ def bench_passes(n: int, device: str, repeats: int) -> List[dict]:
     assert ref_layout.physical_map() == new_layout.physical_map(), (
         f"layout mismatch at UCC-{n}"
     )
-    old_s, _ = timeit(
-        lambda: greedy_interaction_layout_reference(n, coupling, pairs), repeats
-    )
-    new_s, _ = timeit(
-        lambda: greedy_interaction_layout(n, coupling, pairs), repeats
+    old_s, new_s, _, _ = timeit_pair(
+        lambda: greedy_interaction_layout_reference(n, coupling, pairs),
+        lambda: greedy_interaction_layout(n, coupling, pairs),
+        repeats,
     )
     results.append(_cell("layout", n, old_s, new_s, None))
 
@@ -181,8 +198,9 @@ def bench_passes(n: int, device: str, repeats: int) -> List[dict]:
     ref_cancelled = cancel_gates_reference(raw)
     new_cancelled = cancel_gates(raw)
     assert sig(ref_cancelled) == sig(new_cancelled), f"cancel mismatch at UCC-{n}"
-    old_s, _ = timeit(lambda: cancel_gates_reference(raw), repeats)
-    new_s, out = timeit(lambda: cancel_gates(raw), repeats)
+    old_s, new_s, _, out = timeit_pair(
+        lambda: cancel_gates_reference(raw), lambda: cancel_gates(raw), repeats
+    )
     results.append(_cell("cancel", n, old_s, new_s, out))
 
     ref_consolidated = consolidate_one_qubit_runs_reference(ref_cancelled)
@@ -190,11 +208,10 @@ def bench_passes(n: int, device: str, repeats: int) -> List[dict]:
     assert sig(ref_consolidated) == sig(new_consolidated), (
         f"consolidate mismatch at UCC-{n}"
     )
-    old_s, _ = timeit(
-        lambda: consolidate_one_qubit_runs_reference(ref_cancelled), repeats
-    )
-    new_s, out = timeit(
-        lambda: consolidate_one_qubit_runs(new_cancelled), repeats
+    old_s, new_s, _, out = timeit_pair(
+        lambda: consolidate_one_qubit_runs_reference(ref_cancelled),
+        lambda: consolidate_one_qubit_runs(new_cancelled),
+        repeats,
     )
     results.append(_cell("consolidate-1q", n, old_s, new_s, out))
 
@@ -207,8 +224,11 @@ def bench_passes(n: int, device: str, repeats: int) -> List[dict]:
         f"route mismatch at UCC-{n}"
     )
     assert ref_routed.num_swaps == new_routed.num_swaps
-    old_s, _ = timeit(lambda: route_circuit_reference(logical, coupling), repeats)
-    new_s, out = timeit(lambda: route_circuit(logical, coupling), repeats)
+    old_s, new_s, _, out = timeit_pair(
+        lambda: route_circuit_reference(logical, coupling),
+        lambda: route_circuit(logical, coupling),
+        repeats,
+    )
     results.append(
         _cell("route", n, old_s, new_s, out.circuit,
               extra={"num_swaps": out.num_swaps})
@@ -224,8 +244,12 @@ def bench_e2e(sizes, repeats: int) -> List[dict]:
         # The big scales get fewer reps: their reference side dominates
         # total bench time and min-of-N has already converged by then.
         reps = repeats if n <= 20 else max(1, repeats - 3)
-        new_s, live = timeit(lambda: live_e2e(blocks, coupling, n), repeats)
-        old_s, ref = timeit(lambda: reference_e2e(blocks, coupling, n), reps)
+        old_s, new_s, ref, live = timeit_pair(
+            lambda: reference_e2e(blocks, coupling, n),
+            lambda: live_e2e(blocks, coupling, n),
+            repeats,
+            reference_repeats=reps,
+        )
         assert sig(live) == sig(ref), f"tetris-e2e mismatch at UCC-{n}"
         results.append(
             _cell("tetris-e2e", n, old_s, new_s, live,
@@ -241,11 +265,10 @@ def bench_routed_e2e(n: int, device: str, repeats: int) -> List[dict]:
     live = live_e2e(blocks, coupling, n, compiler="max-cancel")
     ref = reference_routed_e2e(blocks, coupling, n)
     assert sig(live) == sig(ref), f"max-cancel-e2e mismatch at UCC-{n}"
-    new_s, live = timeit(
-        lambda: live_e2e(blocks, coupling, n, compiler="max-cancel"), repeats
-    )
-    old_s, _ = timeit(
-        lambda: reference_routed_e2e(blocks, coupling, n), repeats
+    old_s, new_s, _, live = timeit_pair(
+        lambda: reference_routed_e2e(blocks, coupling, n),
+        lambda: live_e2e(blocks, coupling, n, compiler="max-cancel"),
+        repeats,
     )
     return [_cell("max-cancel-e2e", n, old_s, new_s, live,
                   extra={"device": device})]

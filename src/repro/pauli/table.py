@@ -267,13 +267,6 @@ class PauliTable:
             ),
         )
 
-    def overlap_matrix(self, other: Optional["PauliTable"] = None) -> np.ndarray:
-        """``out[i, j]`` = support-intersection size of the two rows."""
-        other = self._other(other)
-        return self._pairwise_popcount(
-            other, lambda xa, za, xb, zb: (xa | za) & (xb | zb)
-        )
-
     def hamming_matrix(self, other: Optional["PauliTable"] = None) -> np.ndarray:
         """``out[i, j]`` = number of qubit positions where the rows differ."""
         other = self._other(other)
@@ -320,22 +313,6 @@ class PauliTable:
         """Keep operators only on ``qubits``; identity elsewhere."""
         mask = sparse_words(self.num_qubits, qubits, clip=True)
         return PauliTable._adopt(self.x & mask, self.z & mask, self.num_qubits)
-
-    def masked(self, mask: np.ndarray) -> "PauliTable":
-        """Restrict every row to a packed qubit mask."""
-        mask = np.asarray(mask, dtype=np.uint64)
-        return PauliTable._adopt(self.x & mask, self.z & mask, self.num_qubits)
-
-    def padded(self, num_qubits: int) -> "PauliTable":
-        """Extend every row with identities up to ``num_qubits``."""
-        if num_qubits < self.num_qubits:
-            raise ValueError("cannot shrink a PauliTable")
-        words = num_words(num_qubits)
-        x = np.zeros((self.num_terms, words), dtype=np.uint64)
-        z = np.zeros((self.num_terms, words), dtype=np.uint64)
-        x[:, : self.num_word_columns] = self.x
-        z[:, : self.num_word_columns] = self.z
-        return PauliTable._adopt(x, z, num_qubits)
 
     # -- ordering --------------------------------------------------------------
 

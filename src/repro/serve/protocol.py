@@ -1,6 +1,8 @@
 """Wire protocol for the serve daemon: request shapes + HTTP/1.1 framing.
 
-Two transports speak the same JSON request vocabulary:
+Both transports share one op vocabulary through the route table
+:data:`ROUTES` (over HTTP an unknown path is a 404, a wrong method a
+405, and GET ops ignore the body) and the same request fields.
 
 **HTTP** (``asyncio.start_server`` + the minimal HTTP/1.1 subset here —
 request line, headers, Content-Length bodies, keep-alive, chunked
@@ -24,14 +26,19 @@ streaming responses).  Endpoints::
                                   its QASM at ``theta`` only when
                                   ``"qasm": true``)
     POST /shutdown  {"drain": true}
-                               -> {"ok": true}; server drains and exits
+                               -> {"ok": true, "draining": true}; server
+                                  drains and exits
 
 **stdio** (``repro serve --stdio``): newline-delimited JSON, one
 request object per line carrying ``{"op": "compile" | "batch" | "bind"
 | "stats" | "healthz" | "shutdown", "id": ..., ...}`` with the same
-fields as the HTTP bodies; responses echo the ``id``.  Batch results
-stream as one line per job followed by a ``{"id": ..., "done": true}``
-terminator.
+fields as the HTTP bodies; responses echo the ``id`` beside HTTP's
+payload (``stats`` nests it under ``"stats"``), so the shutdown reply
+matches HTTP's.  Batch results stream as one line per job followed by
+a ``{"id": ..., "done": true}`` terminator.
+
+The flags ``profile``, ``qasm`` and ``drain`` are JSON booleans: a
+non-boolean flag, like an unknown op, is a 400 on either transport.
 
 ``served`` in a compile/batch response names the channel that produced
 the result: ``hot`` (in-memory cache), ``disk`` (on-disk cache,
@@ -76,7 +83,33 @@ STATUS_TEXT = {
 
 
 class ProtocolError(ValueError):
-    """Malformed request framing or body (maps to a 400)."""
+    """Malformed request framing or body (a 400), or an HTTP request
+    outside :data:`ROUTES` (a 404 or 405)."""
+
+    def __init__(self, message: str, status: int = 400):
+        super().__init__(message)
+        self.status = status
+
+
+#: Every HTTP path with its method and the op it runs; stdio names ops.
+ROUTES: Dict[str, Tuple[str, str]] = {
+    "/healthz": ("GET", "healthz"),
+    "/stats": ("GET", "stats"),
+    "/compile": ("POST", "compile"),
+    "/batch": ("POST", "batch"),
+    "/bind": ("POST", "bind"),
+    "/shutdown": ("POST", "shutdown"),
+}
+
+
+def route(method: str, path: str) -> str:
+    """The op an HTTP request runs, or a 404/405 :class:`ProtocolError`."""
+    if path not in ROUTES:
+        raise ProtocolError(f"unknown path {path}", status=404)
+    allowed, op = ROUTES[path]
+    if method != allowed:
+        raise ProtocolError(f"{method} not allowed on {path}", status=405)
+    return op
 
 
 @dataclass
@@ -178,8 +211,7 @@ def parse_bind_request(
                     f"{value!r}"
                 )
         theta = [float(value) for value in theta]
-    include_qasm = bool(payload.get("qasm", False))
-    return job, theta, tenant, priority, include_qasm
+    return job, theta, tenant, priority, _flag(payload, "qasm", False)
 
 
 def _finite_number(value: Any) -> bool:
@@ -221,6 +253,12 @@ def parse_batch_request(
             *_parse_options(payload, default_tenant))
 
 
+def parse_shutdown_request(payload: Mapping[str, Any]) -> bool:
+    """Decode one shutdown body -> drain (default true)."""
+    _require_object(payload)
+    return _flag(payload, "drain", True)
+
+
 def _require_object(payload: Any) -> None:
     if not isinstance(payload, Mapping):
         raise ProtocolError("request body must be a JSON object")
@@ -244,7 +282,16 @@ def _parse_options(
         priority = int(payload.get("priority", 0))
     except (ValueError, TypeError):
         raise ProtocolError("priority must be an integer") from None
-    return tenant, priority, bool(payload.get("profile", False))
+    return tenant, priority, _flag(payload, "profile", False)
+
+
+def _flag(payload: Mapping[str, Any], name: str, default: bool) -> bool:
+    """A boolean field: absent means ``default``; anything but a JSON
+    ``true`` or ``false`` is a :class:`ProtocolError`."""
+    value = payload.get(name, default)
+    if not isinstance(value, bool):
+        raise ProtocolError(f'"{name}" must be true or false, not {value!r}')
+    return value
 
 
 @dataclass

@@ -29,6 +29,9 @@ jobs, then closes the pool.
 fork, same semantics — which tests, the stdio mode, and fork-less
 platforms use.
 
+Both transports only frame: :meth:`ReproServer.dispatch` decodes, admits
+and answers every op, and :func:`error_status` maps every error.
+
 On top of the compile layers sits a fifth, bind-only layer: ``/bind``
 requests pin the job's compiled :class:`~repro.circuit.template.
 CompiledTemplate` in an LRU of ``template_slots`` live objects, so an
@@ -41,6 +44,7 @@ only a request for QASM builds the bound circuit.
 from __future__ import annotations
 
 import asyncio
+import functools
 import heapq
 import json
 import os
@@ -82,7 +86,9 @@ from .protocol import (
     parse_batch_request,
     parse_bind_request,
     parse_compile_request,
+    parse_shutdown_request,
     read_http_request,
+    route,
 )
 
 HOST_ENV = "REPRO_SERVE_HOST"
@@ -147,6 +153,15 @@ class ServeRejected(Exception):
         self.reason = reason
 
 
+def error_status(exc: Exception) -> Tuple[int, str]:
+    """(status, message) either transport answers ``exc`` with: a
+    :class:`ProtocolError` or :class:`ServeRejected` carries its own
+    status (400 for a malformed request), anything else is a 500."""
+    if isinstance(exc, (ProtocolError, ServeRejected)):
+        return exc.status, str(exc)
+    return 500, f"{type(exc).__name__}: {exc}"
+
+
 @dataclass
 class TenantState:
     """Per-tenant accounting surfaced by ``/stats``."""
@@ -186,8 +201,8 @@ class ReproServer:
     """The daemon: request admission, caches, dedup, pool dispatch.
 
     All state is event-loop-confined (no locks): transports call
-    :meth:`submit`/:meth:`submit_batch` from the loop, and pool
-    completion callbacks re-enter it via ``call_soon_threadsafe``.
+    :meth:`dispatch` from the loop, and every job's future (pool or
+    inline thread) completes it on the loop.
     """
 
     def __init__(
@@ -230,6 +245,7 @@ class ReproServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: set = set()
+        self._stopping: Optional[asyncio.Future] = None
         self._idle = asyncio.Event()
         self._closed = asyncio.Event()
 
@@ -315,10 +331,14 @@ class ReproServer:
     # admission + the four serving layers
     # ------------------------------------------------------------------
 
-    def _tenant(self, name: str) -> TenantState:
-        state = self.tenants.get(name)
+    def _count(self, tenant: str, requests: int = 1) -> TenantState:
+        """Account ``requests`` new requests to ``tenant``; its state."""
+        state = self.tenants.get(tenant)
         if state is None:
-            state = self.tenants[name] = TenantState()
+            state = self.tenants[tenant] = TenantState()
+        state.requests += requests
+        self.counts["requests"] += requests
+        METRICS.counter(obs_metrics.SERVE_REQUESTS).inc(requests)
         return state
 
     def _reject(self, tenant: TenantState, status: int, reason: str) -> None:
@@ -348,10 +368,7 @@ class ReproServer:
         profile: bool = False,
     ) -> ServeReply:
         """Serve one job through hot cache -> disk -> dedup -> pool."""
-        state = self._tenant(tenant)
-        state.requests += 1
-        self.counts["requests"] += 1
-        METRICS.counter(obs_metrics.SERVE_REQUESTS).inc()
+        state = self._count(tenant)
         self._admit(state)
         try:
             with obs_span("serve:request", "serve", label=job.label()) as sp:
@@ -375,9 +392,7 @@ class ReproServer:
             result.cached = True
             return ServeReply(result, SERVED_HOT)
         if self.cache is not None:
-            hit = self.cache.get(job)
-            if hit is not None and profile and hit.profile is None:
-                hit = None  # unprofiled entry can't answer a profiled request
+            hit = self.cache.get(job, require_profile=profile)
             if hit is not None:
                 self.hot.put(
                     job_hash, hit.to_json(),
@@ -407,7 +422,7 @@ class ReproServer:
         self._inflight[key] = pending
         self._seq += 1
         heapq.heappush(self._queue, (priority, self._seq, pending))
-        self._dispatch()
+        self._start_queued()
         text, wait = await pending.future
         return ServeReply(JobResult.from_json(text), SERVED_FRESH, wait)
 
@@ -443,13 +458,10 @@ class ReproServer:
 
         job = as_parametric(job)
         with obs_span("serve:bind", "serve", label=job.label()):
-            state = self._tenant(tenant)
             job_hash = job.content_hash()
             template = self._templates.get(job_hash)
             if template is not None:
-                state.requests += 1
-                self.counts["requests"] += 1
-                METRICS.counter(obs_metrics.SERVE_REQUESTS).inc()
+                self._count(tenant)
                 self._templates.move_to_end(job_hash)
                 served, queue_wait = SERVED_TEMPLATE, 0.0
         if template is None:
@@ -505,10 +517,7 @@ class ReproServer:
         job resolves concurrently; identical jobs inside one batch
         dedup against each other like separate clients would.
         """
-        state = self._tenant(tenant)
-        state.requests += len(jobs)
-        self.counts["requests"] += len(jobs)
-        METRICS.counter(obs_metrics.SERVE_REQUESTS).inc(len(jobs))
+        state = self._count(tenant, len(jobs))
         if len(jobs) > self.config.queue_depth - len(self._queue):
             self._reject(
                 state, 429,
@@ -529,12 +538,12 @@ class ReproServer:
             state.inflight -= len(jobs)
 
     # ------------------------------------------------------------------
-    # dispatch + completion
+    # pool slots + completion
     # ------------------------------------------------------------------
 
-    def _dispatch(self) -> None:
+    def _start_queued(self) -> None:
         """Feed queued jobs into free pool slots (called on enqueue and
-        on completion — no dispatcher task to keep alive)."""
+        on completion — no feeder task to keep alive)."""
         while self._queue and self._running < self._slots:
             _priority, _seq, pending = heapq.heappop(self._queue)
             self._running += 1
@@ -543,51 +552,28 @@ class ReproServer:
                 pending.queue_wait
             )
             if self._pool is not None:
-                loop = self._loop
-                payload = make_payload(
+                future = asyncio.wrap_future(self._pool.submit(make_payload(
                     pending.job, profile=pending.profile,
                     trace=tracing_enabled(),
-                )
-                self._pool.submit(
-                    payload,
-                    callback=lambda env, p=pending: loop.call_soon_threadsafe(
-                        self._finish_envelope, p, env, None
-                    ),
-                    error_callback=lambda exc, p=pending:
-                        loop.call_soon_threadsafe(
-                            self._finish_envelope, p, None, exc
-                        ),
-                )
+                )), loop=self._loop)
             else:
                 future = self._loop.run_in_executor(
                     self._executor, execute_job_safe,
                     pending.job, pending.profile,
                 )
-                future.add_done_callback(
-                    lambda f, p=pending: self._finish_inline(p, f)
-                )
+            future.add_done_callback(functools.partial(self._finish, pending))
 
-    def _finish_envelope(
-        self, pending: _PendingJob, envelope: Optional[dict], exc
-    ) -> None:
-        if exc is not None:
-            result = JobResult(
-                job=pending.job, error=f"worker failed: {exc}"
-            )
-        else:
-            result = merge_envelope(envelope)
-        self._complete(pending, result)
-
-    def _finish_inline(self, pending: _PendingJob, future) -> None:
+    def _finish(self, pending: _PendingJob, future: asyncio.Future) -> None:
+        """Complete ``pending`` from its worker envelope (pool) or its
+        result (inline); a job that raised outside ``run_job`` fails."""
         try:
             result = future.result()
+            if not isinstance(result, JobResult):
+                result = merge_envelope(result)
         except Exception as exc:  # noqa: BLE001 — surface, don't wedge
             result = JobResult(
                 job=pending.job, error=f"{type(exc).__name__}: {exc}"
             )
-        self._complete(pending, result)
-
-    def _complete(self, pending: _PendingJob, result: JobResult) -> None:
         self._running -= 1
         self.counts["jobs_executed"] += 1
         pending.tenant.jobs += 1
@@ -604,7 +590,7 @@ class ReproServer:
         self._inflight.pop(pending.key, None)
         if not pending.future.done():
             pending.future.set_result((text, pending.queue_wait))
-        self._dispatch()
+        self._start_queued()
         if not self._queue and not self._running and not self._inflight:
             self._idle.set()
 
@@ -661,6 +647,56 @@ class ReproServer:
         }
 
     # ------------------------------------------------------------------
+    # the request path both transports frame
+    # ------------------------------------------------------------------
+
+    async def dispatch(self, op: str, payload: Any, tenant: str = "default"):
+        """Decode, admit and answer one request: yields its reply payloads.
+
+        One payload per op, and for ``batch`` one per job (with its
+        ``seq``) in submission order.  Errors raise, for
+        :func:`error_status` to map; a batch's admission errors raise
+        before its first payload.  ``tenant`` applies when the body names
+        none.  A shutdown starts once its reply has been taken.
+        """
+        if op == "compile":
+            job, tenant, priority, profile = parse_compile_request(
+                payload, tenant
+            )
+            reply = await self.submit(job, tenant=tenant, priority=priority,
+                                      profile=profile)
+            yield reply.to_payload()
+        elif op == "bind":
+            job, theta, tenant, priority, include_qasm = parse_bind_request(
+                payload, tenant
+            )
+            bind_reply = await self.submit_bind(
+                job, theta=theta, tenant=tenant, priority=priority,
+                include_qasm=include_qasm,
+            )
+            yield bind_reply.to_payload()
+        elif op == "batch":
+            jobs, tenant, priority, profile = parse_batch_request(
+                payload, tenant
+            )
+            seq = 0
+            async for reply in self.submit_batch(
+                jobs, tenant=tenant, priority=priority, profile=profile
+            ):
+                yield {"seq": seq, **reply.to_payload()}
+                seq += 1
+        elif op == "stats":
+            yield self.stats_payload()
+        elif op == "healthz":
+            yield self.healthz_payload()
+        elif op == "shutdown":
+            drain = parse_shutdown_request(payload)
+            yield {"ok": True, "draining": True}
+            self._stopping = asyncio.ensure_future(self.shutdown(drain=drain))
+        else:
+            raise ProtocolError(f"unknown op {op!r}")
+
+    # ------------------------------------------------------------------
     # HTTP transport
     # ------------------------------------------------------------------
 
@@ -675,10 +711,7 @@ class ReproServer:
                                                 keep_alive=False))
                     await writer.drain()
                     break
-                if request is None:
-                    break
-                await self._route(request, writer)
-                if not request.keep_alive:
+                if request is None or not await self._route(request, writer):
                     break
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
@@ -686,109 +719,42 @@ class ReproServer:
             self._writers.discard(writer)
             writer.close()
 
-    async def _route(self, request: HttpRequest, writer) -> None:
+    async def _route(self, request: HttpRequest, writer) -> bool:
+        """Frame one request's replies; False once the connection closes.
+
+        A batch streams chunked NDJSON whose head goes out with its first
+        payload, so its admission errors keep their status; an error
+        after that closes the connection mid-stream.
+        """
         keep = request.keep_alive
+        streaming = False
         try:
-            if request.path == "/healthz" and request.method == "GET":
-                writer.write(http_response(200, self.healthz_payload(),
-                                           keep_alive=keep))
-            elif request.path == "/stats" and request.method == "GET":
-                writer.write(http_response(200, self.stats_payload(),
-                                           keep_alive=keep))
-            elif request.path == "/compile" and request.method == "POST":
-                await self._route_compile(request, writer)
-            elif request.path == "/batch" and request.method == "POST":
-                await self._route_batch(request, writer)
-            elif request.path == "/bind" and request.method == "POST":
-                await self._route_bind(request, writer)
-            elif request.path == "/shutdown" and request.method == "POST":
-                payload = request.json()
-                if not isinstance(payload, dict):
-                    raise ProtocolError("request body must be a JSON object")
-                drain = bool(payload.get("drain", True))
-                writer.write(http_response(
-                    200, {"ok": True, "draining": True}, keep_alive=False
-                ))
-                await writer.drain()
-                asyncio.ensure_future(self.shutdown(drain=drain))
-                return
-            elif request.path in ("/healthz", "/stats", "/compile",
-                                  "/batch", "/bind", "/shutdown"):
-                writer.write(error_response(
-                    405, f"{request.method} not allowed on {request.path}",
-                    keep_alive=keep,
-                ))
+            op = route(request.method, request.path)
+            keep = keep and op != "shutdown"
+            payload = request.json() if request.method == "POST" else {}
+            replies = self.dispatch(
+                op, payload, request.headers.get("x-repro-tenant", "default")
+            )
+            if op != "batch":
+                async for reply in replies:
+                    writer.write(http_response(200, reply, keep_alive=keep))
+                    await writer.drain()
             else:
-                writer.write(error_response(
-                    404, f"unknown path {request.path}", keep_alive=keep
-                ))
-        except ProtocolError as exc:
-            writer.write(error_response(400, str(exc), keep_alive=keep))
-        except ServeRejected as exc:
-            writer.write(error_response(exc.status, exc.reason,
-                                        keep_alive=keep))
+                head = http_response(200, content_type="application/x-ndjson",
+                                     keep_alive=keep, chunked=True)
+                async for reply in replies:
+                    writer.write(head + chunk(ndjson_line(reply)))
+                    head, streaming = b"", True
+                    await writer.drain()
+                writer.write(head + last_chunk())
         except Exception as exc:  # noqa: BLE001 — daemon must not die
-            writer.write(error_response(
-                500, f"{type(exc).__name__}: {exc}", keep_alive=False
-            ))
+            if streaming:
+                return False
+            status, message = error_status(exc)
+            keep = keep and status != 500
+            writer.write(error_response(status, message, keep_alive=keep))
         await writer.drain()
-
-    def _request_tenant(self, request: HttpRequest, payload: Any) -> str:
-        if isinstance(payload, dict) and payload.get("tenant"):
-            return str(payload["tenant"])
-        return request.headers.get("x-repro-tenant", "default")
-
-    async def _route_compile(self, request: HttpRequest, writer) -> None:
-        payload = request.json()
-        job, tenant, priority, profile = parse_compile_request(
-            payload, default_tenant=self._request_tenant(request, payload)
-        )
-        reply = await self.submit(job, tenant=tenant, priority=priority,
-                                  profile=profile)
-        writer.write(http_response(200, reply.to_payload(),
-                                   keep_alive=request.keep_alive))
-
-    async def _route_bind(self, request: HttpRequest, writer) -> None:
-        payload = request.json()
-        job, theta, tenant, priority, include_qasm = parse_bind_request(
-            payload, default_tenant=self._request_tenant(request, payload)
-        )
-        reply = await self.submit_bind(
-            job, theta=theta, tenant=tenant, priority=priority,
-            include_qasm=include_qasm,
-        )
-        writer.write(http_response(200, reply.to_payload(),
-                                   keep_alive=request.keep_alive))
-
-    async def _route_batch(self, request: HttpRequest, writer) -> None:
-        payload = request.json()
-        jobs, tenant, priority, profile = parse_batch_request(
-            payload, default_tenant=self._request_tenant(request, payload)
-        )
-        replies = self.submit_batch(jobs, tenant=tenant, priority=priority,
-                                    profile=profile)
-        # Admission errors surface before the first result; after the
-        # head is written the stream is committed.
-        first: Optional[ServeReply] = None
-        iterator = replies.__aiter__()
-        if jobs:
-            first = await iterator.__anext__()
-        writer.write(http_response(
-            200, content_type="application/x-ndjson",
-            keep_alive=request.keep_alive, chunked=True,
-        ))
-        seq = 0
-        if first is not None:
-            writer.write(chunk(ndjson_line({"seq": seq,
-                                            **first.to_payload()})))
-            await writer.drain()
-            seq += 1
-        async for reply in iterator:
-            writer.write(chunk(ndjson_line({"seq": seq,
-                                            **reply.to_payload()})))
-            await writer.drain()
-            seq += 1
-        writer.write(last_chunk())
+        return keep
 
 
 # ----------------------------------------------------------------------
@@ -827,50 +793,20 @@ async def run_stdio(server: ReproServer, stdin=None, stdout=None) -> int:
         request_id = payload.get("id")
         op = payload.get("op", "compile")
         try:
-            if op == "compile":
-                job, tenant, priority, profile = parse_compile_request(payload)
-                reply = await server.submit(
-                    job, tenant=tenant, priority=priority, profile=profile
-                )
-                emit({"id": request_id, **reply.to_payload()})
-            elif op == "batch":
-                jobs, tenant, priority, profile = parse_batch_request(payload)
-                replies = server.submit_batch(
-                    jobs, tenant=tenant, priority=priority, profile=profile
-                )
-                seq = 0
-                async for reply in replies:
-                    emit({"id": request_id, "seq": seq, **reply.to_payload()})
-                    seq += 1
-                emit({"id": request_id, "done": True, "results": seq})
-            elif op == "bind":
-                job, theta, tenant, priority, include_qasm = (
-                    parse_bind_request(payload)
-                )
-                bind_reply = await server.submit_bind(
-                    job, theta=theta, tenant=tenant, priority=priority,
-                    include_qasm=include_qasm,
-                )
-                emit({"id": request_id, **bind_reply.to_payload()})
-            elif op == "stats":
-                emit({"id": request_id, "stats": server.stats_payload()})
-            elif op == "healthz":
-                emit({"id": request_id, **server.healthz_payload()})
+            replies = 0
+            async for reply in server.dispatch(op, payload):
+                if op == "stats":
+                    reply = {"stats": reply}
+                emit({"id": request_id, **reply})
+                replies += 1
+            if op == "batch":
+                emit({"id": request_id, "done": True, "results": replies})
             elif op == "shutdown":
-                emit({"id": request_id, "ok": True})
-                await server.shutdown(drain=bool(payload.get("drain", True)))
+                await server.wait_closed()
                 return 0
-            else:
-                emit({"id": request_id, "error": f"unknown op {op!r}",
-                      "status": 400})
-        except ProtocolError as exc:
-            emit({"id": request_id, "error": str(exc), "status": 400})
-        except ServeRejected as exc:
-            emit({"id": request_id, "error": exc.reason,
-                  "status": exc.status})
         except Exception as exc:  # noqa: BLE001 — daemon must not die
-            emit({"id": request_id, "error": f"{type(exc).__name__}: {exc}",
-                  "status": 500})
+            status, message = error_status(exc)
+            emit({"id": request_id, "error": message, "status": status})
     await server.shutdown(drain=True)
     return 0
 

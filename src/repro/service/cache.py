@@ -90,8 +90,15 @@ class ResultCache:
     def __contains__(self, job: CompileJob) -> bool:
         return os.path.exists(self._path(job.content_hash()))
 
-    def get(self, job: CompileJob) -> Optional[JobResult]:
-        """Cached result for ``job``, or None (counts a hit or a miss)."""
+    def get(
+        self, job: CompileJob, require_profile: bool = False
+    ) -> Optional[JobResult]:
+        """Cached result for ``job``, or None (counts a hit or a miss).
+
+        An entry written without a profile can't answer a profiled
+        lookup (``require_profile``): that counts as a miss, so the
+        caller recompiles and the entry is upgraded in place.
+        """
         job_hash = job.content_hash()
         path = self._path(job_hash)
         with obs_span(
@@ -101,9 +108,7 @@ class ResultCache:
                 with open(path) as handle:
                     result = JobResult.from_json(handle.read())
             except FileNotFoundError:
-                self._miss()
-                sp.set(hit=False)
-                return None
+                result = None
             except (ValueError, KeyError, TypeError, OSError):
                 # Corrupt or stale-schema entry: drop it and treat as a miss.
                 try:
@@ -112,6 +117,10 @@ class ResultCache:
                     pass
                 self._miss()
                 sp.set(hit=False, corrupt=True)
+                return None
+            if result is None or (require_profile and result.profile is None):
+                self._miss()
+                sp.set(hit=False)
                 return None
             result.cached = True
             self.stats.hits += 1

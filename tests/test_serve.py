@@ -511,8 +511,16 @@ class TestServeHttp:
 
     @pytest.mark.parametrize(
         "path, body",
-        [("/batch", {"jobs": [], "priority": "high"}), ("/shutdown", [])],
-        ids=["batch-priority", "shutdown-list"],
+        [
+            ("/batch", {"jobs": [], "priority": "high"}),
+            ("/shutdown", []),
+            ("/bind", {"job": CompileJob(parametric=True, **FAST).to_dict(),
+                       "qasm": "no"}),
+            ("/compile", {"job": dict(FAST), "profile": "false"}),
+            ("/shutdown", {"drain": "false"}),
+        ],
+        ids=["batch-priority", "shutdown-list", "bind-qasm-string",
+             "compile-profile-string", "shutdown-drain-string"],
     )
     def test_malformed_body_is_400_and_daemon_serves_on(self, path, body):
         with inline_server() as bg:
@@ -689,12 +697,14 @@ class TestServeStdio:
         assert lines[4]["ok"] is True
 
     def test_stdio_answers_the_lines_after_a_bad_one(self, monkeypatch):
-        """A malformed batch is a 400 line and an unexpected error a 500
-        line; neither stops the daemon reading the next request."""
+        """A malformed batch or a string flag is a 400 line and an
+        unexpected error a 500 line; none stops the daemon reading the
+        next request."""
         requests = [
             {"op": "batch", "id": 2, "jobs": [], "priority": "high"},
-            {"op": "stats", "id": 3},
-            {"op": "healthz", "id": 4},
+            {"op": "shutdown", "id": 3, "drain": "false"},
+            {"op": "stats", "id": 4},
+            {"op": "healthz", "id": 5},
         ]
         stdin = io.StringIO("".join(json.dumps(r) + "\n" for r in requests))
         stdout = io.StringIO()
@@ -710,9 +720,11 @@ class TestServeStdio:
 
         assert asyncio.run(scenario()) == 0
         lines = [json.loads(line) for line in stdout.getvalue().splitlines()]
-        assert [line["id"] for line in lines] == [2, 3, 4]
+        assert [line["id"] for line in lines] == [2, 3, 4, 5]
         assert lines[0]["status"] == 400
         assert "priority" in lines[0]["error"]
-        assert lines[1]["status"] == 500
-        assert lines[1]["error"] == "RuntimeError: stats exploded"
-        assert lines[2]["ok"] is True
+        assert lines[1]["status"] == 400
+        assert "drain" in lines[1]["error"]
+        assert lines[2]["status"] == 500
+        assert lines[2]["error"] == "RuntimeError: stats exploded"
+        assert lines[3]["ok"] is True

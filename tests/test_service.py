@@ -96,6 +96,18 @@ class TestResultCache:
         assert cache.stats.misses == 1
         assert len(cache) == 1
 
+    def test_profiled_lookup_of_unprofiled_entry_is_a_miss(self, tmp_path):
+        # The hot cache's rule: an entry written without a profile can't
+        # answer a profiled lookup, which counts as a miss and upgrades it.
+        cache = ResultCache(str(tmp_path))
+        job = CompileJob(bench="LiH", device="linear", scale="smoke", blocks=3)
+        cache.put(run_job(job))
+        [result] = run_batch([job], cache=cache, profile=True)
+        assert result.profile is not None and not result.cached
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+        assert cache.get(job, require_profile=True).profile is not None
+        assert cache.stats.hits == 1
+
     def test_errored_results_not_cached(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         job = CompileJob(bench="LiH", scale="smoke", blocks=3)
