@@ -11,7 +11,13 @@ gate-sequence hash alongside the timings.  Cells:
 - ``cancel`` / ``consolidate-1q``: peephole cancellation and 1Q-run
   consolidation over the raw synthesized circuit;
 - ``layout`` / ``route``: greedy interaction layout and SWAP routing of
-  the logical circuit onto the device;
+  the logical circuit onto the device (``layout`` times a batch of
+  :data:`LAYOUT_BATCH` calls per sample and reports the per-call time);
+- ``template-tail``: the cleanup tail of a template compile — SWAP
+  decomposition, cancellation and consolidation of the synthesized
+  *parametric* (symbolic-angle) UCC-20 tetris circuit, where the
+  reference side runs the gate-list passes and the live side the
+  ``decompose-swaps`` pass and the tape passes;
 - ``tetris-e2e``: the full lower -> layout -> synthesize -> decompose ->
   cancel -> consolidate chain, the headline of this refactor (UCC-20
   must be >= 3x; UCC-40 must be routine smoke-test scale);
@@ -40,6 +46,7 @@ import time
 from typing import Callable, List, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.parameter import encode_param
 from repro.compiler.base import interaction_pairs
 from repro.compiler.max_cancel import max_cancel_logical_circuit
 from repro.compiler.tetris.ir import lower_blocks
@@ -53,12 +60,15 @@ from repro.passes.reference import (
     consolidate_one_qubit_runs_reference,
 )
 from repro.pipeline import run_pipeline
+from repro.pipeline.base import PropertySet
+from repro.pipeline.passes import DecomposeSwapsPass
 from repro.routing.layout import greedy_interaction_layout
 from repro.routing.reference import (
     greedy_interaction_layout_reference,
     route_circuit_reference,
 )
 from repro.routing.router import route_circuit
+from repro.service.templates import parametrize_blocks
 from repro.workloads import workload_blocks
 
 #: Workload scale for every cell: the repo-wide default (``CompileJob``
@@ -80,13 +90,18 @@ QUICK_PASS_SIZE = (20, "grid:5x5")
 #: Single-digit-seconds acceptance ceiling for the UCC-40 compile.
 UCC40_CEILING_SECONDS = 9.9
 
+#: Layout calls per timed sample: one call takes 5-9 ms, too short a
+#: sample to hold the 1x floor against host jitter.
+LAYOUT_BATCH = 10
+
 
 def gate_hash(circuit: QuantumCircuit) -> str:
+    """sha256 over the gate sequence; symbolic angles enter at full
+    precision (their ``repr`` rounds coefficients to 6 digits)."""
     digest = hashlib.sha256()
     for gate in circuit.gates:
-        digest.update(
-            repr((gate.name, tuple(gate.qubits), tuple(gate.params))).encode()
-        )
+        params = tuple(encode_param(value) for value in gate.params)
+        digest.update(repr((gate.name, tuple(gate.qubits), params)).encode())
     return digest.hexdigest()
 
 
@@ -122,6 +137,22 @@ def timeit_pair(
     return best[0], best[1], outs[0], outs[1]
 
 
+def reference_tail(raw: QuantumCircuit) -> QuantumCircuit:
+    """The gate-list cleanup tail: SWAP decomposition, then the frozen
+    cancellation and consolidation."""
+    return consolidate_one_qubit_runs_reference(
+        cancel_gates_reference(raw.decompose_swaps())
+    )
+
+
+def live_tail(raw: QuantumCircuit) -> QuantumCircuit:
+    """The pipeline's cleanup tail: the ``decompose-swaps`` pass, then
+    the live cancellation and consolidation."""
+    state = PropertySet(circuit=raw)
+    DecomposeSwapsPass().run(state)
+    return consolidate_one_qubit_runs(cancel_gates(state["circuit"]))
+
+
 def reference_e2e(blocks, coupling, num_logical: int) -> QuantumCircuit:
     """The frozen pre-vectorization tetris chain, end to end."""
     ir_blocks = lower_blocks(blocks, sort_strings=True)
@@ -129,9 +160,7 @@ def reference_e2e(blocks, coupling, num_logical: int) -> QuantumCircuit:
         num_logical, coupling, interaction_pairs(blocks)
     )
     circuit, _, _ = run_tetris_reference(ir_blocks, layout, coupling)
-    circuit = circuit.decompose_swaps()
-    circuit = cancel_gates_reference(circuit)
-    return consolidate_one_qubit_runs_reference(circuit)
+    return reference_tail(circuit)
 
 
 def live_e2e(blocks, coupling, num_logical: int,
@@ -148,9 +177,8 @@ def reference_routed_e2e(blocks, coupling, num_logical: int) -> QuantumCircuit:
     layout = greedy_interaction_layout_reference(
         num_logical, coupling, interaction_pairs(blocks)
     )
-    circuit = route_circuit_reference(logical, coupling, layout).circuit
-    circuit = cancel_gates_reference(circuit.decompose_swaps())
-    return consolidate_one_qubit_runs_reference(circuit)
+    routed = route_circuit_reference(logical, coupling, layout).circuit
+    return reference_tail(routed)
 
 
 def _cell(kernel, n, old_seconds, new_seconds, output, extra=None) -> dict:
@@ -183,11 +211,15 @@ def bench_passes(n: int, device: str, repeats: int) -> List[dict]:
         f"layout mismatch at UCC-{n}"
     )
     old_s, new_s, _, _ = timeit_pair(
-        lambda: greedy_interaction_layout_reference(n, coupling, pairs),
-        lambda: greedy_interaction_layout(n, coupling, pairs),
+        lambda: [greedy_interaction_layout_reference(n, coupling, pairs)
+                 for _ in range(LAYOUT_BATCH)],
+        lambda: [greedy_interaction_layout(n, coupling, pairs)
+                 for _ in range(LAYOUT_BATCH)],
         repeats,
     )
-    results.append(_cell("layout", n, old_s, new_s, None))
+    results.append(
+        _cell("layout", n, old_s / LAYOUT_BATCH, new_s / LAYOUT_BATCH, None)
+    )
 
     # The raw synthesized circuit both cleanup passes run on, produced by
     # the frozen reference synthesis chain so the input is pinned.
@@ -234,6 +266,30 @@ def bench_passes(n: int, device: str, repeats: int) -> List[dict]:
               extra={"num_swaps": out.num_swaps})
     )
     return results
+
+
+def bench_template_tail(n: int, device: str, repeats: int) -> List[dict]:
+    """The cleanup tail of a template compile on the synthesized
+    parametric UCC-n tetris circuit (the pinned reference synthesis)."""
+    blocks = workload_blocks(f"ucc:UCC-{n}", "JW", SCALE)
+    coupling = resolve_device(device, n)
+    symbolic, _, _ = parametrize_blocks(blocks)
+    layout = greedy_interaction_layout_reference(
+        n, coupling, interaction_pairs(blocks)
+    )
+    raw, _, _ = run_tetris_reference(
+        lower_blocks(symbolic, sort_strings=True), layout, coupling
+    )
+    assert sig(live_tail(raw)) == sig(reference_tail(raw)), (
+        f"template-tail mismatch at UCC-{n}"
+    )
+    old_s, new_s, _, out = timeit_pair(
+        lambda: reference_tail(raw),
+        lambda: live_tail(raw),
+        repeats,
+    )
+    return [_cell("template-tail", n, old_s, new_s, out,
+                  extra={"device": device})]
 
 
 def bench_e2e(sizes, repeats: int) -> List[dict]:
@@ -295,6 +351,7 @@ def main(argv=None) -> int:
     e2e_sizes = QUICK_E2E_SIZES if args.quick else E2E_SIZES
 
     results = bench_passes(pass_n, pass_device, repeats)
+    results.extend(bench_template_tail(pass_n, pass_device, repeats))
     results.extend(bench_e2e(e2e_sizes, repeats))
     results.extend(bench_routed_e2e(*ROUTED_E2E_SIZE, repeats))
 

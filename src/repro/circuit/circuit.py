@@ -97,10 +97,9 @@ class QuantumCircuit:
         """The circuit as a :class:`GateTape`.
 
         The backing tape itself when tape-backed; otherwise a fresh
-        encoding of the gate list, which raises
-        :class:`~repro.circuit.tape.TapeError` for symbolic parameters
-        and barriers wider than two wires.  The fresh encoding is not
-        kept, so later edits of the list cannot leave it stale.
+        encoding of the gate list, symbolic angles and wide barriers
+        included.  The fresh encoding is not kept, so later edits of the
+        list cannot leave it stale.
         """
         if self._tape is not None:
             return self._tape
@@ -108,8 +107,8 @@ class QuantumCircuit:
 
     def structure(self) -> Tuple[np.ndarray, np.ndarray]:
         """The ``(codes, qubits)`` columns, parameters ignored — what the
-        metric scan reads (see :func:`repro.circuit.tape.encode_structure`
-        for gate lists that cannot be taped)."""
+        metric scan reads (:func:`repro.circuit.tape.encode_structure`
+        for a gate list)."""
         if self._tape is not None:
             return self._tape.codes, self._tape.qubits
         return encode_structure(self._gates)

@@ -7,8 +7,17 @@ three lanes, rotations the first).  Encoding is exact and reversible —
 :meth:`GateTape.decode` reproduces the original gate list gate-for-gate,
 which the randomized round-trip tests pin down.
 
+A row with a :class:`~repro.circuit.parameter.ParameterExpression`
+parameter keeps its parameter tuple in the expression table ``exprs``,
+which the ``int32`` column ``sym`` indexes (``-1``: a numeric row; a
+symbolic row's float lanes are unused).  ``sym`` is ``None`` when no
+row is symbolic, so numeric tapes carry no extra column.  A barrier
+over ``k > 2`` wires encodes, and decodes, as its chain of ``2k - 3``
+two-wire barriers, forward over its wires and then back, which holds
+every wire to its latest layer exactly as the wide barrier does.
+
 From the first pass after synthesis through the metrics, a compile's
-circuit *is* a tape: :meth:`QuantumCircuit.from_tape
+circuit *is* a tape, baked or parametric: :meth:`QuantumCircuit.from_tape
 <repro.circuit.circuit.QuantumCircuit.from_tape>` wraps one, routing,
 SWAP decomposition, cancellation and consolidation read and write its
 columns, and the metric scan (:mod:`repro.circuit.metrics`) reads only
@@ -23,18 +32,13 @@ is above :data:`CODE_MEASURE`.  Per-code lookup tables
 (:data:`IS_ONE_QUBIT`, :data:`PARAM_COUNT`, ...) turn per-gate
 predicates into single fancy-indexing expressions over the code column.
 
-Two gate shapes cannot be encoded and raise :class:`TapeError`:
-symbolic (:class:`~repro.circuit.parameter.ParameterExpression`)
-parameters, which have no float representation, and barriers spanning
-more than two wires.  Such circuits stay gate lists: the cleanup passes
-fall back to their scalar references (:mod:`repro.passes.reference`),
-and the router and the metrics read their structure through
-:func:`encode_structure`, which ignores parameters.
+Unknown gates, a wrong parameter arity and non-barrier operations wider
+than two qubits raise :class:`TapeError`.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,7 +125,8 @@ class GateTape:
     True
     """
 
-    __slots__ = ("num_qubits", "name", "codes", "qubits", "params")
+    __slots__ = ("num_qubits", "name", "codes", "qubits", "params", "sym",
+                 "exprs")
 
     def __init__(
         self,
@@ -130,12 +135,18 @@ class GateTape:
         qubits: np.ndarray,
         params: np.ndarray,
         name: str = "",
+        sym: Optional[np.ndarray] = None,
+        exprs: Tuple[tuple, ...] = (),
     ) -> None:
         self.num_qubits = num_qubits
         self.name = name
         self.codes = codes
         self.qubits = qubits
         self.params = params
+        if sym is not None and not (sym >= 0).any():
+            sym, exprs = None, ()
+        self.sym = sym
+        self.exprs = exprs
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -148,8 +159,8 @@ class GateTape:
         name: str = "",
     ) -> "GateTape":
         """Pack ``gates`` into columns; raises :class:`TapeError` for
-        symbolic parameters, wrong parameter arity, or operations wider
-        than two qubits."""
+        unknown gates, wrong parameter arity, or non-barrier operations
+        wider than two qubits."""
         n = len(gates)
         # Gates are immutable and the emitters share objects aggressively
         # (tree-edge CNOT bodies, swap expansions, basis-change layers), so
@@ -167,9 +178,17 @@ class GateTape:
                 row = seen[key] = len(distinct)
                 distinct.append(gate)
             refs[index] = row
-        code_column, qubit_column = _structure_rows(distinct)
+        try:
+            code_column, qubit_column = _structure_rows(distinct)
+        except TapeError:
+            chained = _chain_barriers(gates)
+            if len(chained) == n:
+                raise
+            return cls.encode(chained, num_qubits, name=name)
         d = len(distinct)
         param_column = [0.0] * (3 * d)
+        sym_column: Optional[List[int]] = None
+        exprs: List[tuple] = []
         param_count = PARAM_COUNT
         for index, gate in enumerate(distinct):
             values = gate.params
@@ -183,9 +202,11 @@ class GateTape:
                 base = 3 * index
                 for offset, value in enumerate(values):
                     if isinstance(value, ParameterExpression):
-                        raise TapeError(
-                            f"symbolic parameter on {gate.name} at {index}"
-                        )
+                        if sym_column is None:
+                            sym_column = [-1] * d
+                        sym_column[index] = len(exprs)
+                        exprs.append(values)
+                        break
                     param_column[base + offset] = value
         index_column = np.array(refs, dtype=np.intp)
         codes = np.array(code_column, dtype=np.uint8)[index_column]
@@ -195,7 +216,10 @@ class GateTape:
         params = (
             np.array(param_column, dtype=np.float64).reshape(d, 3)[index_column]
         )
-        return cls(num_qubits, codes, qubits, params, name=name)
+        if sym_column is not None:
+            sym_column = np.array(sym_column, dtype=np.int32)[index_column]
+        return cls(num_qubits, codes, qubits, params, name=name,
+                   sym=sym_column, exprs=tuple(exprs))
 
     @classmethod
     def from_circuit(cls, circuit) -> "GateTape":
@@ -207,23 +231,28 @@ class GateTape:
         Equal rows decode to one shared :class:`Gate` (gates are
         immutable): compiled circuits repeat a small alphabet of rows,
         so only the distinct ones are built.  Rows compare by their
-        exact bits, so ``-0.0`` and ``0.0`` angles stay distinct.
+        exact bits, so ``-0.0`` and ``0.0`` angles stay distinct, and a
+        symbolic row takes its parameter tuple from :attr:`exprs`.
         """
         if not len(self.codes):
             return []
         bits = np.ascontiguousarray(self.params).view(np.int64)
-        rows = np.column_stack((self.codes, self.qubits, bits))
+        sym = () if self.sym is None else (self.sym,)
+        rows = np.column_stack((self.codes, self.qubits, bits) + sym)
         _, first, inverse = np.unique(
             rows, axis=0, return_index=True, return_inverse=True
         )
         counts = PARAM_COUNT[self.codes[first]].tolist()
+        entries = rows[first, -1].tolist() if sym else [-1] * len(first)
+        exprs = self.exprs
         distinct = np.empty(len(first), dtype=object)
-        for slot, (code, (q0, q1), angles, count) in enumerate(
+        for slot, (code, (q0, q1), angles, count, entry) in enumerate(
             zip(
                 self.codes[first].tolist(),
                 self.qubits[first].tolist(),
                 self.params[first].tolist(),
                 counts,
+                entries,
             )
         ):
             if q0 < 0:
@@ -232,9 +261,8 @@ class GateTape:
                 wires = (q0,)
             else:
                 wires = (q0, q1)
-            distinct[slot] = Gate(
-                CODE_NAMES[code], wires, tuple(angles[:count])
-            )
+            params = exprs[entry] if entry >= 0 else tuple(angles[:count])
+            distinct[slot] = Gate(CODE_NAMES[code], wires, params)
         return distinct[inverse.reshape(-1)].tolist()
 
     def decompose_swaps(self) -> "GateTape":
@@ -245,65 +273,54 @@ class GateTape:
             return self
         repeats = np.where(swap, 3, 1)
         rows = np.repeat(np.arange(len(self.codes)), repeats)
-        codes = self.codes[rows]
-        qubits = self.qubits[rows]
-        starts = (np.cumsum(repeats) - repeats)[swap]
-        codes[starts] = CODE_CX
-        codes[starts + 1] = CODE_CX
-        codes[starts + 2] = CODE_CX
-        qubits[starts + 1] = qubits[starts + 1, ::-1]
-        return GateTape(
-            self.num_qubits, codes, qubits, self.params[rows], name=self.name
-        )
+        tape = self.select(rows)
+        tape.codes[tape.codes == CODE_SWAP] = CODE_CX
+        middle = (np.cumsum(repeats) - repeats)[swap] + 1
+        tape.qubits[middle] = tape.qubits[middle, ::-1]
+        return tape
 
-    def select(self, mask: np.ndarray) -> "GateTape":
-        """The sub-tape of rows where ``mask`` holds (order preserved)."""
+    def select(self, rows: np.ndarray) -> "GateTape":
+        """The sub-tape of ``rows``, a boolean mask or an index array
+        (fresh columns, in that order)."""
         return GateTape(
             self.num_qubits,
-            self.codes[mask],
-            self.qubits[mask],
-            self.params[mask],
+            self.codes[rows],
+            self.qubits[rows],
+            self.params[rows],
             name=self.name,
+            sym=None if self.sym is None else self.sym[rows],
+            exprs=self.exprs,
         )
 
 
 def encode_structure(gates: Sequence[Gate]) -> Tuple[np.ndarray, np.ndarray]:
-    """The code and qubit columns of ``gates``, parameters ignored.
-
-    This is what the router and the metric scan read, so symbolic
-    gates encode too.  A barrier wider than two wires becomes a chain
-    of two-wire barriers over its wires — forward, then back — which
-    brings every one of them to their latest layer, exactly as the
-    wide barrier does.
-    """
+    """The code and qubit columns :meth:`GateTape.encode` writes for
+    ``gates``, without packing their parameters."""
     try:
         code_column, qubit_column = _structure_rows(gates)
     except TapeError:
-        if not any(
-            gate.name == g.BARRIER and len(gate.qubits) > 2 for gate in gates
-        ):
-            raise
-        code_column, qubit_column = _chained_structure(gates)
+        code_column, qubit_column = _structure_rows(_chain_barriers(gates))
     return (
         np.array(code_column, dtype=np.uint8),
         np.array(qubit_column, dtype=np.int32).reshape(-1, 2),
     )
 
 
-def _chained_structure(gates: Sequence[Gate]) -> Tuple[List[int], List[int]]:
-    code_column: List[int] = []
-    qubit_column: List[int] = []
+def _chain_barriers(gates: Sequence[Gate]) -> List[Gate]:
+    """``gates`` with every barrier over ``k > 2`` wires replaced by its
+    chain of ``2k - 3`` two-wire barriers, forward over the wires and
+    then back."""
+    chained: List[Gate] = []
     for gate in gates:
         wires = gate.qubits
         if gate.name == g.BARRIER and len(wires) > 2:
             links = list(zip(wires, wires[1:]))
-            links += links[-2::-1]
+            chained.extend(
+                Gate(g.BARRIER, link) for link in links + links[-2::-1]
+            )
         else:
-            links = [tuple(_structure_rows([gate])[1])]
-        for link in links:
-            code_column.append(GATE_CODES[gate.name])
-            qubit_column.extend(link)
-    return code_column, qubit_column
+            chained.append(gate)
+    return chained
 
 
 def _structure_rows(gates: Sequence[Gate]) -> Tuple[List[int], List[int]]:

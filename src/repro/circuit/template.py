@@ -43,7 +43,6 @@ from .metrics import CircuitMetrics, measure_circuit
 from .parameter import (
     BindError,
     Parameter,
-    ParameterExpression,
     decode_param,
     encode_param,
     is_symbolic,
@@ -78,7 +77,7 @@ class CompiledTemplate:
         self.name = circuit.name
         self._gates: Tuple[Gate, ...] = tuple(circuit.gates)
         if parameters is None:
-            parameters = _first_appearance_order(self._gates)
+            parameters = circuit.parameters()
         self.parameters: Tuple[Parameter, ...] = tuple(parameters)
         if len({p.name for p in self.parameters}) != len(self.parameters):
             raise ValueError("template parameters must have distinct names")
@@ -318,12 +317,3 @@ class CompiledTemplate:
             f"{self.num_parameters} parameters, {self.num_slots} slots)"
         )
 
-
-def _first_appearance_order(gates: Sequence[Gate]) -> Tuple[Parameter, ...]:
-    seen: Dict[str, Parameter] = {}
-    for gate in gates:
-        for value in gate.params:
-            if isinstance(value, ParameterExpression):
-                for parameter in value.parameters:
-                    seen.setdefault(parameter.name, parameter)
-    return tuple(seen.values())

@@ -12,8 +12,13 @@ alphabet of such sequences (basis-change sandwiches, mirrored tree
 halves) thousands of times.  Only runs of two or more gates read their
 parameters to build that key.  Cache hits skip the 2x2 matrix chain
 entirely; misses compute it exactly as the scalar reference does, so
-emitted angles are bit-for-bit identical.  Unencodable (symbolic)
-circuits fall back to :mod:`repro.passes.reference`.
+emitted angles are bit-for-bit identical.
+
+A symbolic row (a template compile's angle) has no numeric unitary: it
+cuts its run into segments, passes through verbatim, and every segment
+of the run is emitted in order at the run's flush point, as the scalar
+reference (:mod:`repro.passes.reference`) does.  A numeric tape skips
+this segment bookkeeping.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from ..circuit.tape import (
     GATE_CODES,
     PARAM_COUNT,
     GateTape,
-    TapeError,
 )
 from ..sim.unitaries import gate_unitary
 
@@ -97,18 +101,12 @@ def consolidate_one_qubit_runs(circuit: QuantumCircuit) -> QuantumCircuit:
 
     Tape in, tape out.  A run is flushed where the reference flushes it:
     just before the next non-1Q row on its wire (that row's first wire,
-    then its second), or at the end in wire order.  A run of one gate
-    keeps its row, a longer run becomes one new ``u3`` row (or nothing),
-    and every non-1Q row is copied.
+    then its second), or at the end in wire order.  Symbolic rows cut
+    a run into segments that are flushed together, in run order.  A
+    segment of one gate keeps its row, a longer one becomes one new
+    ``u3`` row (or nothing), and every non-1Q row is copied.
     """
-    try:
-        tape = circuit.tape()
-    except TapeError:
-        # Symbolic gates split runs and pass through verbatim: scalar path.
-        from .reference import consolidate_one_qubit_runs_reference
-
-        return consolidate_one_qubit_runs_reference(circuit)
-
+    tape = circuit.tape()
     codes = tape.codes
     num_qubits = circuit.num_qubits
 
@@ -139,6 +137,21 @@ def consolidate_one_qubit_runs(circuit: QuantumCircuit) -> QuantumCircuit:
     blocker = np.minimum(ends, len(position) - 1)
     flush_row = np.where(blocked, position[blocker], len(codes))
     flush_rank = np.where(blocked, slot[blocker], run_wire)
+    if tape.sym is not None:
+        # A symbolic row stands alone and cuts its run into segments
+        # that keep the run's flush point; from here on a run is a
+        # segment.
+        symbolic = tape.sym[position] >= 0
+        cut = np.zeros(len(position), dtype=bool)
+        cut[1:] = continues[1:] & (symbolic[1:] | symbolic[:-1])
+        first |= cut
+        segment_run = run_of[first]
+        flush_row = flush_row[segment_run]
+        flush_rank = flush_rank[segment_run]
+        starts = np.nonzero(first)[0]
+        run_of = np.cumsum(first) - 1
+        lengths = np.bincount(run_of[one], minlength=len(starts))
+        run_wire = wire[starts]
 
     # Runs of two or more gates become one u3 each (none for identity),
     # keyed by their rows packed in run order.
@@ -177,13 +190,24 @@ def consolidate_one_qubit_runs(circuit: QuantumCircuit) -> QuantumCircuit:
         (tape.params[kept], u3_params, tape.params[copied])
     )
     runs = np.concatenate((singles, fused))
-    out = np.argsort(
+    flush = (
         np.concatenate((flush_row[runs], copied)) * (num_qubits + 2)
         + np.concatenate((flush_rank[runs], np.full(len(copied), 2)))
     )
+    item_sym = None
+    if tape.sym is not None:
+        # The segments of one run share its flush point: run order.
+        tiebreak = np.concatenate((runs, np.zeros_like(copied)))
+        flush = flush * len(starts) + tiebreak
+        item_sym = np.concatenate(
+            (tape.sym[kept], np.full(len(fused), -1, np.int32),
+             tape.sym[copied])
+        )
+    out = np.argsort(flush)
     return QuantumCircuit.from_tape(
         GateTape(
             num_qubits, item_codes[out], item_qubits[out], item_params[out],
-            name=circuit.name,
+            name=circuit.name, exprs=tape.exprs,
+            sym=None if item_sym is None else item_sym[out],
         )
     )

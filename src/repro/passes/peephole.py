@@ -18,9 +18,12 @@ round whose static occurrence pairs admit no cancellation is skipped
 outright, which in particular eliminates the final no-op verification
 round of every fixpoint.  No :class:`Gate` is built: the output is the
 surviving input rows, with merged rotation angles written into the
-first parameter column, and it is gate-for-gate identical to the scalar
-reference (:mod:`repro.passes.reference`), which also serves
-unencodable (symbolic/wide-barrier) circuits.
+first parameter column.  Symbolic rotations (template compiles) merge
+into their :class:`~repro.circuit.parameter.ParameterExpression` sum,
+which gets a new expression-table row; a sum whose terms cancel is a
+plain float and reduces like a baked angle.  The output is
+gate-for-gate identical to the scalar reference
+(:mod:`repro.passes.reference`).
 
 The pass is semantics-preserving; soundness is property-tested against
 the statevector simulator, and scalar/vectorized agreement is pinned by
@@ -35,7 +38,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
-from ..circuit.tape import CODE_CX, CODE_MEASURE, GATE_CODES, GateTape, TapeError
+from ..circuit.parameter import ParameterExpression
+from ..circuit.tape import (
+    CODE_CX, CODE_MEASURE, GATE_CODES, IS_ADDITIVE, GateTape,
+)
 from ..circuit import gate as g
 
 _TWO_PI = 2.0 * math.pi
@@ -67,16 +73,9 @@ _CODE_SDG = GATE_CODES[g.SDG]
 
 
 def cancel_gates(circuit: QuantumCircuit, max_rounds: int = 20) -> QuantumCircuit:
-    """Run cancellation rounds to a fixpoint and return the reduced
-    circuit (tape-backed unless the input cannot be taped)."""
-    try:
-        tape = circuit.tape()
-    except TapeError:
-        # Symbolic parameters or wide barriers: scalar reference path.
-        from .reference import cancel_gates_reference
-
-        return cancel_gates_reference(circuit, max_rounds=max_rounds)
-
+    """Run cancellation rounds to a fixpoint and return the reduced,
+    tape-backed circuit."""
+    tape = circuit.tape()
     codes = tape.codes.astype(np.int64)
     q0 = tape.qubits[:, 0].astype(np.int64)
     q1 = tape.qubits[:, 1].astype(np.int64)
@@ -84,6 +83,11 @@ def cancel_gates(circuit: QuantumCircuit, max_rounds: int = 20) -> QuantumCircui
     # each (merges only ever rewrite a single-parameter rotation).
     rows = np.arange(len(codes))
     params0 = tape.params[:, 0].tolist()
+    if tape.sym is not None:
+        # A symbolic rotation's angle is its expression.
+        symbolic = np.nonzero((tape.sym >= 0) & IS_ADDITIVE[tape.codes])[0]
+        for row, entry in zip(symbolic.tolist(), tape.sym[symbolic].tolist()):
+            params0[row] = tape.exprs[entry][0]
 
     for _ in range(max_rounds):
         positions, cx_candidates = _round_candidates(
@@ -104,16 +108,27 @@ def cancel_gates(circuit: QuantumCircuit, max_rounds: int = 20) -> QuantumCircui
         rows = rows[mask]
         params0 = [p for keep, p in zip(alive, params0) if keep]
 
+    codes = tape.codes[rows]
     params = tape.params[rows]
+    sym, exprs = None, tape.exprs
+    if tape.sym is not None:
+        # Each symbolic rotation, merged or not, points at a new table
+        # row; one whose terms cancelled holds a float and is numeric.
+        sym = tape.sym[rows]
+        sym[IS_ADDITIVE[codes]] = -1
+        exprs = list(exprs)
+        for index, angle in enumerate(params0):
+            if isinstance(angle, ParameterExpression):
+                sym[index] = len(exprs)
+                exprs.append((angle,))
+                params0[index] = 0.0
+        exprs = tuple(exprs)
     if len(rows):
         params[:, 0] = params0
     return QuantumCircuit.from_tape(
         GateTape(
-            circuit.num_qubits,
-            tape.codes[rows],
-            tape.qubits[rows],
-            params,
-            name=circuit.name,
+            circuit.num_qubits, codes, tape.qubits[rows], params,
+            name=circuit.name, sym=sym, exprs=exprs,
         )
     )
 
@@ -187,7 +202,7 @@ def _cancel_round(
     codes: List[int],
     q0: List[int],
     q1: List[int],
-    params0: List[float],
+    params0: List,
     positions: List[int],
     cx_candidates: Optional[List[bool]],
     num_qubits: int,
@@ -229,16 +244,18 @@ def _cancel_round(
                         continue
                     if code in additive:
                         angle = params0[previous] + params0[position]
-                        angle %= _FOUR_PI
-                        residual = angle % _TWO_PI
                         alive[previous] = False
                         changed = True
-                        if min(residual, _TWO_PI - residual) < 1e-12:
-                            # Merged to (-)identity: both gates drop.
-                            alive[position] = False
-                        else:
-                            params0[position] = angle
-                            wire.append(position)
+                        # A symbolic sum stays unreduced.
+                        if not isinstance(angle, ParameterExpression):
+                            angle %= _FOUR_PI
+                            residual = angle % _TWO_PI
+                            if min(residual, _TWO_PI - residual) < 1e-12:
+                                # Merged to (-)identity: both gates drop.
+                                alive[position] = False
+                                continue
+                        params0[position] = angle
+                        wire.append(position)
                         continue
                 elif (previous_code, code) in inverse_pairs:
                     alive[previous] = False

@@ -1,12 +1,11 @@
 """Frozen scalar reference implementations of the peephole passes.
 
 Verbatim copies of ``cancel_gates`` and ``consolidate_one_qubit_runs``
-as they stood before the encoded-tape vectorization.  They serve three
-purposes: the fallback path for circuits the tape cannot encode
-(symbolic parameters, wide barriers), the "old" side of
-``benchmarks/bench_passes.py``'s old-vs-new wall-clock cells, and the
-oracle for the randomized differential tests in
-``tests/test_vectorized_passes.py``.  Do not optimize this module.
+as they stood before the encoded-tape vectorization.  They serve two
+purposes: the "old" side of ``benchmarks/bench_passes.py``'s
+old-vs-new wall-clock cells, and the oracle for the randomized
+differential tests in ``tests/test_vectorized_passes.py``, symbolic
+angles included.  Do not optimize this module.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from typing import Dict, List, Set, Tuple
 from ..circuit import gate as g
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.gate import Gate
-from ..circuit.tape import TapeError
 from ..compiler.base import interaction_pairs
 from ..compiler.mapping_utils import SwapTracker, emit_string_over_spanning_tree
 from ..compiler.tetris.scheduler import DEFAULT_LOOKAHEAD, chain_order
@@ -526,21 +525,17 @@ class DecomposeSwapsPass(TransformationPass):
     because all metrics already count SWAP as 3).
 
     The first cleanup pass, so it is where a synthesized gate list is
-    encoded once onto a tape; symbolic circuits stay gate lists."""
+    encoded once onto a tape, symbolic angles included: the tail runs
+    on tapes from here, for baked and parametric compiles alike."""
 
     name = "decompose-swaps"
     stage = "optimize"
     requires = ("circuit",)
 
     def run(self, state: PropertySet) -> None:
-        circuit = state["circuit"]
-        try:
-            # Encodes a gate-list circuit: the tail runs on tapes from here.
-            tape = circuit.tape()
-        except TapeError:
-            state["circuit"] = circuit.decompose_swaps()
-            return
-        state["circuit"] = QuantumCircuit.from_tape(tape.decompose_swaps())
+        state["circuit"] = QuantumCircuit.from_tape(
+            state["circuit"].tape().decompose_swaps()
+        )
 
 
 class CancelGatesPass(TransformationPass):

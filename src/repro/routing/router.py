@@ -13,11 +13,12 @@ log-infidelity distance and follows its highest-fidelity
 :meth:`~repro.hardware.calibration.Calibration.noise_path`.
 
 The loop reads only the circuit's ``(code, q0, q1)`` columns and plans
-the output as rows: an input row on new wires, or a SWAP.  A tape-backed
-or encodable circuit becomes a tape-backed output with the input's
-parameter rows gathered and SWAP rows inline; a symbolic circuit (which
-no tape holds) is rebuilt gate by gate from the same plan.  Upcoming
-partners per logical qubit are prebuilt columns and each lookahead
+the output as rows: an input row on new wires, or a SWAP.  The output is
+a tape with the input's parameter rows (symbolic ones included) gathered
+and SWAP rows inline.  Barriers on two or more wires are dropped, so a
+wider barrier, which the tape holds as a chain of two-wire barriers,
+drops whole.  Upcoming partners per logical qubit are prebuilt columns
+and each lookahead
 window is one gather from the distance rows; the decayed accumulation
 stays a sequential Python-float loop, because scoring must reproduce the
 scalar reference (:mod:`repro.routing.reference`) bit-for-bit and
@@ -37,15 +38,7 @@ import numpy as np
 
 from ..circuit import gate as g
 from ..circuit.circuit import QuantumCircuit
-from ..circuit.gate import Gate
-from ..circuit.tape import (
-    CODE_CX,
-    CODE_SWAP,
-    GATE_CODES,
-    GateTape,
-    TapeError,
-    encode_structure,
-)
+from ..circuit.tape import CODE_CX, CODE_SWAP, GATE_CODES, GateTape
 from ..hardware.coupling import CouplingGraph
 from .layout import Layout
 
@@ -118,18 +111,8 @@ def _route(
     working = (layout or Layout.trivial(circuit.num_qubits, coupling.num_qubits)).copy()
     initial = working.copy()
     num_logical = circuit.num_qubits
-    try:
-        tape: Optional[GateTape] = circuit.tape()
-        codes, qubits = tape.codes, tape.qubits
-    except TapeError:
-        tape = None
-        # The loop drops every barrier on two or more wires; dropping the
-        # wide ones here keeps rows and gates one to one.
-        gates = [
-            gate for gate in circuit.gates
-            if not (gate.name == g.BARRIER and len(gate.qubits) > 2)
-        ]
-        codes, qubits = encode_structure(gates)
+    tape = circuit.tape()
+    codes, qubits = tape.codes, tape.qubits
 
     # Per-logical columns of upcoming 2Q rows (position-sorted) for the
     # lookahead score.
@@ -236,51 +219,25 @@ def _route(
         out_q0.append(pa)
         out_q1.append(pb)
 
-    if tape is None:
-        out = QuantumCircuit(coupling.num_qubits, circuit.name)
-        out.gates = _rebuild(gates, out_rows, out_q0, out_q1)
-    else:
-        out = QuantumCircuit.from_tape(GateTape(
-            coupling.num_qubits,
-            *_gather(tape, out_rows, out_q0, out_q1),
-            name=circuit.name,
-        ))
+    # The routed tape: input rows on their new wires, SWAP rows inline.
+    rows = np.array(out_rows, dtype=np.intp)
+    swap = rows < 0
+    routed = GateTape(
+        coupling.num_qubits,
+        np.where(swap, CODE_SWAP, tape.codes[rows]),
+        np.stack((np.array(out_q0, dtype=np.int32),
+                  np.array(out_q1, dtype=np.int32)), axis=1),
+        np.where(swap[:, None], 0.0, tape.params[rows]),
+        name=circuit.name,
+        sym=None if tape.sym is None else np.where(swap, -1, tape.sym[rows]),
+        exprs=tape.exprs,
+    )
     return RoutingResult(
-        circuit=out,
+        circuit=QuantumCircuit.from_tape(routed),
         initial_layout=initial,
         final_layout=working,
         num_swaps=num_swaps,
     )
-
-
-def _gather(tape: GateTape, rows: List[int], q0: List[int], q1: List[int]):
-    """The routed ``(codes, qubits, params)`` columns: input rows on
-    their new wires, SWAP rows inline."""
-    rows = np.array(rows, dtype=np.intp)
-    swap = rows < 0
-    codes = tape.codes[rows]
-    codes[swap] = CODE_SWAP
-    params = tape.params[rows]
-    params[swap] = 0.0
-    qubits = np.stack(
-        (np.array(q0, dtype=np.int32), np.array(q1, dtype=np.int32)), axis=1
-    )
-    return codes, qubits, params
-
-
-def _rebuild(
-    gates: List[Gate], rows: List[int], q0: List[int], q1: List[int]
-) -> List[Gate]:
-    """The routed gate list of a circuit no tape holds (symbolic angles
-    pass through untouched)."""
-    out: List[Gate] = []
-    for row, a, b in zip(rows, q0, q1):
-        if row < 0:
-            out.append(Gate(g.SWAP, (a, b)))
-            continue
-        gate = gates[row]
-        out.append(Gate(gate.name, (a,) if b < 0 else (a, b), gate.params))
-    return out
 
 
 def verify_hardware_compliant(circuit: QuantumCircuit, coupling: CouplingGraph) -> bool:

@@ -1,12 +1,12 @@
-"""The encoded gate tape: exact round-trips and the fallback contract.
+"""The encoded gate tape: exact round-trips and what it refuses.
 
 The vectorized passes run on :class:`repro.circuit.tape.GateTape`; their
 correctness rests on the tape being a *lossless* view of the gate list.
 These tests pin that down with randomized encode/decode round-trips
-(including circuits that share gate objects, the dedup fast path), the
-``TapeError`` cases that force the scalar-reference fallback, and the
-ownership rule of tape-backed circuits: ``.gates`` decodes once and from
-then on the list is the circuit.
+(including circuits that share gate objects, the dedup fast path, and
+symbolic rows), the wide-barrier chain, the ``TapeError`` cases, and
+the ownership rule of tape-backed circuits: ``.gates`` decodes once and
+from then on the list is the circuit.
 """
 
 import numpy as np
@@ -114,6 +114,40 @@ class TestRoundTrip:
         tape = GateTape.from_circuit(qc)
         sub = tape.select(tape.codes == GATE_CODES[g.H])
         assert sub.decode() == [qc.gates[0], qc.gates[2]]
+        assert tape.select(np.array([2, 0])).decode() == [
+            qc.gates[2], qc.gates[0]
+        ]
+
+    def test_symbolic_rows_round_trip(self):
+        theta, phi = Parameter("theta"), Parameter("phi")
+        shared = Gate(g.RZ, (1,), (0.5 * theta + 0.25,))
+        gates = [
+            Gate(g.H, (0,)), shared, Gate(g.CX, (0, 1)), shared,
+            Gate(g.RX, (0,), (-theta,)), Gate(g.RZ, (1,), (0.7,)),
+            Gate(g.U3, (2,), (0.1, phi, 0.3)), Gate(g.SWAP, (1, 2)),
+            Gate(g.RZ, (2,), (theta - phi,)),
+        ]
+        tape = GateTape.encode(gates, 3)
+        assert tape.sym.dtype == np.int32
+        assert tape.sym.tolist() == [-1, 0, -1, 0, 1, -1, 2, -1, 3]
+        assert tape.exprs == (
+            shared.params, gates[4].params, gates[6].params, gates[8].params
+        )
+        assert tape.decode() == gates
+        # The passes' gathers carry the column.
+        assert tape.select(np.array([8, 1, 0])).decode() == [
+            gates[8], gates[1], gates[0]
+        ]
+        swapped = tape.decompose_swaps()
+        assert swapped.sym.tolist() == [-1, 0, -1, 0, 1, -1, 2, -1, -1, -1, 3]
+        assert swapped.decode() == (
+            QuantumCircuit.from_tape(tape).decompose_swaps().gates
+        )
+        # Numeric tapes carry no column, and neither does a symbolic
+        # tape's numeric sub-tape.
+        assert GateTape.encode(gates[:1], 3).sym is None
+        numeric = tape.select(tape.sym < 0)
+        assert numeric.sym is None and numeric.exprs == ()
 
 
 class TestClassificationTables:
@@ -137,26 +171,27 @@ class TestUnencodable:
             GateTape.encode([Gate("ccx", (0, 1, 2))], 3)
 
     def test_wide_barrier(self):
+        # A barrier over k > 2 wires encodes, and reads back, as its
+        # chain of 2k - 3 two-wire barriers; any other operation wider
+        # than two wires is refused.
+        gates = [Gate(g.H, (0,)), Gate(g.BARRIER, (0, 1, 2, 3)),
+                 Gate(g.CX, (2, 3))]
+        tape = GateTape.encode(gates, 4)
+        codes, qubits = encode_structure(gates)
+        assert tape.codes.tolist() == codes.tolist()
+        assert tape.qubits.tolist() == qubits.tolist()
+        assert tape.decode() == [gates[0]] + [
+            Gate(g.BARRIER, link)
+            for link in ((0, 1), (1, 2), (2, 3), (1, 2), (0, 1))
+        ] + [gates[2]]
         with pytest.raises(TapeError, match="two-wire"):
-            GateTape.encode([Gate(g.BARRIER, (0, 1, 2))], 3)
-
-    def test_symbolic_parameter(self):
-        theta = Parameter("theta")
-        with pytest.raises(TapeError, match="symbolic"):
-            GateTape.encode([Gate(g.RZ, (0,), (theta,))], 1)
+            GateTape.encode([Gate(g.CX, (0, 1, 2))], 3)
 
     def test_wrong_param_arity(self):
         with pytest.raises(TapeError, match="params"):
             GateTape.encode([Gate(g.RZ, (0,), (0.1, 0.2))], 1)
         with pytest.raises(TapeError, match="params"):
             GateTape.encode([Gate(g.H, (0,), (0.1,))], 1)
-
-    def test_circuit_tape_raises_for_symbolic(self):
-        qc = QuantumCircuit(2)
-        qc.h(0)
-        qc.rz(Parameter("a"), 1)
-        with pytest.raises(TapeError, match="symbolic"):
-            qc.tape()
 
     def test_structure_ignores_parameters(self):
         qc = QuantumCircuit(2)

@@ -21,7 +21,6 @@ from repro.pauli.reference import (
     char_hamming,
     char_match_matrix,
     char_product,
-    char_similarity,
     char_support,
     char_weight,
 )

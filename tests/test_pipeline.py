@@ -5,7 +5,8 @@ compiler) implementation:
 
 - *gate-sequence hashes* — every registered pipeline must reproduce the
   monolithic compilers gate-for-gate on smoke cells (including cells
-  that exercise SWAP insertion and O1 cleanup);
+  that exercise SWAP insertion and O1 cleanup); parametric compiles are
+  pinned the same way by their template structure hashes;
 - *frozen v2 content hashes* — the six legacy compiler spec names must
   keep hashing byte-identically, so warm result caches keep hitting;
 - *profile reconciliation* — per-pass CNOT/1Q/depth deltas must
@@ -142,6 +143,37 @@ EMISSION_GATE_HASHES = {
         "b071cebb11794a5c135d0c19baa22a599729da5adcd284e7243954f7c281a78f",
 }
 
+#: ``CompiledTemplate.structure_hash()`` of parametric compiles, recorded
+#: while the cleanup passes still sent symbolic circuits down their
+#: gate-list references.  Keys are ``(compiler, bench, encoder, device,
+#: blocks, opt)``: every chemistry pipeline on LiH at O3, both QAOA
+#: pipelines with wrappers, one O1 cell, and the BeH2/BK cells on
+#: heavy-hex where ``consolidate-1q`` cuts a 1Q run at a symbolic row.
+TEMPLATE_STRUCTURE_HASHES = {
+    ("max-cancel", "chem:LiH", "JW", "grid:4x4", 10, 3):
+        "34bbd5db074b3dc2d98a37670739b4f293897de12b9cc2eef9177931f0d5d3d0",
+    ("paulihedral", "chem:LiH", "JW", "grid:4x4", 10, 3):
+        "f58ae7e72b24ca5cfecfd408a0710284365d23b49ddb31bb53803565bcc1c644",
+    ("pcoast-like", "chem:LiH", "JW", "grid:4x4", 10, 3):
+        "f9c2e584267fa170765c273d5e144949ac2eac2fcce94ee0dfe42eae0c6730ae",
+    ("tetris", "chem:LiH", "JW", "grid:4x4", 10, 3):
+        "280f11f369b985e8851a90e00b3542d3280dae616764959faf78eb30da02fed7",
+    ("tket-like", "chem:LiH", "JW", "grid:4x4", 10, 3):
+        "6a5ba656a5d6b77a704f63a72d45d48b7314b3e66fbd641892d0e81109731c27",
+    ("2qan-like:wrappers", "qaoa:Rand-12", "JW", "grid:4x4", 0, 3):
+        "e85e64f49f80d11e39f94f0dcb1996b3187e16403c77157df85c97111f3980f1",
+    ("tetris-qaoa:wrappers", "qaoa:Rand-12", "JW", "grid:4x4", 0, 3):
+        "ad74c09abaf784b9603bade48e7f385002db4de9575bad054c7ccb4470141819",
+    ("tetris", "chem:LiH", "JW", "grid:4x4", 10, 1):
+        "1a74f9e2e97227af0cb26514fb2caba32a03e4c6deb84ca02f39e63c49a39e78",
+    ("paulihedral", "chem:BeH2", "BK", "heavy-hex:ibm-65", 0, 3):
+        "f352f4d2d899a12547bbd1dcd94fcb9e89214ae741f212e4018a175ecd1298aa",
+    ("tetris", "chem:BeH2", "BK", "heavy-hex:ibm-65", 0, 3):
+        "ce762b74ea760944db1d87b553eafef8f6c28b4cf5536d28fda4c83e2581584e",
+    ("tket-like", "chem:BeH2", "BK", "heavy-hex:ibm-65", 0, 3):
+        "7a68f72596e5fc2c1a6d61134134483144f9cfd95e59ec8db966cfacb0c57b7b",
+}
+
 #: Content hashes (schema v2) of the six legacy compiler names on a
 #: fixed smoke cell, recorded pre-refactor.  These are on-disk cache
 #: keys: they must never change.
@@ -208,6 +240,18 @@ class TestGateForGateRegression:
         run = run_pipeline(compiler, cell_blocks, coupling,
                            optimization_level=opt)
         assert gate_hash(run.result.circuit) == EMISSION_GATE_HASHES[cell]
+
+    @pytest.mark.parametrize(
+        "cell", sorted(TEMPLATE_STRUCTURE_HASHES),
+        ids=lambda c: "-".join(map(str, c)),
+    )
+    def test_template_structure_matches_gate_list_tail(self, cell):
+        compiler, bench, encoder, device, blocks, opt = cell
+        job = CompileJob(bench=bench, compiler=compiler, device=device,
+                         encoder=encoder, scale="smoke", blocks=blocks,
+                         optimization_level=opt, parametric=True)
+        template = run_job(job).template
+        assert template.structure_hash() == TEMPLATE_STRUCTURE_HASHES[cell]
 
     def test_service_path_matches_pre_refactor_compiler(self):
         cell = ("tetris", "chem:LiH", "grid:4x4", 4, 3)

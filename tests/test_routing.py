@@ -152,10 +152,13 @@ class TestRouter:
             route_circuit_noise(qc, coupling, synthetic_calibration(coupling))
 
     @pytest.mark.parametrize("symbolic", [False, True])
-    def test_gate_list_fallback_matches_reference(self, symbolic):
-        # Symbolic angles and barriers wider than two wires keep a circuit
-        # off the tape; the router then rebuilds the gate list, and must
-        # still make the reference's decisions gate for gate.
+    def test_symbolic_and_wide_barrier_circuits_route_on_the_tape(
+        self, symbolic
+    ):
+        # Symbolic angles ride the tape and a barrier wider than two wires
+        # encodes as a chain of two-wire barriers, which the router drops
+        # whole: the output is a tape with the reference's decisions,
+        # gate for gate.
         angle = Parameter("theta") if symbolic else 0.25
         qc = QuantumCircuit(5)
         qc.h(0)
@@ -170,7 +173,7 @@ class TestRouter:
         qc.rz(angle, 2)
         routed = route_circuit(qc, linear(5))
         reference = route_circuit_reference(qc, linear(5))
-        assert not routed.circuit.tape_backed
+        assert routed.circuit.tape_backed
         assert routed.circuit.gates == reference.circuit.gates
         assert routed.num_swaps == reference.num_swaps > 0
         assert routed.final_layout.as_physical_list() == (

@@ -34,7 +34,6 @@ from repro.serve import (
     BackgroundServer,
     HotCache,
     ProtocolError,
-    ReproClient,
     ReproServer,
     SERVED_DEDUP,
     SERVED_DISK,
@@ -665,28 +664,29 @@ class TestServeStdio:
         env = dict(os.environ)
         env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
         env["REPRO_CACHE"] = "off"
-        proc = subprocess.Popen(
+        requests = [
+            {"op": "healthz", "id": 0},
+            {"op": "compile", "id": 1, "job": dict(FAST)},
+            {"op": "compile", "id": 2, "job": dict(FAST)},
+            {"op": "stats", "id": 3},
+            {"op": "shutdown", "id": 4},
+        ]
+        # The context manager closes both pipes on the way out.
+        with subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", "--stdio",
              "--workers", "0", "--no-cache"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
             env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
-        )
-        try:
-            requests = [
-                {"op": "healthz", "id": 0},
-                {"op": "compile", "id": 1, "job": dict(FAST)},
-                {"op": "compile", "id": 2, "job": dict(FAST)},
-                {"op": "stats", "id": 3},
-                {"op": "shutdown", "id": 4},
-            ]
-            for request in requests:
-                proc.stdin.write(json.dumps(request) + "\n")
-            proc.stdin.flush()
-            lines = [json.loads(proc.stdout.readline())
-                     for _ in range(len(requests))]
-            assert proc.wait(timeout=60) == 0
-        finally:
-            proc.kill()
+        ) as proc:
+            try:
+                for request in requests:
+                    proc.stdin.write(json.dumps(request) + "\n")
+                proc.stdin.flush()
+                lines = [json.loads(proc.stdout.readline())
+                         for _ in range(len(requests))]
+                assert proc.wait(timeout=60) == 0
+            finally:
+                proc.kill()
         assert lines[0]["ok"] is True
         assert lines[1]["served"] == SERVED_FRESH
         assert lines[1]["result"]["error"] is None

@@ -8,6 +8,13 @@ produce the same gate sequence, bit for bit — not merely an equivalent
 circuit.  These tests compare the two implementations on randomized
 inputs by gate sequence and by statevector, and pin the end-to-end
 tetris chain on a real UCC workload.
+
+Half of the random circuits carry symbolic angles, as a template
+compile does: merged symbolic rotations must both survive as sums and
+cancel to floats exactly as the references do, and the live passes must
+stay on the tape.  Barriers over more than two wires encode as a chain
+of two-wire barriers, so there the live passes must equal the
+references run on that chain.
 """
 
 import numpy as np
@@ -15,7 +22,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import QuantumCircuit
+from repro.circuit import Parameter, QuantumCircuit
+from repro.circuit import gate as g
+from repro.circuit.gate import Gate
 from repro.compiler.base import interaction_pairs
 from repro.compiler.tetris.ir import lower_blocks
 from repro.compiler.tetris.reference import run_tetris_reference
@@ -44,19 +53,54 @@ def sig(circuit):
     return [(G.name, G.qubits, G.params) for G in circuit.gates]
 
 
-def random_circuit(rng, num_qubits, num_gates):
+THETA = Parameter("theta")
+#: Shared symbolic angles: theta and -theta merge to the float 0.0, the
+#: other pairs to a new expression.
+SYMBOLIC_ANGLES = (THETA, -THETA, 0.5 * THETA + 0.3)
+
+
+def random_circuit(rng, num_qubits, num_gates, symbolic=False,
+                   wide_barriers=False):
+    """Random 1Q/CX circuits; ``symbolic`` draws about half the rotation
+    angles from :data:`SYMBOLIC_ANGLES`, ``wide_barriers`` mixes in
+    barriers over three or more wires."""
     qc = QuantumCircuit(num_qubits)
     names = ("h", "s", "sdg", "x", "y", "z", "rz", "rx", "ry", "cx", "cx", "cx")
+    if wide_barriers:
+        names += ("barrier",)
     for _ in range(num_gates):
         name = names[rng.integers(len(names))]
         if name == "cx":
             a, b = rng.choice(num_qubits, 2, replace=False)
             qc.cx(int(a), int(b))
         elif name in ("rz", "rx", "ry"):
-            getattr(qc, name)(float(rng.uniform(-7, 7)), int(rng.integers(num_qubits)))
+            angle = float(rng.uniform(-7, 7))
+            if symbolic and rng.integers(2):
+                angle = SYMBOLIC_ANGLES[rng.integers(len(SYMBOLIC_ANGLES))]
+            getattr(qc, name)(angle, int(rng.integers(num_qubits)))
+        elif name == "barrier":
+            width = int(rng.integers(3, num_qubits + 1))
+            wires = rng.choice(num_qubits, width, replace=False)
+            qc.barrier(*(int(q) for q in wires))
         else:
             getattr(qc, name)(int(rng.integers(num_qubits)))
     return qc
+
+
+def chained(circuit):
+    """``circuit`` with each barrier over k > 2 wires written out as its
+    2k - 3 two-wire barriers, forward over the wires and then back."""
+    out = QuantumCircuit(circuit.num_qubits, circuit.name)
+    for gate in circuit.gates:
+        wires = gate.qubits
+        if gate.name == g.BARRIER and len(wires) > 2:
+            links = list(zip(wires, wires[1:]))
+            out.gates.extend(
+                Gate(g.BARRIER, link) for link in links + links[-2::-1]
+            )
+        else:
+            out.gates.append(gate)
+    return out
 
 
 class TestPeepholeDifferential:
@@ -64,8 +108,11 @@ class TestPeepholeDifferential:
     @given(st.integers(0, 10**6))
     def test_cancel_matches_reference_gate_for_gate(self, seed):
         rng = np.random.default_rng(seed)
-        qc = random_circuit(rng, int(rng.integers(2, 6)), int(rng.integers(0, 80)))
-        assert sig(cancel_gates(qc)) == sig(cancel_gates_reference(qc))
+        qc = random_circuit(rng, int(rng.integers(2, 6)),
+                            int(rng.integers(0, 80)), symbolic=seed % 2 == 1)
+        out = cancel_gates(qc)
+        assert out.tape_backed
+        assert sig(out) == sig(cancel_gates_reference(qc))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6))
@@ -79,9 +126,27 @@ class TestPeepholeDifferential:
     @given(st.integers(0, 10**6))
     def test_consolidate_matches_reference(self, seed):
         rng = np.random.default_rng(seed)
-        qc = random_circuit(rng, int(rng.integers(2, 5)), int(rng.integers(0, 60)))
-        assert sig(consolidate_one_qubit_runs(qc)) == sig(
-            consolidate_one_qubit_runs_reference(qc)
+        qc = random_circuit(rng, int(rng.integers(2, 5)),
+                            int(rng.integers(0, 60)), symbolic=seed % 2 == 1)
+        out = consolidate_one_qubit_runs(qc)
+        assert out.tape_backed
+        assert sig(out) == sig(consolidate_one_qubit_runs_reference(qc))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_wide_barriers_match_references_on_the_chain(self, seed):
+        rng = np.random.default_rng(seed)
+        qc = random_circuit(rng, int(rng.integers(3, 6)),
+                            int(rng.integers(0, 60)), symbolic=seed % 2 == 1,
+                            wide_barriers=True)
+        chain = chained(qc)
+        cancelled = cancel_gates(qc)
+        assert cancelled.tape_backed
+        assert sig(cancelled) == sig(cancel_gates_reference(chain))
+        consolidated = consolidate_one_qubit_runs(qc)
+        assert consolidated.tape_backed
+        assert sig(consolidated) == sig(
+            consolidate_one_qubit_runs_reference(chain)
         )
 
 
@@ -106,10 +171,12 @@ class TestLayoutRouteDifferential:
     def test_route_matches_reference(self, seed):
         rng = np.random.default_rng(seed)
         num_logical = int(rng.integers(2, 7))
-        qc = random_circuit(rng, num_logical, int(rng.integers(5, 40)))
+        qc = random_circuit(rng, num_logical, int(rng.integers(5, 40)),
+                            symbolic=seed % 2 == 1)
         coupling = linear(num_logical + 1)
         ref = route_circuit_reference(qc, coupling)
         new = route_circuit(qc, coupling)
+        assert new.circuit.tape_backed
         assert sig(ref.circuit) == sig(new.circuit)
         assert ref.num_swaps == new.num_swaps
         assert (
