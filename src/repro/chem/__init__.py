@@ -6,7 +6,6 @@ from .fermion import FermionOperator, LadderOp
 from .hamiltonian import (
     dense_hamiltonian,
     expectation_value,
-    ground_state_energy,
     molecular_hamiltonian,
     synthetic_integrals,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "molecular_hamiltonian",
     "synthetic_integrals",
     "dense_hamiltonian",
-    "ground_state_energy",
     "expectation_value",
     "JordanWignerEncoder",
     "BravyiKitaevEncoder",

@@ -18,7 +18,7 @@ operator flips the sign of the imaginary part.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import FrozenSet, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -90,18 +90,6 @@ class BravyiKitaevEncoder:
 
     name = "bravyi-kitaev"
     short_name = "BK"
-
-    @staticmethod
-    def update_set(orbital: int, num_qubits: int) -> FrozenSet[int]:
-        return _index_sets(num_qubits)[0][orbital]
-
-    @staticmethod
-    def flip_set(orbital: int, num_qubits: int) -> FrozenSet[int]:
-        return _index_sets(num_qubits)[1][orbital]
-
-    @staticmethod
-    def parity_set(orbital: int, num_qubits: int) -> FrozenSet[int]:
-        return _index_sets(num_qubits)[2][orbital]
 
     @staticmethod
     @lru_cache(maxsize=4096)

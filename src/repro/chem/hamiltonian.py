@@ -7,13 +7,11 @@ but physically shaped — electronic-structure Hamiltonians::
 
 with Hermitian one-body integrals and two-body terms built from a
 symmetrized random tensor.  The result is a Hermitian qubit operator under
-either encoder, suitable for end-to-end VQE demonstrations (ground-state
-energy via exact diagonalization vs the compiled-ansatz expectation).
+either encoder, suitable for end-to-end VQE demonstrations (the energy of
+a compiled ansatz's state, :func:`expectation_value`).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -88,12 +86,6 @@ def dense_hamiltonian(hamiltonian: QubitOperator) -> np.ndarray:
     for string, coefficient in hamiltonian.terms():
         matrix += coefficient * pauli_matrix(string)
     return matrix
-
-
-def ground_state_energy(hamiltonian: QubitOperator) -> float:
-    """Exact minimum eigenvalue by dense diagonalization."""
-    eigenvalues = np.linalg.eigvalsh(dense_hamiltonian(hamiltonian))
-    return float(eigenvalues[0])
 
 
 def expectation_value(

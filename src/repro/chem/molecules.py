@@ -44,10 +44,6 @@ class Molecule:
     def num_qubits(self) -> int:
         return 2 * self.num_spatial
 
-    @property
-    def num_virtual(self) -> int:
-        return self.num_spatial - self.num_occupied
-
 
 MOLECULES: Dict[str, Molecule] = {
     "LiH": Molecule("LiH", 6, 2),

@@ -212,14 +212,6 @@ class QuantumCircuit:
         """Histogram of gate names."""
         return Counter(gate.name for gate in self.gates)
 
-    def num_two_qubit_gates(self) -> int:
-        """CNOT count with SWAPs counted as 3 CNOTs (paper's metric)."""
-        counts = self.count_ops()
-        return counts.get(g.CX, 0) + 3 * counts.get(g.SWAP, 0)
-
-    def num_one_qubit_gates(self) -> int:
-        return sum(1 for gate in self.gates if gate.is_one_qubit())
-
     def touched_qubits(self) -> Tuple[int, ...]:
         qubits: set = set()
         for gate in self.gates:

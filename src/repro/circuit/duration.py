@@ -7,49 +7,16 @@ duration.  The circuit duration is the maximum finish time over all qubits.
 
 Gate durations default to :data:`repro.circuit.gate.DEFAULT_DURATIONS`
 (IBM-like: RZ/S/Z are virtual and free, 1Q pulses ~160 dt, CNOT ~1800 dt).
-Both functions scan the circuit's ``(code, q0, q1)`` columns
-(:mod:`repro.circuit.metrics`); neither decomposes a SWAP.
+The duration is one scan of the circuit's ``(code, q0, q1)`` columns
+(:mod:`repro.circuit.metrics`); no SWAP is decomposed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from . import gate as g
 from .circuit import QuantumCircuit
-from .gate import Gate
-from .metrics import LAYERS, critical_paths, dt_table
-from .tape import GATE_CODES
-
-
-def schedule_asap(
-    circuit: QuantumCircuit,
-    durations: Optional[Dict[str, int]] = None,
-) -> List[Tuple[int, Gate]]:
-    """Return ``(start_time, gate)`` pairs under ASAP scheduling.
-
-    Barriers align their wires and are left out of the schedule; a SWAP
-    is scheduled as one gate of its own table duration.
-    """
-    codes, qubits = circuit.structure()
-    span_of = dt_table(durations, swap_as_cnots=False)
-    ready = [0] * (circuit.num_qubits + 1)
-    starts: List[int] = []
-    for code, a, b in zip(
-        codes.tolist(), qubits[:, 0].tolist(), qubits[:, 1].tolist()
-    ):
-        start = ready[a] if b < 0 else max(ready[a], ready[b])
-        starts.append(start)
-        ready[a] = start + span_of[code]
-        if b >= 0:
-            ready[b] = start + span_of[code]
-    # Rows and gates agree once barriers (the only gates that may span
-    # several rows) are left out.
-    scheduled = (codes != GATE_CODES[g.BARRIER]).tolist()
-    return list(zip(
-        [start for start, keep in zip(starts, scheduled) if keep],
-        [gate for gate in circuit.gates if gate.name != g.BARRIER],
-    ))
+from .metrics import critical_paths, dt_table
 
 
 def circuit_duration(
@@ -59,5 +26,5 @@ def circuit_duration(
     """Total duration in dt units (a SWAP lasts its 3 CNOTs)."""
     codes, qubits = circuit.structure()
     return critical_paths(
-        codes, qubits, circuit.num_qubits, LAYERS, dt_table(durations)
+        codes, qubits, circuit.num_qubits, dt_table(durations)
     )[1]

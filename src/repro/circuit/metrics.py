@@ -35,26 +35,17 @@ LAYERS = [1] * len(CODE_NAMES)
 LAYERS[CODE_SWAP] = 3
 LAYERS[GATE_CODES[g.BARRIER]] = 0
 
-#: :data:`LAYERS` with 1Q gates free (the CNOT-depth of a circuit).
-TWO_QUBIT_LAYERS = [
-    0 if IS_ONE_QUBIT[code] else layers for code, layers in enumerate(LAYERS)
-]
 
-
-def dt_table(
-    durations: Optional[Mapping[str, int]] = None, swap_as_cnots: bool = True
-) -> List[int]:
+def dt_table(durations: Optional[Mapping[str, int]] = None) -> List[int]:
     """Per-code durations in ``dt`` from a gate-name table.
 
-    Names missing from ``durations`` take 160 dt; barriers take none.
-    With ``swap_as_cnots`` a SWAP lasts its 3 CNOTs, otherwise its own
-    table entry.
+    Names missing from ``durations`` take 160 dt; barriers take none,
+    and a SWAP lasts its 3 CNOTs.
     """
     durations = durations or DEFAULT_DURATIONS
     table = [durations.get(name, 160) for name in CODE_NAMES]
     table[GATE_CODES[g.BARRIER]] = 0
-    if swap_as_cnots:
-        table[CODE_SWAP] = 3 * table[CODE_CX]
+    table[CODE_SWAP] = 3 * table[CODE_CX]
     return table
 
 
@@ -66,15 +57,15 @@ def critical_paths(
     codes: np.ndarray,
     qubits: np.ndarray,
     num_qubits: int,
-    layers: List[int] = LAYERS,
     dt: List[int] = DEFAULT_DT,
 ) -> Tuple[int, int]:
     """``(depth, duration)`` of the rows in one ASAP pass.
 
     Each row starts when the latest of its wires is free and occupies
-    them for its ``layers[code]`` layers and ``dt[code]`` dt; a barrier
+    them for its ``LAYERS[code]`` layers and ``dt[code]`` dt; a barrier
     (zero of both) thus aligns its wires without occupying them.
     """
+    layers = LAYERS
     # One spare slot absorbs the -1 padding of zero-wire barriers.
     level = [0] * (num_qubits + 1)
     ready = [0] * (num_qubits + 1)
@@ -107,25 +98,10 @@ def gate_counts(codes: np.ndarray) -> Tuple[int, int]:
     return cnots, int(counts[IS_ONE_QUBIT].sum())
 
 
-def depth(circuit: QuantumCircuit, one_qubit_free: bool = False) -> int:
-    """Critical-path depth with SWAP counted as 3 CNOT layers.
-
-    Parameters
-    ----------
-    circuit:
-        The circuit to measure.
-    one_qubit_free:
-        If True, 1Q gates do not contribute a layer (useful for comparing
-        CNOT-depth between compilers).
-    """
+def depth(circuit: QuantumCircuit) -> int:
+    """Critical-path depth with SWAP counted as 3 CNOT layers."""
     codes, qubits = circuit.structure()
-    layers = TWO_QUBIT_LAYERS if one_qubit_free else LAYERS
-    return critical_paths(codes, qubits, circuit.num_qubits, layers)[0]
-
-
-def two_qubit_depth(circuit: QuantumCircuit) -> int:
-    """Depth counting only 2-qubit gates."""
-    return depth(circuit, one_qubit_free=True)
+    return critical_paths(codes, qubits, circuit.num_qubits)[0]
 
 
 @dataclass

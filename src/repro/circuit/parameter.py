@@ -247,11 +247,6 @@ def _make(terms, const: float):
     return expression
 
 
-def parameter_vector(name: str, length: int) -> Tuple[Parameter, ...]:
-    """``length`` fresh parameters named ``name[0] .. name[length-1]``."""
-    return tuple(Parameter(f"{name}[{i}]") for i in range(length))
-
-
 def is_symbolic(value: Any) -> bool:
     """True when ``value`` still mentions at least one parameter."""
     return isinstance(value, ParameterExpression)

@@ -72,7 +72,6 @@ CODE_NAMES = tuple(sorted(GATE_CODES, key=GATE_CODES.get))
 CODE_CX = GATE_CODES[g.CX]
 CODE_SWAP = GATE_CODES[g.SWAP]
 CODE_MEASURE = GATE_CODES[g.MEASURE]
-CODE_RZ = GATE_CODES[g.RZ]
 
 _NUM_CODES = len(GATE_CODES)
 
@@ -87,13 +86,7 @@ def _code_mask(names) -> np.ndarray:
 #: Per-code predicate tables — index with the code column.
 IS_ONE_QUBIT = _code_mask(g.ONE_QUBIT_GATES)
 IS_TWO_QUBIT = _code_mask(g.TWO_QUBIT_GATES)
-IS_NON_UNITARY = _code_mask(g.NON_UNITARY)
-IS_SELF_INVERSE = _code_mask(g.SELF_INVERSE)
 IS_ADDITIVE = _code_mask(g.ADDITIVE)
-#: Z-diagonal 1Q gates (commute with a CNOT's control).
-IS_DIAGONAL = _code_mask((g.Z, g.S, g.SDG, g.RZ))
-#: X-axis 1Q gates (commute with a CNOT's target).
-IS_X_AXIS = _code_mask((g.X, g.RX))
 
 #: Parameters carried per code (u3: 3, rotations: 1, rest: 0).
 PARAM_COUNT = np.zeros(_NUM_CODES, dtype=np.int8)
@@ -120,7 +113,7 @@ class GateTape:
     --------
     >>> from repro.circuit import QuantumCircuit
     >>> qc = QuantumCircuit(2); qc.h(0); qc.cx(0, 1); qc.rz(0.5, 1)
-    >>> tape = GateTape.from_circuit(qc)
+    >>> tape = qc.tape()
     >>> [gate.name for gate in tape.decode()] == [g.name for g in qc.gates]
     True
     """
@@ -220,10 +213,6 @@ class GateTape:
             sym_column = np.array(sym_column, dtype=np.int32)[index_column]
         return cls(num_qubits, codes, qubits, params, name=name,
                    sym=sym_column, exprs=tuple(exprs))
-
-    @classmethod
-    def from_circuit(cls, circuit) -> "GateTape":
-        return cls.encode(circuit.gates, circuit.num_qubits, name=circuit.name)
 
     def decode(self) -> List[Gate]:
         """Rebuild the gate list; exact inverse of :meth:`encode`.

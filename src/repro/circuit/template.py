@@ -304,13 +304,6 @@ class CompiledTemplate:
             default_angles=payload.get("default_angles"),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "CompiledTemplate":
-        return cls.from_dict(json.loads(text))
-
     def __repr__(self) -> str:
         return (
             f"CompiledTemplate({self.num_qubits}q, {len(self._gates)} gates, "

@@ -102,11 +102,6 @@ class TetrisBlockIR:
     def active_length(self) -> int:
         return self.block.active_length
 
-    def leaf_ops(self) -> dict:
-        """``{leaf qubit: shared operator}``."""
-        first = self.block.strings[0]
-        return {q: first[q] for q in self.leaf_qubits}
-
     def qubit_order(self) -> Tuple[int, ...]:
         """Root qubits first, then leaf qubits (the Fig. 6 annotation)."""
         return self.root_qubits + self.leaf_qubits

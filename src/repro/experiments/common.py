@@ -13,9 +13,8 @@ Set ``REPRO_SCALE`` to override the default scale of ``repro report``.
 
 from __future__ import annotations
 
-import csv
 import os
-from typing import Dict, List, Sequence
+from typing import List
 
 from ..pauli.block import PauliBlock
 from ..workloads import (  # noqa: F401  (BLOCK_CAPS/check_scale re-exported)
@@ -58,19 +57,3 @@ def workload(name: str, encoder: str = "JW", scale: str = "small") -> List[Pauli
     check_scale(scale)
     return workload_blocks(name, encoder, scale)
 
-
-def rows_to_csv(rows: Sequence[Dict], path: str) -> None:
-    """Write dict rows to a CSV file (column order from the first row).
-
-    Uses the stdlib ``csv`` module so values containing commas, quotes,
-    or newlines are quoted correctly instead of corrupting the row.
-    """
-    if not rows:
-        return
-    columns = list(rows[0].keys())
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(
-            handle, fieldnames=columns, restval="", extrasaction="ignore"
-        )
-        writer.writeheader()
-        writer.writerows(rows)

@@ -83,10 +83,6 @@ class Calibration:
                 f"qubits {a} and {b} are not coupled on {self.device!r}"
             ) from None
 
-    def edge_weight(self, a: int, b: int) -> float:
-        """``-log(1 - p)`` for the coupler — additive log-infidelity."""
-        return -float(np.log1p(-self.two_qubit_error(a, b)))
-
     def mean_edge_error(self, nodes=None) -> float:
         """Mean 2Q error over all edges, or over the subgraph induced by
         ``nodes`` (zero when the induced subgraph has no edges)."""

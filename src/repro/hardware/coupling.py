@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 UNREACHABLE = -1
@@ -22,7 +21,7 @@ class CouplingGraph:
 
     Examples
     --------
-    >>> graph = CouplingGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    >>> graph = CouplingGraph(4, [(0, 1), (1, 2), (2, 3)])
     >>> graph.distance(0, 3)
     3
     >>> graph.shortest_path(0, 3)
@@ -54,16 +53,6 @@ class CouplingGraph:
         self._path_cache: Dict[Tuple[int, int, FrozenSet[int]], Optional[List[int]]] = {}
         self._center_cache: Dict[Tuple[int, ...], int] = {}
 
-    @classmethod
-    def from_edges(cls, num_qubits: int, edges: Iterable[Tuple[int, int]], name: str = "") -> "CouplingGraph":
-        return cls(num_qubits, edges, name)
-
-    @classmethod
-    def from_networkx(cls, graph: nx.Graph, name: str = "") -> "CouplingGraph":
-        mapping = {node: index for index, node in enumerate(sorted(graph.nodes()))}
-        edges = [(mapping[a], mapping[b]) for a, b in graph.edges()]
-        return cls(graph.number_of_nodes(), edges, name)
-
     # -- topology queries --------------------------------------------------------
 
     @property
@@ -78,25 +67,6 @@ class CouplingGraph:
 
     def are_connected(self, a: int, b: int) -> bool:
         return b in self._adjacency[a]
-
-    def is_connected_graph(self) -> bool:
-        if self.num_qubits == 0:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            node = queue.popleft()
-            for other in self._adjacency[node]:
-                if other not in seen:
-                    seen.add(other)
-                    queue.append(other)
-        return len(seen) == self.num_qubits
-
-    def to_networkx(self) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_qubits))
-        graph.add_edges_from(self._edges)
-        return graph
 
     # -- distances ----------------------------------------------------------------
 

@@ -62,7 +62,6 @@ from .tracer import (
     add_worker_spans,
     env_trace,
     env_trace_path,
-    get_tracer,
     set_tracer,
     span,
     trace,
@@ -76,7 +75,6 @@ __all__ = [
     "NULL_SPAN",
     "span",
     "trace",
-    "get_tracer",
     "set_tracer",
     "tracing_enabled",
     "add_worker_spans",

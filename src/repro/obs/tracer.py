@@ -193,10 +193,6 @@ class Tracer:
 _TRACER: Optional[Tracer] = None
 
 
-def get_tracer() -> Optional[Tracer]:
-    return _TRACER
-
-
 def set_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
     """Install ``tracer`` (or None to disable); returns the previous one."""
     global _TRACER

@@ -13,19 +13,11 @@ Public surface:
 - similarity metrics (Eq. 1 of the paper), single-pair and batch.
 """
 
-from .block import PauliBlock, flatten, total_strings
+from .block import PauliBlock, total_strings
 from .operators import I, X, Y, Z, single_product
 from .pauli_string import PauliString
 from .qubit_operator import QubitOperator
-from .similarity import (
-    block_similarity,
-    block_similarity_matrix,
-    common_leaf_qubits,
-    hamming_distance,
-    leaf_profile,
-    string_similarity,
-    support_overlap,
-)
+from .similarity import block_similarity, block_similarity_matrix
 from .table import PauliTable
 
 __all__ = [
@@ -38,13 +30,7 @@ __all__ = [
     "QubitOperator",
     "PauliBlock",
     "single_product",
-    "flatten",
     "total_strings",
     "block_similarity",
     "block_similarity_matrix",
-    "common_leaf_qubits",
-    "hamming_distance",
-    "leaf_profile",
-    "string_similarity",
-    "support_overlap",
 ]

@@ -8,7 +8,7 @@ block share most of their operators; this is the similarity both Paulihedral
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
 
 from ..circuit.parameter import is_symbolic
 from .pauli_string import PauliString
@@ -138,17 +138,6 @@ class PauliBlock:
             label=self.label,
         )
 
-    def merged_with(self, other: "PauliBlock") -> "PauliBlock":
-        """Concatenate two blocks into one larger Tetris block."""
-        if other.num_qubits != self.num_qubits:
-            raise ValueError("block width mismatch")
-        return PauliBlock(
-            self._strings + other._strings,
-            self._weights + other._weights,
-            angle=self.angle,
-            label=f"{self.label}+{other.label}",
-        )
-
     def __repr__(self) -> str:
         return (
             f"PauliBlock({len(self)} strings, {self.num_qubits}q, "
@@ -160,10 +149,3 @@ def total_strings(blocks: Iterable[PauliBlock]) -> int:
     """Total number of Pauli strings across ``blocks``."""
     return sum(len(block) for block in blocks)
 
-
-def flatten(blocks: Iterable[PauliBlock]) -> List[PauliString]:
-    """All strings of all blocks in order."""
-    out: List[PauliString] = []
-    for block in blocks:
-        out.extend(block.strings)
-    return out

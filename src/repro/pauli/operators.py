@@ -25,7 +25,6 @@ Y = "Y"
 Z = "Z"
 
 PAULI_CHARS = (I, X, Y, Z)
-PAULI_BYTES = tuple(c.encode("ascii") for c in PAULI_CHARS)
 
 _ORD_I = ord(I)
 _ORD_X = ord(X)

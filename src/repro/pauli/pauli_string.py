@@ -13,7 +13,7 @@ row is a zero-copy view of that row.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -164,13 +164,6 @@ class PauliString:
             num_qubits,
         )
 
-    @classmethod
-    def from_xz(cls, x_bits: np.ndarray, z_bits: np.ndarray) -> "PauliString":
-        """Build a string from symplectic bit vectors."""
-        x_bits = np.asarray(x_bits) != 0
-        z_bits = np.asarray(z_bits) != 0
-        return cls._from_packed(pack_bits(x_bits), pack_bits(z_bits), len(x_bits))
-
     # -- basic views -----------------------------------------------------------
 
     @property
@@ -201,10 +194,6 @@ class PauliString:
         """Qubits with a non-identity operator, ascending."""
         active = unpack_bits(self._x | self._z, self._n)
         return tuple(np.flatnonzero(active).tolist())
-
-    @property
-    def support_set(self) -> FrozenSet[int]:
-        return frozenset(self.support)
 
     @property
     def weight(self) -> int:

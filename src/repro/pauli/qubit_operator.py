@@ -39,10 +39,6 @@ class QubitOperator:
         self._terms: Dict[PauliString, complex] = {}
 
     @classmethod
-    def zero(cls, num_qubits: int) -> "QubitOperator":
-        return cls(num_qubits)
-
-    @classmethod
     def identity(cls, num_qubits: int) -> "QubitOperator":
         return cls.from_term(PauliString.identity(num_qubits), 1.0)
 
@@ -135,23 +131,8 @@ class QubitOperator:
                 )
         return out
 
-    def dagger(self) -> "QubitOperator":
-        """Hermitian conjugate (Pauli strings are Hermitian)."""
-        out = QubitOperator(self._num_qubits)
-        for string, coefficient in self._terms.items():
-            out.add_term(string, coefficient.conjugate())
-        return out
-
-    def is_anti_hermitian(self, tolerance: float = HERMITIAN_TOLERANCE) -> bool:
-        """True iff all coefficients are (numerically) pure imaginary."""
-        return all(abs(c.real) <= tolerance for c in self._terms.values())
-
     def is_hermitian(self, tolerance: float = HERMITIAN_TOLERANCE) -> bool:
         return all(abs(c.imag) <= tolerance for c in self._terms.values())
-
-    def norm(self) -> float:
-        """Sum of coefficient magnitudes (an L1 norm over terms)."""
-        return sum(abs(c) for c in self._terms.values())
 
     def __repr__(self) -> str:
         preview = ", ".join(

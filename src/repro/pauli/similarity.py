@@ -1,56 +1,19 @@
-"""Similarity metrics between Pauli strings and Tetris blocks.
+"""Similarity between Tetris blocks.
 
 Implements Eq. (1) of the paper: the Jaccard-style similarity between two
-Tetris blocks based on the common part of their leaf trees, plus string-level
-helpers used by the schedulers.
-
-Every pairwise helper routes through the packed symplectic backend
-(:mod:`repro.pauli.table`) and raises the same width-mismatch
-``ValueError``; :func:`block_similarity_matrix` is the batch form the
-schedulers precompute once instead of re-paying per-pair calls.
+Tetris blocks based on the common part of their leaf trees, for one pair
+(:func:`block_similarity`) and as one batch kernel over the packed leaf
+tables (:func:`block_similarity_matrix`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .bits import popcount
 from .block import PauliBlock
-from .operators import I
-from .pauli_string import PauliString, _width_error
 from .table import PauliTable
-
-
-def string_similarity(a: PauliString, b: PauliString) -> int:
-    """Number of qubits where two strings carry the same non-identity op."""
-    return len(a.common_qubits(b))
-
-
-def hamming_distance(a: PauliString, b: PauliString) -> int:
-    """Number of positions where the two strings differ."""
-    if a.num_qubits != b.num_qubits:
-        raise _width_error(a.num_qubits, b.num_qubits)
-    xa, za = a.xz_words()
-    xb, zb = b.xz_words()
-    return int(popcount((xa ^ xb) | (za ^ zb)).sum())
-
-
-def leaf_profile(block: PauliBlock) -> Dict[int, str]:
-    """The leaf-tree qubit set of ``block`` with its shared operators."""
-    common = block.common_qubits()
-    first = block.strings[0]
-    return {q: first[q] for q in sorted(common)}
-
-
-def common_leaf_qubits(a: PauliBlock, b: PauliBlock) -> FrozenSet[int]:
-    """Qubits in both leaf sets carrying the same operator in both blocks."""
-    profile_a = leaf_profile(a)
-    profile_b = leaf_profile(b)
-    return frozenset(
-        q for q, op in profile_a.items() if profile_b.get(q) == op and op != I
-    )
 
 
 def block_similarity(a: PauliBlock, b: PauliBlock) -> float:
@@ -103,11 +66,3 @@ def block_similarity_matrix(
         denominator == 0, 0.0, common / np.maximum(denominator, 1)
     )
 
-
-def support_overlap(a: PauliBlock, b: PauliBlock) -> float:
-    """Jaccard overlap of the blocks' supports (a coarser similarity)."""
-    sa, sb = a.support, b.support
-    union = len(sa | sb)
-    if union == 0:
-        return 0.0
-    return len(sa & sb) / union

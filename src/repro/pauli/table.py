@@ -28,7 +28,6 @@ import numpy as np
 from .bits import (
     lex_key_words,
     num_words,
-    pack_bits,
     popcount,
     sparse_words,
     unpack_bits,
@@ -130,15 +129,6 @@ class PauliTable:
     def from_labels(cls, labels: Iterable[str]) -> "PauliTable":
         """Build from character strings, e.g. ``["XXI", "IYZ"]``."""
         return cls.from_strings([PauliString(label) for label in labels])
-
-    @classmethod
-    def from_bits(cls, x_bits: np.ndarray, z_bits: np.ndarray) -> "PauliTable":
-        """Build from boolean ``[terms, n]`` symplectic planes."""
-        x_bits = np.atleast_2d(np.asarray(x_bits) != 0)
-        z_bits = np.atleast_2d(np.asarray(z_bits) != 0)
-        if x_bits.shape != z_bits.shape:
-            raise ValueError("x and z planes must have equal shape")
-        return cls._adopt(pack_bits(x_bits), pack_bits(z_bits), x_bits.shape[1])
 
     # -- views -----------------------------------------------------------------
 

@@ -64,7 +64,6 @@ from .registry import (
     build_pipeline,
     canonical_pipeline_spec,
     cleanup_passes,
-    pipeline_names,
     resolve_compiler_spec,
     run_pipeline,
     split_opt_suffix,
@@ -93,7 +92,6 @@ __all__ = [
     "canonical_pipeline_spec",
     "resolve_compiler_spec",
     "split_opt_suffix",
-    "pipeline_names",
     "OPT_LEVELS",
     "DEFAULT_OPT_LEVEL",
 ]

@@ -113,9 +113,6 @@ class PipelineProfile:
     def seconds(self) -> float:
         return sum(p.seconds for p in self.passes)
 
-    def stage_seconds(self, stage: str) -> float:
-        return sum(p.seconds for p in self.passes if p.stage == stage)
-
     def totals(self) -> Dict[str, int]:
         """Summed deltas — equal to the final circuit's metrics because
         the first snapshot is the empty circuit."""

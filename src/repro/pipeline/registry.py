@@ -569,7 +569,3 @@ def run_pipeline(
                              params=params)
     return manager.run(blocks, coupling, num_logical=num_logical,
                        profile=profile, calibration=calibration)
-
-
-def pipeline_names() -> List[str]:
-    return PIPELINES.names()

@@ -1,6 +1,6 @@
 """QAOA workloads: benchmark graphs and MaxCut ansatz blocks."""
 
-from .ansatz import maxcut_blocks, mixer_angles, qaoa_gate_counts
+from .ansatz import maxcut_blocks, qaoa_gate_counts
 from .graphs import (
     QAOA_BENCHMARKS,
     RANDOM_EDGE_COUNTS,
@@ -12,7 +12,6 @@ from .graphs import (
 
 __all__ = [
     "maxcut_blocks",
-    "mixer_angles",
     "qaoa_gate_counts",
     "benchmark_graph",
     "random_graph",

@@ -8,7 +8,7 @@ fast bridging, Sec. IV-C).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import networkx as nx
 
@@ -38,8 +38,3 @@ def qaoa_gate_counts(graph: nx.Graph) -> Tuple[int, int]:
     edges = graph.number_of_edges()
     nodes = graph.number_of_nodes()
     return 2 * edges, edges + 2 * nodes
-
-
-def mixer_angles(num_qubits: int, beta: float = 0.3) -> Sequence[float]:
-    """Per-qubit mixer angles (uniform for standard QAOA)."""
-    return [beta] * num_qubits

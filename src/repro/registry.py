@@ -1,4 +1,4 @@
-"""Generic name registries: decorator registration, aliases, metadata.
+"""Generic name registries: registration, aliases, metadata.
 
 The evaluation grid of the paper is (workload x encoder x compiler x
 device).  Instead of hardwiring each axis to a closed tuple and an
@@ -47,14 +47,12 @@ class RegistryEntry:
 class Registry:
     """A case-insensitive name -> value map with aliases and metadata.
 
-    Register with the decorator form::
+    Register with :meth:`add`::
 
         PROVIDERS = Registry("workload provider")
+        PROVIDERS.add("chem", chem_blocks, description="...")
 
-        @PROVIDERS.register("chem", description="...")
-        def chem_blocks(instance, encoder, scale): ...
-
-    or imperatively with :meth:`add`.  Lookups accept any label
+    Lookups accept any label
     (canonical name or alias, case-insensitive); unknown labels raise
     :class:`RegistryError` naming the registry kind and the available
     names.
@@ -98,28 +96,6 @@ class Registry:
         for label in entry.labels:
             self._index[self._key(label)] = entry.name
         return entry
-
-    def register(
-        self,
-        name: str,
-        *,
-        aliases: Sequence[str] = (),
-        description: str = "",
-        grammar: str = "",
-    ):
-        """Decorator form of :meth:`add` — returns the value unchanged."""
-
-        def decorate(value):
-            self.add(
-                name,
-                value,
-                aliases=aliases,
-                description=description,
-                grammar=grammar,
-            )
-            return value
-
-        return decorate
 
     def canonical(self, label: str) -> str:
         """Resolve any label (name or alias) to the canonical name."""

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from itertools import chain
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -31,13 +32,6 @@ class Layout:
         layout = cls(num_logical, num_physical)
         for q in range(num_logical):
             layout.place(q, q)
-        return layout
-
-    @classmethod
-    def from_physical_list(cls, physical: Sequence[int], num_physical: int) -> "Layout":
-        layout = cls(len(physical), num_physical)
-        for logical, phys in enumerate(physical):
-            layout.place(logical, phys)
         return layout
 
     def place(self, logical: int, physical: int) -> None:
@@ -97,9 +91,6 @@ class Layout:
         out._log_of = dict(self._log_of)
         return out
 
-    def as_physical_list(self) -> List[int]:
-        return [self._phys_of[q] for q in range(self.num_logical)]
-
     def __repr__(self) -> str:
         return f"Layout({self.num_logical} -> {self.num_physical}: {self._phys_of})"
 
@@ -118,10 +109,14 @@ def greedy_interaction_layout(
     increase weight).  Logical qubits are placed in order of interaction
     degree, each next to its most-connected already-placed partner.
 
-    Candidate scoring is an int64 matvec over the cached distance matrix
-    (exact — distances and weights are integers), with ``np.argmin``'s
-    first-minimum rule reproducing the scalar reference's ``(cost, p)``
-    tie-break because the free list is ascending.
+    The pairs are tallied once with ``np.bincount`` into an ``n x n``
+    weight matrix and a degree vector; a stable argsort orders the
+    qubits, and each qubit's placed partners are one row of the matrix
+    read in placement order.  Candidate scoring is an int64 matvec over
+    the cached distance matrix (exact — distances and weights are
+    integers), with ``np.argmin``'s first-minimum rule reproducing the
+    scalar reference's ``(cost, p)`` tie-break because the free list is
+    ascending.
 
     ``allowed`` restricts seed and placement candidates to a physical
     subset (the ``select-qubits`` pass's region); ``distance`` overrides
@@ -136,16 +131,22 @@ def greedy_interaction_layout(
             f"allowed region has {len(allowed_set)} qubits but the "
             f"workload needs {num_logical}"
         )
-    weight: Dict[tuple, int] = {}
-    degree = [0] * num_logical
-    for a, b in interactions:
-        key = (min(a, b), max(a, b))
-        weight[key] = weight.get(key, 0) + 1
-        degree[a] += 1
-        degree[b] += 1
+    ends = np.fromiter(
+        chain.from_iterable(interactions), dtype=np.int64
+    ).reshape(-1, 2)
+    a, b = ends[:, 0], ends[:, 1]
+    size = num_logical * num_logical
+    weight = (
+        np.bincount(a * num_logical + b, minlength=size)
+        + np.bincount(b * num_logical + a, minlength=size)
+    ).reshape(num_logical, num_logical)
+    degree = (
+        np.bincount(a, minlength=num_logical)
+        + np.bincount(b, minlength=num_logical)
+    )
 
     layout = Layout(num_logical, coupling.num_qubits)
-    order = sorted(range(num_logical), key=lambda q: -degree[q])
+    order = np.argsort(-degree, kind="stable").tolist()
     if not order:
         return layout
     # Seed: the highest-degree logical qubit on the best-connected physical.
@@ -158,34 +159,29 @@ def greedy_interaction_layout(
     layout.place(order[0], seed_qubit)
     if distance is None:
         distance = coupling.distance_matrix().astype(np.int64)
-    placed: List[int] = [order[0]]
-    for logical in order[1:]:
-        partner_phys: List[int] = []
-        partner_weight: List[int] = []
-        for other in placed:
-            w = weight.get((min(logical, other), max(logical, other)), 0)
-            if w > 0:
-                partner_phys.append(layout.physical(other))
-                partner_weight.append(w)
+    # Placed logical qubits and their physical qubits, in placement order.
+    placed = np.empty(num_logical, dtype=np.int64)
+    placed_phys = np.empty(num_logical, dtype=np.int64)
+    placed[0], placed_phys[0] = order[0], seed_qubit
+    for count, logical in enumerate(order[1:], start=1):
+        partner_weight = weight[logical, placed[:count]]
+        linked = partner_weight > 0
         free = layout.free_physical()
         if allowed_set is not None:
             free = [p for p in free if p in allowed_set]
         if not free:
             raise ValueError("no free physical qubits remain")
         free_arr = np.asarray(free, dtype=np.int64)
-        if partner_phys:
+        if linked.any():
             # Minimize weighted distance to placed partners.
-            costs = distance[free_arr[:, None], np.asarray(partner_phys)] @ (
-                np.asarray(partner_weight, dtype=np.int64)
+            costs = distance[free_arr[:, None], placed_phys[:count][linked]] @ (
+                partner_weight[linked]
             )
         else:
-            anchors = np.asarray(
-                [layout.physical(other) for other in placed], dtype=np.int64
-            )
-            costs = distance[free_arr[:, None], anchors].min(axis=1)
+            costs = distance[free_arr[:, None], placed_phys[:count]].min(axis=1)
         best = int(free_arr[int(np.argmin(costs))])
         layout.place(logical, best)
-        placed.append(logical)
+        placed[count], placed_phys[count] = logical, best
     return layout
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..circuit import gate as g
 from ..circuit.circuit import QuantumCircuit
-from ..circuit.tape import CODE_CX, CODE_SWAP, GATE_CODES, GateTape
+from ..circuit.tape import CODE_CX, CODE_SWAP, GATE_CODES, IS_TWO_QUBIT, GateTape
 from ..hardware.coupling import CouplingGraph
 from .layout import Layout
 
@@ -241,8 +241,13 @@ def _route(
 
 
 def verify_hardware_compliant(circuit: QuantumCircuit, coupling: CouplingGraph) -> bool:
-    """True iff every 2Q gate acts on a coupled physical pair."""
-    for gate in circuit.gates:
-        if gate.num_qubits == 2 and not coupling.are_connected(*gate.qubits):
-            return False
-    return True
+    """True iff every CX and SWAP acts on a coupled physical pair.
+
+    Reads the CX and SWAP rows of :meth:`QuantumCircuit.structure`; a
+    barrier is not a gate, so it is not checked however many wires it
+    spans.  A SWAP's three CNOTs sit on the SWAP's own pair, so checking
+    the SWAP checks them.
+    """
+    codes, qubits = circuit.structure()
+    pairs = np.unique(qubits[IS_TWO_QUBIT[codes]], axis=0)
+    return all(coupling.are_connected(a, b) for a, b in pairs.tolist())

@@ -277,10 +277,6 @@ class ReproServer:
         return self._server.sockets[0].getsockname()[1]
 
     @property
-    def draining(self) -> bool:
-        return self._draining
-
-    @property
     def closed(self) -> bool:
         """True once :meth:`shutdown` has finished."""
         return self._closed.is_set()

@@ -9,26 +9,14 @@ from .noise import (
     estimate_fidelity,
     trajectory_fidelity,
 )
-from .statevector import (
-    Statevector,
-    circuit_unitary,
-    run_statevector,
-    unitaries_equal,
-)
-from .unitaries import (
-    gate_unitary,
-    pauli_exponential_matrix,
-    pauli_matrix,
-)
+from .statevector import Statevector, circuit_unitary
+from .unitaries import gate_unitary, pauli_matrix
 
 __all__ = [
     "Statevector",
     "circuit_unitary",
-    "run_statevector",
-    "unitaries_equal",
     "gate_unitary",
     "pauli_matrix",
-    "pauli_exponential_matrix",
     "NoiseModel",
     "CalibratedNoiseModel",
     "calibrated_fidelity",

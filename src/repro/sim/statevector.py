@@ -98,14 +98,6 @@ class Statevector:
     def probability_all_zero(self) -> float:
         return float(np.abs(self.state[0]) ** 2)
 
-    def fidelity_with(self, other: "Statevector") -> float:
-        return float(np.abs(np.vdot(self.state, other.state)) ** 2)
-
-
-def run_statevector(circuit: QuantumCircuit, seed: int = 0) -> Statevector:
-    """Run ``circuit`` from |0...0> and return the final statevector."""
-    return Statevector(circuit.num_qubits, np.random.default_rng(seed)).run(circuit)
-
 
 def circuit_unitary(circuit: QuantumCircuit) -> np.ndarray:
     """Dense unitary of ``circuit`` (unitary gates only, <= ~10 qubits)."""
@@ -125,16 +117,3 @@ def circuit_unitary(circuit: QuantumCircuit) -> np.ndarray:
         out[:, col] = sim.state
     return out
 
-
-def unitaries_equal(a: np.ndarray, b: np.ndarray, tolerance: float = 1e-8) -> bool:
-    """Equality up to a global phase."""
-    if a.shape != b.shape:
-        return False
-    # Find the largest entry of a to fix the phase.
-    index = np.unravel_index(np.argmax(np.abs(a)), a.shape)
-    if abs(b[index]) <= tolerance:
-        return False
-    phase = a[index] / b[index]
-    if not np.isclose(abs(phase), 1.0, atol=tolerance):
-        return False
-    return bool(np.allclose(a, phase * b, atol=tolerance))

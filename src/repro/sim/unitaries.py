@@ -98,12 +98,3 @@ def pauli_matrix(string: PauliString) -> np.ndarray:
     out[rows, rows ^ x_mask] = phases
     return out
 
-
-def pauli_exponential_matrix(string: PauliString, theta: float) -> np.ndarray:
-    """Exact ``exp(-i theta/2 * P)`` via the Pauli involution identity."""
-    matrix = pauli_matrix(string)
-    dim = matrix.shape[0]
-    return (
-        np.cos(theta / 2) * np.eye(dim, dtype=complex)
-        - 1j * np.sin(theta / 2) * matrix
-    )

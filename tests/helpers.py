@@ -100,3 +100,22 @@ def assert_physical_equivalence(
 
         overlap = abs(np.vdot(expected, sim_phys.state))
         assert overlap > 1 - atol, f"physical/logical mismatch: overlap={overlap}"
+
+
+def run_statevector(circuit: QuantumCircuit, seed: int = 0) -> Statevector:
+    """Run ``circuit`` from |0...0> and return the final statevector."""
+    return Statevector(circuit.num_qubits, np.random.default_rng(seed)).run(circuit)
+
+
+def unitaries_equal(a: np.ndarray, b: np.ndarray, tolerance: float = 1e-8) -> bool:
+    """Equality up to a global phase."""
+    if a.shape != b.shape:
+        return False
+    # Find the largest entry of a to fix the phase.
+    index = np.unravel_index(np.argmax(np.abs(a)), a.shape)
+    if abs(b[index]) <= tolerance:
+        return False
+    phase = a[index] / b[index]
+    if not np.isclose(abs(phase), 1.0, atol=tolerance):
+        return False
+    return bool(np.allclose(a, phase * b, atol=tolerance))

@@ -30,7 +30,7 @@ def decompose_swaps(gates: List[Gate]) -> List[Gate]:
     return out
 
 
-def depth(gates: List[Gate], one_qubit_free: bool = False) -> int:
+def depth(gates: List[Gate]) -> int:
     """Critical-path depth with SWAP counted as 3 CNOT layers."""
     level: Dict[int, int] = {}
     for gate in gates:
@@ -40,11 +40,7 @@ def depth(gates: List[Gate], one_qubit_free: bool = False) -> int:
                 for q in gate.qubits:
                     level[q] = top
             continue
-        weight = 1
-        if gate.name == g.SWAP:
-            weight = 3
-        elif one_qubit_free and gate.is_one_qubit():
-            weight = 0
+        weight = 3 if gate.name == g.SWAP else 1
         top = max(level.get(q, 0) for q in gate.qubits)
         for q in gate.qubits:
             level[q] = top + weight
@@ -69,25 +65,6 @@ def circuit_duration(
         for q in gate.qubits:
             ready[q] = start + span
     return max(ready.values(), default=0)
-
-
-def schedule_asap(gates: List[Gate], durations=None):
-    """``(start, gate)`` pairs, SWAP scheduled as one gate."""
-    durations = durations or DEFAULT_DURATIONS
-    ready: Dict[int, int] = {}
-    schedule = []
-    for gate in gates:
-        if gate.name == g.BARRIER:
-            if gate.qubits:
-                top = max(ready.get(q, 0) for q in gate.qubits)
-                for q in gate.qubits:
-                    ready[q] = top
-            continue
-        start = max((ready.get(q, 0) for q in gate.qubits), default=0)
-        schedule.append((start, gate))
-        for q in gate.qubits:
-            ready[q] = start + durations.get(gate.name, 160)
-    return schedule
 
 
 def counts(gates: List[Gate]) -> Dict[str, int]:

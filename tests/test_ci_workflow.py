@@ -100,6 +100,19 @@ def test_serve_smoke_stdio_survives_a_malformed_line():
     assert """grep -q '"id": 4, "ok": true' stdio.out""" in run
 
 
+def test_chemistry_only_jobs_install_numpy_alone():
+    """serve-smoke and noise-smoke compile only ``chem:`` and ``ucc:``
+    cells, which import no networkx: installing numpy alone makes a
+    networkx import on the chemistry path fail those jobs."""
+    jobs = load_workflow()["jobs"]
+    for name in ("serve-smoke", "noise-smoke"):
+        install = next(s["run"] for s in jobs[name]["steps"]
+                       if s.get("name") == "Install dependencies")
+        packages = [line.split()[2:] for line in install.splitlines()
+                    if line.strip().startswith("pip install")]
+        assert packages == [["numpy"]], name
+
+
 def test_docs_runs_every_example():
     job = load_workflow()["jobs"]["docs"]
     step = next(s for s in job["steps"]

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.circuit import QuantumCircuit, to_qasm
+from helpers import unitaries_equal
+from repro.circuit import QuantumCircuit, measure_circuit, to_qasm
 from repro.circuit.gate import Gate
-from repro.sim import circuit_unitary, unitaries_equal
+from repro.circuit.tape import GATE_CODES
+from repro.sim import circuit_unitary
 
 
 def small_circuit():
@@ -58,8 +60,9 @@ class TestCircuitBuilding:
         counts = qc.count_ops()
         assert counts["cx"] == 1
         assert counts["swap"] == 1
-        assert qc.num_two_qubit_gates() == 4  # 1 cx + 3 from the swap
-        assert qc.num_one_qubit_gates() == 7
+        metrics = measure_circuit(qc)
+        assert metrics.cnot_gates == 4  # 1 cx + 3 from the swap
+        assert metrics.one_qubit_gates == 7
 
     def test_out_of_range_rejected(self):
         qc = QuantumCircuit(2)
@@ -150,15 +153,66 @@ class TestCircuitTransforms:
 
 class TestQasm:
     def test_exports_all_gates(self):
-        qc = small_circuit()
+        qc = QuantumCircuit(3)
+        qc.h(0)
+        qc.s(1)
+        qc.sdg(2)
+        qc.x(0)
+        qc.y(1)
+        qc.z(2)
+        qc.rx(0.5, 0)
+        qc.ry(-0.25, 1)
+        qc.rz(1.75, 2)
+        qc.u3(0.1, 0.2, 0.3, 0)
+        qc.cx(0, 1)
+        qc.swap(1, 2)
         qc.measure(0)
         qc.reset(1)
-        qc.barrier(0, 1)
-        text = to_qasm(qc)
-        assert "OPENQASM 2.0;" in text
-        assert "cx q[0],q[1];" in text
-        assert "swap q[1],q[2];" in text
-        assert "measure q[0] -> c[0];" in text
-        assert "reset q[1];" in text
-        assert "barrier q[0],q[1];" in text
-        assert "u3(0.1,0.2,0.3) q[0];" in text
+        qc.barrier(0, 1, 2)
+        # One line per gate code, in program order.
+        assert {gate.name for gate in qc} == set(GATE_CODES)
+        assert to_qasm(qc) == (
+            "OPENQASM 2.0;\n"
+            'include "qelib1.inc";\n'
+            "qreg q[3];\n"
+            "creg c[3];\n"
+            "h q[0];\n"
+            "s q[1];\n"
+            "sdg q[2];\n"
+            "x q[0];\n"
+            "y q[1];\n"
+            "z q[2];\n"
+            "rx(0.5) q[0];\n"
+            "ry(-0.25) q[1];\n"
+            "rz(1.75) q[2];\n"
+            "u3(0.1,0.2,0.3) q[0];\n"
+            "cx q[0],q[1];\n"
+            "swap q[1],q[2];\n"
+            "measure q[0] -> c[0];\n"
+            "reset q[1];\n"
+            "barrier q[0],q[1],q[2];\n"
+        )
+
+    def test_angles_keep_twelve_significant_digits(self):
+        qc = QuantumCircuit(1)
+        qc.rz(np.pi, 0)
+        qc.rx(1e-13, 0)
+        qc.u3(-0.5, 2.0, 1 / 3, 0)
+        assert to_qasm(qc).splitlines()[4:] == [
+            "rz(3.14159265359) q[0];",
+            "rx(1e-13) q[0];",
+            "u3(-0.5,2,0.333333333333) q[0];",
+        ]
+
+    def test_compiled_circuit_exports_one_line_per_gate(self):
+        from repro.chem import molecule_blocks
+        from repro.hardware import ibm_ithaca_65
+        from repro.pipeline import run_pipeline
+
+        blocks = molecule_blocks("LiH")[:5]
+        circuit = run_pipeline("tetris+o0", blocks, ibm_ithaca_65()).result.circuit
+        body = to_qasm(circuit).splitlines()[4:]
+        assert len(body) == len(circuit) > 0
+        assert [line.split("(")[0].split(" ")[0] for line in body] == [
+            gate.name for gate in circuit.gates
+        ]

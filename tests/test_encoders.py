@@ -102,14 +102,14 @@ class TestJordanWignerStructure:
         )
         strings = [str(s) for s, _ in generator.terms()]
         assert sorted(strings) == ["XZZY", "YZZX"]
-        assert generator.is_anti_hermitian()
+        assert all(abs(c.real) <= 1e-9 for _, c in generator.terms())
 
     def test_double_excitation_gives_eight_strings(self):
         generator = FermionOperator.double_excitation((0, 1), (2, 3), 1.0).encode(
             JordanWignerEncoder(), 4
         )
         assert len(generator) == 8
-        assert generator.is_anti_hermitian()
+        assert all(abs(c.real) <= 1e-9 for _, c in generator.terms())
 
 
 class TestBravyiKitaevStructure:
@@ -125,17 +125,23 @@ class TestBravyiKitaevStructure:
         assert list(beta4[3]) == [1, 1, 1, 1]
         assert list(beta4[1]) == [1, 1, 0, 0]
 
+    @staticmethod
+    def real_part_ops(orbital, num_qubits):
+        """Operators of ``X_U(j) X_j Z_P(j)``, the real term of ``a_j``:
+        X on the update set and the orbital, Z on the parity set."""
+        ladder = BravyiKitaevEncoder.ladder(orbital, False, num_qubits)
+        string = next(s for s, c in ladder.terms() if c.imag == 0)
+        return string.ops
+
     def test_parity_sets(self):
-        encoder = BravyiKitaevEncoder()
         # For 4 orbitals: parity of orbitals < 2 is stored entirely in qubit 1.
-        assert encoder.parity_set(2, 4) == frozenset({1})
-        assert encoder.parity_set(0, 4) == frozenset()
+        assert self.real_part_ops(2, 4) == "IZXX"
+        assert "Z" not in self.real_part_ops(0, 4)
 
     def test_update_sets(self):
-        encoder = BravyiKitaevEncoder()
         # Qubit 3 aggregates everything in a 4-qubit tree.
-        assert 3 in encoder.update_set(0, 4)
-        assert 3 in encoder.update_set(2, 4)
+        assert self.real_part_ops(0, 4)[3] == "X"
+        assert self.real_part_ops(2, 4)[3] == "X"
 
     def test_strings_shorter_than_jw_on_average(self):
         n = 8

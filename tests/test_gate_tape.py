@@ -21,7 +21,6 @@ from repro.circuit.parameter import Parameter
 from repro.circuit.tape import (
     GATE_CODES,
     GateTape,
-    IS_NON_UNITARY,
     IS_ONE_QUBIT,
     IS_TWO_QUBIT,
     PARAM_COUNT,
@@ -66,7 +65,7 @@ class TestRoundTrip:
     def test_encode_decode_is_identity(self, seed):
         rng = np.random.default_rng(seed)
         qc = random_circuit(rng, int(rng.integers(2, 6)), int(rng.integers(0, 60)))
-        tape = GateTape.from_circuit(qc)
+        tape = qc.tape()
         assert len(tape) == len(qc.gates)
         assert tape.decode() == qc.gates
 
@@ -76,7 +75,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(seed)
         qc = random_circuit(rng, 4, int(rng.integers(1, 40)))
         qc.name = "rt"
-        out = QuantumCircuit.from_tape(GateTape.from_circuit(qc))
+        out = QuantumCircuit.from_tape(qc.tape())
         assert out.num_qubits == qc.num_qubits
         assert out.name == qc.name
         assert out.gates == qc.gates
@@ -99,7 +98,7 @@ class TestRoundTrip:
         qc.h(2)
         qc.cx(0, 1)
         qc.u3(0.1, 0.2, 0.3, 0)
-        tape = GateTape.from_circuit(qc)
+        tape = qc.tape()
         assert tape.codes.dtype == np.uint8
         assert tape.qubits.shape == (3, 2) and tape.qubits.dtype == np.int32
         assert tape.params.shape == (3, 3) and tape.params.dtype == np.float64
@@ -111,7 +110,7 @@ class TestRoundTrip:
         qc.h(0)
         qc.cx(0, 1)
         qc.h(1)
-        tape = GateTape.from_circuit(qc)
+        tape = qc.tape()
         sub = tape.select(tape.codes == GATE_CODES[g.H])
         assert sub.decode() == [qc.gates[0], qc.gates[2]]
         assert tape.select(np.array([2, 0])).decode() == [
@@ -155,7 +154,6 @@ class TestClassificationTables:
         for name, code in GATE_CODES.items():
             assert IS_ONE_QUBIT[code] == (name in g.ONE_QUBIT_GATES)
             assert IS_TWO_QUBIT[code] == (name in g.TWO_QUBIT_GATES)
-            assert IS_NON_UNITARY[code] == (name in g.NON_UNITARY)
 
     def test_param_counts(self):
         assert PARAM_COUNT[GATE_CODES[g.U3]] == 3
@@ -218,7 +216,7 @@ class TestTapeOwnership:
     def test_tape_backed_gates_equal_decode(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            tape = GateTape.from_circuit(random_circuit(rng, 4, 50))
+            tape = random_circuit(rng, 4, 50).tape()
             qc = QuantumCircuit.from_tape(tape)
             assert qc.tape_backed and qc.tape() is tape
             assert len(qc) == len(tape)
@@ -232,7 +230,7 @@ class TestTapeOwnership:
             qc.rz(0.5, 1)
         qc.rz(-0.0, 1)
         qc.rz(0.0, 1)
-        gates = GateTape.from_circuit(qc).decode()
+        gates = qc.tape().decode()
         assert gates == qc.gates
         assert gates[0] is gates[2] is gates[4]
         assert gates[1] is gates[3] is gates[5]
@@ -244,7 +242,7 @@ class TestTapeOwnership:
         qc = QuantumCircuit(2)
         qc.h(0)
         qc.cx(0, 1)
-        backed = QuantumCircuit.from_tape(GateTape.from_circuit(qc))
+        backed = QuantumCircuit.from_tape(qc.tape())
         gates = backed.gates
         assert not backed.tape_backed
         # The list is the circuit now: edits in place (same length) and

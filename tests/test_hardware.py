@@ -1,6 +1,6 @@
 """Tests for coupling graphs, topologies, and the device catalog."""
 
-import networkx as nx
+import numpy as np
 import pytest
 
 from repro.hardware import (
@@ -14,6 +14,7 @@ from repro.hardware import (
     ring,
     sycamore,
 )
+from repro.hardware.families import resolve_device
 
 
 class TestCouplingGraph:
@@ -61,24 +62,40 @@ class TestCouplingGraph:
         assert not graph.subgraph_is_connected([0, 2])
         assert graph.subgraph_is_connected([])
 
-    def test_networkx_roundtrip(self):
-        graph = grid(2, 3)
-        nx_graph = graph.to_networkx()
-        back = CouplingGraph.from_networkx(nx_graph)
-        assert back.edges == graph.edges
-
 
 class TestTopologies:
+    @pytest.mark.parametrize("spec", [
+        "linear:7", "ring:7", "grid:3x4", "full:5", "sycamore:4x4",
+        "heavy-hex:5", "heavy-hex:ibm-65",
+    ])
+    def test_distances_match_networkx(self, spec):
+        # The coupling graph computes its own hop distances; networkx,
+        # which only the QAOA workloads import, is an independent oracle.
+        import networkx as nx
+
+        graph = resolve_device(spec, 5)
+        n = graph.num_qubits
+        nx_graph = nx.Graph(sorted(graph.edges))
+        nx_graph.add_nodes_from(range(n))
+        lengths = dict(nx.all_pairs_shortest_path_length(nx_graph))
+        expected = np.array([[lengths[a][b] for b in range(n)] for a in range(n)])
+        assert np.array_equal(graph.distance_matrix(), expected)
+        for a in range(0, n, 3):
+            for b in range(n):
+                path = graph.shortest_path(a, b)
+                assert len(path) - 1 == expected[a, b]
+                assert all(map(graph.are_connected, path, path[1:]))
+
     def test_ithaca_65(self):
         graph = ibm_ithaca_65()
         assert graph.num_qubits == 65
         assert len(graph.edges) == 72
-        assert graph.is_connected_graph()
+        assert (graph.distance_matrix() >= 0).all()
         assert max(graph.degree(q) for q in range(65)) <= 3  # heavy-hex property
 
     def test_parametric_heavy_hex(self):
         graph = heavy_hex(3, 9)
-        assert graph.is_connected_graph()
+        assert (graph.distance_matrix() >= 0).all()
         assert max(graph.degree(q) for q in range(graph.num_qubits)) <= 3
 
     def test_heavy_hex_validation(self):
@@ -88,7 +105,7 @@ class TestTopologies:
     def test_sycamore_64(self):
         graph = google_sycamore_64()
         assert graph.num_qubits == 64
-        assert graph.is_connected_graph()
+        assert (graph.distance_matrix() >= 0).all()
         assert max(graph.degree(q) for q in range(64)) <= 4
         # denser than heavy-hex
         assert len(graph.edges) > len(ibm_ithaca_65().edges)

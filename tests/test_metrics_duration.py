@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.circuit import (
-    QuantumCircuit,
-    circuit_duration,
-    depth,
-    measure_circuit,
-    schedule_asap,
-    two_qubit_depth,
-)
+from repro.circuit import QuantumCircuit, circuit_duration, depth, measure_circuit
 from repro.circuit.gate import DEFAULT_DURATIONS
 from repro.circuit.metrics import CircuitMetrics
 
@@ -47,14 +40,6 @@ class TestDepth:
         qc.h(1)
         assert depth(qc) == 2
 
-    def test_two_qubit_depth_ignores_1q(self):
-        qc = QuantumCircuit(2)
-        qc.h(0)
-        qc.cx(0, 1)
-        qc.h(1)
-        qc.cx(0, 1)
-        assert two_qubit_depth(qc) == 2
-
     def test_empty_circuit(self):
         assert depth(QuantumCircuit(3)) == 0
 
@@ -84,14 +69,6 @@ class TestDuration:
         qc = QuantumCircuit(2)
         qc.swap(0, 1)
         assert circuit_duration(qc) == 3 * DEFAULT_DURATIONS["cx"]
-
-    def test_schedule_asap_start_times(self):
-        qc = QuantumCircuit(2)
-        qc.x(0)
-        qc.cx(0, 1)
-        schedule = schedule_asap(qc)
-        starts = [start for start, _ in schedule]
-        assert starts == [0, DEFAULT_DURATIONS["x"]]
 
     def test_custom_duration_table(self):
         qc = QuantumCircuit(2)

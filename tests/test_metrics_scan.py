@@ -14,18 +14,10 @@ import numpy as np
 import pytest
 
 import metrics_reference as ref
-from repro.circuit import (
-    QuantumCircuit,
-    circuit_duration,
-    depth,
-    measure_circuit,
-    schedule_asap,
-    two_qubit_depth,
-)
+from repro.circuit import QuantumCircuit, circuit_duration, depth, measure_circuit
 from repro.circuit import gate as g
 from repro.circuit.gate import Gate
-from repro.circuit.tape import GateTape
-from repro.pipeline import pipeline_names
+from repro.pipeline import PIPELINES
 from repro.service import CompileJob
 from repro.service.jobs import compile_job
 
@@ -68,9 +60,8 @@ def random_circuit(rng, num_qubits, num_gates, wide_barriers=False):
 
 def assert_scan_matches(circuit, gates):
     """Every scan-based metric of ``circuit`` equals the reference loop
-    on ``gates``; reads ``circuit.gates`` last (schedule_asap)."""
+    on ``gates``."""
     assert depth(circuit) == ref.depth(gates)
-    assert two_qubit_depth(circuit) == ref.depth(gates, one_qubit_free=True)
     assert circuit_duration(circuit) == ref.circuit_duration(gates)
     assert circuit_duration(circuit, CUSTOM_DURATIONS) == ref.circuit_duration(
         gates, CUSTOM_DURATIONS
@@ -80,10 +71,6 @@ def assert_scan_matches(circuit, gates):
     assert metrics.duration == 0
     for name, value in ref.counts(gates).items():
         assert getattr(metrics, name) == value, name
-    assert schedule_asap(circuit) == ref.schedule_asap(gates)
-    assert schedule_asap(circuit, CUSTOM_DURATIONS) == ref.schedule_asap(
-        gates, CUSTOM_DURATIONS
-    )
 
 
 class TestRandomCircuits:
@@ -93,7 +80,7 @@ class TestRandomCircuits:
         qc = random_circuit(rng, int(rng.integers(2, 7)),
                             int(rng.integers(0, 80)))
         gates = list(qc.gates)
-        taped = QuantumCircuit.from_tape(GateTape.from_circuit(qc))
+        taped = QuantumCircuit.from_tape(qc.tape())
         assert_scan_matches(qc, gates)
         assert_scan_matches(taped, gates)
 
@@ -107,7 +94,7 @@ class TestRandomCircuits:
     def test_empty_circuits(self):
         for circuit in (QuantumCircuit(0), QuantumCircuit(4)):
             assert_scan_matches(circuit, [])
-            taped = QuantumCircuit.from_tape(GateTape.from_circuit(circuit))
+            taped = QuantumCircuit.from_tape(circuit.tape())
             assert_scan_matches(taped, [])
 
     def test_zero_wire_barrier(self):
@@ -119,9 +106,7 @@ class TestRandomCircuits:
 
     def test_scan_does_not_decode(self):
         rng = np.random.default_rng(3)
-        taped = QuantumCircuit.from_tape(
-            GateTape.from_circuit(random_circuit(rng, 4, 50))
-        )
+        taped = QuantumCircuit.from_tape(random_circuit(rng, 4, 50).tape())
         depth(taped)
         circuit_duration(taped)
         measure_circuit(taped)
@@ -129,7 +114,7 @@ class TestRandomCircuits:
 
 
 def pipeline_cells():
-    chem = [name for name in pipeline_names() if "qaoa" not in name
+    chem = [name for name in PIPELINES.names() if "qaoa" not in name
             and name != "2qan-like"]
     cells = [(bench, compiler) for bench in ("chem:LiH", "ucc:UCC-10",
                                              "qaoa:Rand-12")

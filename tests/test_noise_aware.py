@@ -102,7 +102,9 @@ class TestCalibrationDeterminism:
         assert np.allclose(dist, dist.T)
         path = cal.noise_path(0, 15)
         assert path[0] == 0 and path[-1] == 15
-        total = sum(cal.edge_weight(a, b) for a, b in zip(path, path[1:]))
+        total = sum(
+            -np.log1p(-cal.two_qubit_error(a, b)) for a, b in zip(path, path[1:])
+        )
         assert total == pytest.approx(dist[0, 15])
 
 

@@ -74,15 +74,14 @@ class TestSpans:
 
     def test_sessions_nest_and_restore(self):
         with obs.trace() as outer_tracer:
-            assert obs.get_tracer() is outer_tracer
             with obs.trace() as inner_tracer:
-                assert obs.get_tracer() is inner_tracer
                 with obs.span("inner-only", "t"):
                     pass
-            assert obs.get_tracer() is outer_tracer
+            with obs.span("outer-after", "t"):
+                pass
         assert not obs.tracing_enabled()
-        assert len(inner_tracer.spans) == 1
-        assert len(outer_tracer.spans) == 0
+        assert [s.name for s in inner_tracer.spans] == ["inner-only"]
+        assert [s.name for s in outer_tracer.spans] == ["outer-after"]
 
     def test_trace_writes_exports_even_on_error(self, tmp_path):
         out = tmp_path / "t.json"

@@ -5,13 +5,8 @@ import pytest
 from repro.pauli import (
     PauliBlock,
     PauliString,
+    PauliTable,
     block_similarity,
-    common_leaf_qubits,
-    flatten,
-    hamming_distance,
-    leaf_profile,
-    string_similarity,
-    support_overlap,
     total_strings,
 )
 
@@ -79,31 +74,25 @@ class TestTransforms:
         assert swapped[0] == PauliString("YY")
         assert swapped.weights == (-0.5, 0.25)
 
-    def test_merged_with(self):
-        merged = fig5_block().merged_with(fig5_block())
-        assert len(merged) == 6
-
-    def test_merge_width_mismatch(self):
-        with pytest.raises(ValueError):
-            fig5_block().merged_with(PauliBlock([PauliString("X")]))
-
     def test_flatten_and_total(self):
         blocks = [fig5_block(), fig5_block()]
-        assert total_strings(blocks) == 6
-        assert len(flatten(blocks)) == 6
+        flat = [string for block in blocks for string in block.strings]
+        assert total_strings(blocks) == len(flat) == 6
 
 
 class TestSimilarity:
     def test_string_similarity(self):
-        assert string_similarity(PauliString("XZZ"), PauliString("YZZ")) == 2
+        # Matching non-identity operators: qubits 1 and 2.
+        assert PauliString("XZZ").common_qubits(PauliString("YZZ")) == (1, 2)
 
     def test_hamming(self):
-        assert hamming_distance(PauliString("XYZ"), PauliString("XZZ")) == 1
+        table = PauliTable.from_labels(["XYZ", "XZZ"])
+        assert table.hamming_matrix()[0, 1] == 1
         with pytest.raises(ValueError):
-            hamming_distance(PauliString("X"), PauliString("XX"))
+            PauliTable.from_labels(["X", "XX"])
 
     def test_leaf_profile(self):
-        assert leaf_profile(fig5_block()) == {2: "Z", 3: "Z", 4: "Z"}
+        assert fig5_block().common_substring().ops == "IIZZZ"
 
     def test_eq1_identical_leaf_trees(self):
         a, b = fig5_block(), fig5_block()
@@ -112,16 +101,11 @@ class TestSimilarity:
     def test_eq1_partial_overlap(self):
         a = fig5_block()  # leaf {2,3,4} all Z
         b = PauliBlock([PauliString("IXZZX"), PauliString("IYZZX")])  # leaf {2,3,4}: Z,Z,X
-        common = common_leaf_qubits(a, b)
-        assert common == frozenset({2, 3})
+        common = a.common_substring().common_qubits(b.common_substring())
+        assert common == (2, 3)
         # |C|=2, |LT1|=3, |LT2|=3 -> 2/4
         assert block_similarity(a, b) == pytest.approx(0.5)
 
     def test_eq1_empty_leaves(self):
         a = PauliBlock([PauliString("XI"), PauliString("IX")])
         assert block_similarity(a, a) == 0.0
-
-    def test_support_overlap(self):
-        a = fig5_block()
-        b = PauliBlock([PauliString("IIZZZ")])
-        assert support_overlap(a, b) == pytest.approx(3 / 5)

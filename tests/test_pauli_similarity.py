@@ -9,15 +9,11 @@ from hypothesis import strategies as st
 from repro.pauli import (
     PauliBlock,
     PauliString,
+    PauliTable,
     block_similarity,
     block_similarity_matrix,
-    common_leaf_qubits,
-    hamming_distance,
-    leaf_profile,
-    string_similarity,
-    support_overlap,
 )
-from repro.pauli.reference import char_hamming, char_similarity
+from repro.pauli.reference import char_similarity
 from repro.pauli.similarity import leaf_table
 
 PAULIS = "IXYZ"
@@ -42,21 +38,20 @@ random_blocks = st.integers(2, 24).flatmap(
 
 class TestStringHelpers:
     def test_string_similarity_counts_matches(self):
-        assert string_similarity(PauliString("XZZ"), PauliString("YZZ")) == 2
+        assert len(PauliString("XZZ").common_qubits(PauliString("YZZ"))) == 2
 
     def test_string_similarity_ignores_identity_matches(self):
-        assert string_similarity(PauliString("II"), PauliString("II")) == 0
+        assert PauliString("II").common_qubits(PauliString("II")) == ()
 
     def test_hamming_distance(self):
-        assert hamming_distance(PauliString("XYZ"), PauliString("XZZ")) == 1
-        assert hamming_distance(PauliString("XX"), PauliString("XX")) == 0
+        hamming = PauliTable.from_labels(["XYZ", "XZZ"]).hamming_matrix()
+        assert hamming[0, 1] == 1
+        assert PauliTable.from_labels(["XX", "XX"]).hamming_matrix()[0, 1] == 0
 
     def test_width_mismatch_consistent_across_helpers(self):
         a, b = PauliString("X"), PauliString("XX")
         with pytest.raises(ValueError, match="width mismatch"):
-            string_similarity(a, b)
-        with pytest.raises(ValueError, match="width mismatch"):
-            hamming_distance(a, b)
+            a.common_qubits(b)
         with pytest.raises(ValueError, match="width mismatch"):
             a.product(b)
         with pytest.raises(ValueError, match="width mismatch"):
@@ -73,8 +68,8 @@ class TestStringHelpers:
     @settings(max_examples=60)
     def test_randomized_old_vs_new(self, pair):
         a, b = pair
-        assert string_similarity(PauliString(a), PauliString(b)) == char_similarity(a, b)
-        assert hamming_distance(PauliString(a), PauliString(b)) == char_hamming(a, b)
+        common = PauliString(a).common_qubits(PauliString(b))
+        assert len(common) == char_similarity(a, b)
 
 
 class TestEq1EdgeCases:
@@ -98,7 +93,6 @@ class TestEq1EdgeCases:
         a = block_of("ZZII")
         b = block_of("IIZZ")
         assert block_similarity(a, b) == 0.0
-        assert support_overlap(a, b) == 0.0
 
     def test_same_leaf_qubits_different_ops(self):
         a = block_of("ZZ")
@@ -109,16 +103,17 @@ class TestEq1EdgeCases:
     def test_partial_overlap_value(self):
         a = block_of("XYZZZ", "XXZZZ", "YXZZZ")   # leaf {2,3,4} = ZZZ
         b = block_of("IXZZX", "IYZZX")            # leaf {2,3,4} = ZZX
-        assert common_leaf_qubits(a, b) == frozenset({2, 3})
+        common = a.common_substring().common_qubits(b.common_substring())
+        assert common == (2, 3)
         assert block_similarity(a, b) == pytest.approx(2 / 4)
 
     def test_leaf_profile_of_single_string_block(self):
         block = block_of("ZIZ")
-        assert leaf_profile(block) == {0: "Z", 2: "Z"}
+        assert block.common_substring().ops == "ZIZ"
 
     def test_identity_strings_have_empty_profile(self):
         block = block_of("III")
-        assert leaf_profile(block) == {}
+        assert block.common_substring().is_identity()
         assert block_similarity(block, block) == 0.0
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pauli import PauliString, PauliTable
+from repro.pauli.bits import pack_bits
 from repro.pauli.reference import (
     char_commutation_matrix,
     char_commutes,
@@ -67,7 +68,7 @@ class TestTableConstruction:
     def test_from_bits_roundtrip(self):
         x = np.array([[1, 0, 1], [0, 0, 1]])
         z = np.array([[0, 0, 1], [1, 0, 0]])
-        table = PauliTable.from_bits(x, z)
+        table = PauliTable(pack_bits(x), pack_bits(z), 3)
         assert [s.ops for s in table.to_strings()] == ["XIY", "ZIX"]
 
     def test_row_is_view_not_copy(self):
@@ -247,7 +248,10 @@ class TestPauliStringView:
         assert p.ops == label
         assert p.num_qubits == len(label)
         x, z = p.xz_bits()
-        assert PauliString.from_xz(x, z) == p
+        rebuilt = PauliString.from_xz_sets(
+            len(label), np.flatnonzero(x).tolist(), np.flatnonzero(z).tolist()
+        )
+        assert rebuilt == p
 
     @given(
         st.integers(1, 130).flatmap(

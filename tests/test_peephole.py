@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import unitaries_equal
 from repro.circuit import QuantumCircuit
 from repro.circuit import gate as g
 from repro.circuit.gate import Gate
 from repro.passes import cancel_gates, consolidate_one_qubit_runs
 from repro.pauli import PauliString
-from repro.sim import circuit_unitary, unitaries_equal
+from repro.sim import circuit_unitary
 from repro.synthesis import emit_exponential, fan_in
 
 

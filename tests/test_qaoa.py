@@ -9,7 +9,6 @@ from repro.qaoa import (
     benchmark_graph,
     edge_list,
     maxcut_blocks,
-    mixer_angles,
     qaoa_gate_counts,
     random_graph,
     regular_graph,
@@ -69,6 +68,3 @@ class TestAnsatz:
         cnots, oneq = qaoa_gate_counts(graph)
         assert cnots == 50
         assert oneq == 57  # 25 RZ + 16 H + 16 RX
-
-    def test_mixer_angles(self):
-        assert mixer_angles(4, 0.5) == [0.5] * 4

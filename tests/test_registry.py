@@ -29,11 +29,11 @@ class TestRegistry:
     def test_register_get_and_aliases(self):
         reg = Registry("widget")
 
-        @reg.register("alpha", aliases=("a",), description="first",
-                      grammar="alpha:<n>")
         def alpha():
             return 1
 
+        reg.add("alpha", alpha, aliases=("a",), description="first",
+                grammar="alpha:<n>")
         assert reg.get("alpha") is alpha
         assert reg.get("a") is alpha
         assert reg.get("ALPHA") is alpha  # case-insensitive

@@ -6,6 +6,7 @@ import pytest
 from repro.circuit import Parameter, QuantumCircuit
 from repro.circuit.gate import Gate
 from repro.hardware import CouplingGraph, grid, linear, ring, synthetic_calibration
+from repro.hardware.families import resolve_device
 from repro.routing import (
     Layout,
     bridge_chain_gates,
@@ -66,8 +67,10 @@ class TestLayout:
         assert layout.physical(0) == 0
 
     def test_as_physical_list(self):
-        layout = Layout.from_physical_list([4, 1], 5)
-        assert layout.as_physical_list() == [4, 1]
+        layout = Layout(2, 5)
+        layout.place(0, 4)
+        layout.place(1, 1)
+        assert layout.physical_map() == {0: 4, 1: 1}
 
 
 class TestGreedyLayout:
@@ -138,11 +141,73 @@ class TestRouter:
         qc.cx(0, 2)
         assert not verify_hardware_compliant(qc, linear(3))
 
+    def test_verify_detects_off_edge_swap(self):
+        qc = QuantumCircuit(3)
+        qc.swap(0, 2)
+        assert not verify_hardware_compliant(qc, linear(3))
+        taped = QuantumCircuit.from_tape(qc.tape())
+        assert not verify_hardware_compliant(taped, linear(3))
+        assert taped.tape_backed
+
+    def test_verify_skips_barriers(self):
+        # A barrier is not a gate: neither a 2-wire barrier across an
+        # uncoupled pair nor a wider one makes the circuit non-compliant.
+        qc = QuantumCircuit(4)
+        qc.barrier(0, 3)
+        qc.cx(0, 1)
+        qc.barrier(0, 2, 3)
+        qc.swap(2, 3)
+        assert verify_hardware_compliant(qc, linear(4))
+        assert verify_hardware_compliant(QuantumCircuit.from_tape(qc.tape()),
+                                         linear(4))
+        qc.cx(1, 3)
+        assert not verify_hardware_compliant(qc, linear(4))
+
+    @pytest.mark.parametrize(
+        "device", ["linear:6", "ring:6", "grid:3x3", "heavy-hex:5"]
+    )
+    def test_verify_matches_gate_scan(self, device):
+        # Random mixes of H, CX, SWAP and barriers of every width: the
+        # circuit is compliant iff every CX and SWAP sits on a coupler,
+        # for the gate list and the undecoded tape alike.
+        coupling = resolve_device(device, 6)
+        n = coupling.num_qubits
+        edges = sorted(coupling.edges)
+        rng = np.random.default_rng(sum(map(ord, device)))
+        outcomes = set()
+        for _ in range(40):
+            qc = QuantumCircuit(n)
+            for _ in range(int(rng.integers(1, 10))):
+                kind = int(rng.integers(4))
+                if kind == 0:
+                    qc.h(int(rng.integers(n)))
+                elif kind == 1:
+                    wires = rng.choice(n, int(rng.integers(2, n + 1)),
+                                       replace=False)
+                    qc.barrier(*(int(q) for q in wires))
+                else:
+                    if rng.random() < 0.9:
+                        a, b = edges[int(rng.integers(len(edges)))]
+                    else:
+                        a, b = (int(q) for q in rng.choice(n, 2, replace=False))
+                    (qc.cx if kind == 2 else qc.swap)(a, b)
+            expected = all(
+                coupling.are_connected(*gate.qubits)
+                for gate in qc.gates
+                if gate.name in ("cx", "swap")
+            )
+            outcomes.add(expected)
+            assert verify_hardware_compliant(qc, coupling) == expected
+            taped = QuantumCircuit.from_tape(qc.tape())
+            assert verify_hardware_compliant(taped, coupling) == expected
+            assert taped.tape_backed
+        assert outcomes == {True, False}
+
     def test_disconnected_device_raises(self):
         # Two components, {0, 1} and {2, 3}: no SWAP chain can bring a CX
         # across them together, so both routers refuse instead of
         # emitting a CX on an uncoupled pair.
-        coupling = CouplingGraph.from_edges(4, [(0, 1), (2, 3)], name="split")
+        coupling = CouplingGraph(4, [(0, 1), (2, 3)], name="split")
         qc = QuantumCircuit(4)
         qc.cx(0, 1)
         qc.cx(1, 2)
@@ -176,8 +241,8 @@ class TestRouter:
         assert routed.circuit.tape_backed
         assert routed.circuit.gates == reference.circuit.gates
         assert routed.num_swaps == reference.num_swaps > 0
-        assert routed.final_layout.as_physical_list() == (
-            reference.final_layout.as_physical_list()
+        assert routed.final_layout.physical_map() == (
+            reference.final_layout.physical_map()
         )
 
 

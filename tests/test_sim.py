@@ -5,19 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import run_statevector, unitaries_equal
 from repro.circuit import QuantumCircuit
 from repro.circuit.gate import Gate
 from repro.pauli import PauliString
-from repro.sim import (
-    Statevector,
-    circuit_unitary,
-    gate_unitary,
-    pauli_exponential_matrix,
-    pauli_matrix,
-    run_statevector,
-    unitaries_equal,
-)
-from scipy.linalg import expm
+from repro.sim import Statevector, circuit_unitary, gate_unitary, pauli_matrix
 
 
 class TestGateUnitaries:
@@ -43,13 +35,6 @@ class TestGateUnitaries:
     def test_unknown_gate(self):
         with pytest.raises(ValueError):
             gate_unitary(Gate("mystery", (0,)))
-
-    def test_pauli_exponential_matches_expm(self):
-        p = PauliString("XZY")
-        theta = 0.77
-        assert np.allclose(
-            pauli_exponential_matrix(p, theta), expm(-1j * theta / 2 * pauli_matrix(p))
-        )
 
 
 class TestStatevector:

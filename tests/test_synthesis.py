@@ -10,7 +10,7 @@ from repro.circuit import QuantumCircuit
 from repro.circuit import gate as g
 from repro.circuit.gate import Gate
 from repro.pauli import PauliString
-from repro.sim import circuit_unitary, pauli_matrix, unitaries_equal
+from repro.sim import circuit_unitary, pauli_matrix
 from repro.synthesis import (
     emit_exponential,
     fan_in,
@@ -19,7 +19,7 @@ from repro.synthesis import (
     synthesize_chain,
 )
 
-from helpers import random_pauli_string, reference_circuit
+from helpers import random_pauli_string, reference_circuit, unitaries_equal
 
 
 def exact(string: PauliString, theta: float) -> np.ndarray:

@@ -17,7 +17,6 @@ class TestRootLeafAnnotation:
         assert ir.root_qubits == (0, 1)
         assert ir.leaf_qubits == (2, 3, 4)
         assert ir.uniform_support
-        assert ir.leaf_ops() == {2: "Z", 3: "Z", 4: "Z"}
         assert ir.qubit_order() == (0, 1, 2, 3, 4)
 
     def test_single_string_block_is_all_root(self):

@@ -99,7 +99,7 @@ class TestCostEstimates:
         irs = lower_blocks(blocks)
         coupling = ibm_ithaca_65()
         layout = greedy_interaction_layout(12, coupling, interaction_pairs(blocks))
-        snapshot = layout.as_physical_list()
+        snapshot = dict(layout.physical_map())
         cost = try_block(irs[0], layout, coupling)
         assert cost >= 0
-        assert layout.as_physical_list() == snapshot
+        assert layout.physical_map() == snapshot

@@ -62,7 +62,6 @@ class TestMoleculeCatalog:
         mol = molecule("LiH")
         assert mol == Molecule("LiH", 6, 2)
         assert mol.num_qubits == 12
-        assert mol.num_virtual == 4
         with pytest.raises(KeyError):
             molecule("H2O")
 

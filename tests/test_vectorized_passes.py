@@ -43,10 +43,10 @@ from repro.routing.reference import (
     route_circuit_reference,
 )
 from repro.routing.router import route_circuit
-from repro.sim import circuit_unitary, unitaries_equal
+from repro.sim import circuit_unitary
 from repro.workloads import workload_blocks
 
-from helpers import random_pauli_string
+from helpers import random_pauli_string, unitaries_equal
 
 
 def sig(circuit):
@@ -164,6 +164,104 @@ class TestLayoutRouteDifferential:
         ref = greedy_interaction_layout_reference(num_logical, coupling, pairs)
         new = greedy_interaction_layout(num_logical, coupling, pairs)
         assert ref.physical_map() == new.physical_map()
+
+    @pytest.mark.parametrize("bench,device", [
+        ("ucc:UCC-12", "grid:4x4"),
+        ("ucc:UCC-20", "grid:5x5"),
+        ("ucc:UCC-20", "heavy-hex:ibm-65"),
+        ("qaoa:Rand-16", "grid:4x4"),
+    ])
+    def test_workload_layout_matches_reference(self, bench, device):
+        # Real tallies: UCC strings repeat the same pairs many times, and
+        # QAOA graphs give many qubits the same degree, so the stable
+        # argsort must break degree ties exactly as ``sorted`` does.
+        blocks = workload_blocks(bench, "JW", "small")
+        num_logical = blocks[0].num_qubits
+        coupling = resolve_device(device, num_logical)
+        pairs = interaction_pairs(blocks)
+        ref = greedy_interaction_layout_reference(num_logical, coupling, pairs)
+        new = greedy_interaction_layout(num_logical, coupling, pairs)
+        assert ref.physical_map() == new.physical_map()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_sparse_layout_matches_reference_on_heavy_hex(self, seed):
+        # Few pairs over many logical qubits: some qubits never interact
+        # (degree 0) and are placed by the nearest-anchor rule, and an
+        # explicit seed qubit overrides the best-connected default.
+        rng = np.random.default_rng(seed)
+        coupling = resolve_device("heavy-hex:ibm-65", 20)
+        num_logical = int(rng.integers(2, 28))
+        pairs = [
+            tuple(int(q) for q in rng.choice(num_logical, 2, replace=False))
+            for _ in range(int(rng.integers(0, 2 * num_logical)))
+        ]
+        seed_qubit = (
+            None if rng.integers(2) else int(rng.integers(coupling.num_qubits))
+        )
+        ref = greedy_interaction_layout_reference(
+            num_logical, coupling, pairs, seed_qubit=seed_qubit
+        )
+        new = greedy_interaction_layout(
+            num_logical, coupling, pairs, seed_qubit=seed_qubit
+        )
+        assert ref.physical_map() == new.physical_map()
+
+    def test_layout_without_pairs_matches_reference(self):
+        coupling = grid(3, 3)
+        ref = greedy_interaction_layout_reference(5, coupling, [])
+        new = greedy_interaction_layout(5, coupling, [])
+        assert ref.physical_map() == new.physical_map()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_whole_region_and_hop_distance_change_nothing(self, seed):
+        # ``allowed`` and ``distance`` default to the hop-count behavior:
+        # the whole device as the region, or the hop matrix as floats,
+        # must place every qubit where the default call does.
+        rng = np.random.default_rng(seed)
+        coupling = grid(4, 4)
+        num_logical = int(rng.integers(2, 12))
+        pairs = [
+            tuple(int(q) for q in rng.choice(num_logical, 2, replace=False))
+            for _ in range(int(rng.integers(1, 30)))
+        ]
+        default = greedy_interaction_layout(num_logical, coupling, pairs)
+        region = greedy_interaction_layout(
+            num_logical, coupling, pairs, allowed=range(coupling.num_qubits)
+        )
+        hops = greedy_interaction_layout(
+            num_logical, coupling, pairs,
+            distance=coupling.distance_matrix().astype(float),
+        )
+        assert region.physical_map() == default.physical_map()
+        assert hops.physical_map() == default.physical_map()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_allowed_region_confines_placement(self, seed):
+        rng = np.random.default_rng(seed)
+        coupling = grid(4, 4)
+        num_logical = int(rng.integers(2, 9))
+        region = rng.choice(
+            coupling.num_qubits,
+            int(rng.integers(num_logical, coupling.num_qubits + 1)),
+            replace=False,
+        ).tolist()
+        pairs = [
+            tuple(int(q) for q in rng.choice(num_logical, 2, replace=False))
+            for _ in range(int(rng.integers(1, 20)))
+        ]
+        layout = greedy_interaction_layout(
+            num_logical, coupling, pairs, allowed=region
+        )
+        placed = layout.physical_map()
+        assert sorted(placed) == list(range(num_logical))
+        assert set(placed.values()) <= set(region)
+
+    def test_region_smaller_than_workload_raises(self):
+        with pytest.raises(ValueError, match="allowed region has 2 qubits"):
+            greedy_interaction_layout(3, grid(3, 3), [(0, 1)], allowed=[0, 1])
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
