@@ -13,7 +13,7 @@ module.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from ...circuit.circuit import QuantumCircuit
 from ...hardware.coupling import CouplingGraph

@@ -17,12 +17,7 @@ import os
 from typing import List
 
 from ..pauli.block import PauliBlock
-from ..workloads import (  # noqa: F401  (BLOCK_CAPS/check_scale re-exported)
-    BLOCK_CAPS,
-    SCALES,
-    check_scale,
-    workload_blocks,
-)
+from ..workloads import SCALES, check_scale, workload_blocks
 
 #: Molecules exercised per scale.
 MOLECULES_BY_SCALE = {

@@ -15,7 +15,7 @@ and tests can introspect them without running anything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Mapping, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)

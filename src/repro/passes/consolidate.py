@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

@@ -10,13 +10,24 @@ Implements the cancellation rules the paper's evaluation relies on:
   diagonal gates (Z, S, S†, RZ) on the control, X/RX on the target, and
   CNOTs sharing the same control (or the same target).
 
-The pass runs to a fixpoint over the encoded gate tape
-(:class:`~repro.circuit.tape.GateTape`), tape in and tape out: the scan
-works on plain integer code/qubit columns, and each round is preceded
-by a vectorized candidate check over the wire-occurrence table — a
-round whose static occurrence pairs admit no cancellation is skipped
-outright, which in particular eliminates the final no-op verification
-round of every fixpoint.  No :class:`Gate` is built: the output is the
+The pass runs left-to-right scans to a fixpoint over the encoded gate
+tape (:class:`~repro.circuit.tape.GateTape`), tape in and tape out: the
+scan works on plain integer code/qubit columns, and CNOTs whose
+(control, target) pair never repeats skip their backward walks.  Each
+scan decides exactly whether a successor could change anything, so a
+fixpoint usually takes one scan.  A row's rules read only its backward
+view, the live rows before it on its wires, so a later scan can fire
+only at a row whose view shrank after the scan passed it.  Such a row
+is *exposed*, in one of two ways:
+
+- a CNOT pair cancelled across it: it is a live row that one of the
+  pair's walks skipped;
+- a rotation merge absorbed an exposed row: the survivor now sees what
+  its partner saw.
+
+After the scan each surviving exposed row is tested against the
+surviving rows with the scan's own rules, and the next scan runs only
+if one of them fires.  No :class:`Gate` is built: the output is the
 surviving input rows, with merged rotation angles written into the
 first parameter column.  Symbolic rotations (template compiles) merge
 into their :class:`~repro.circuit.parameter.ParameterExpression` sum,
@@ -33,7 +44,9 @@ randomized differential tests.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from bisect import bisect_left
+from itertools import compress, islice
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,34 +60,26 @@ from ..circuit import gate as g
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 2.0 * _TWO_PI
 
-#: 1Q self-inverse codes (H, X, Y, Z): same code back-to-back cancels.
-_SELF_INVERSE_1Q = frozenset(
-    GATE_CODES[name] for name in (g.H, g.X, g.Y, g.Z)
-)
 #: Additive rotation codes (RX, RY, RZ): same code back-to-back merges.
 _ADDITIVE = frozenset(GATE_CODES[name] for name in (g.RX, g.RY, g.RZ))
-#: Mutual-inverse 1Q code pairs (S/S†, either order).
-_INVERSE_PAIRS = frozenset(
-    {(GATE_CODES[g.S], GATE_CODES[g.SDG]), (GATE_CODES[g.SDG], GATE_CODES[g.S])}
+#: (earlier, later) 1Q code pairs that fire back-to-back on one wire: a
+#: self-inverse (H, X, Y, Z) or additive code twice, or S/S† in either
+#: order.  Additive pairs merge; the others cancel.
+_ONE_QUBIT_RULES = frozenset(
+    [(GATE_CODES[name],) * 2
+     for name in (g.H, g.X, g.Y, g.Z, g.RX, g.RY, g.RZ)]
+    + [(GATE_CODES[g.S], GATE_CODES[g.SDG]),
+       (GATE_CODES[g.SDG], GATE_CODES[g.S])]
 )
 #: Codes diagonal in Z (commute with a CNOT's control).
 _DIAGONAL = frozenset(GATE_CODES[name] for name in (g.Z, g.S, g.SDG, g.RZ))
 #: Codes that commute with a CNOT's target.
 _X_AXIS = frozenset(GATE_CODES[name] for name in (g.X, g.RX))
 
-#: Per-code table for the round pre-check: codes where an adjacent
-#: same-code pair on one wire guarantees a cancellation or merge.
-_PAIR_CANCELS = np.zeros(len(GATE_CODES), dtype=bool)
-for _code in _SELF_INVERSE_1Q | _ADDITIVE:
-    _PAIR_CANCELS[_code] = True
-
-_CODE_S = GATE_CODES[g.S]
-_CODE_SDG = GATE_CODES[g.SDG]
-
 
 def cancel_gates(circuit: QuantumCircuit, max_rounds: int = 20) -> QuantumCircuit:
-    """Run cancellation rounds to a fixpoint and return the reduced,
-    tape-backed circuit."""
+    """Run cancellation scans to a fixpoint (at most ``max_rounds``) and
+    return the reduced, tape-backed circuit."""
     tape = circuit.tape()
     codes = tape.codes.astype(np.int64)
     q0 = tape.qubits[:, 0].astype(np.int64)
@@ -90,23 +95,20 @@ def cancel_gates(circuit: QuantumCircuit, max_rounds: int = 20) -> QuantumCircui
             params0[row] = tape.exprs[entry][0]
 
     for _ in range(max_rounds):
-        positions, cx_candidates = _round_candidates(
-            codes, q0, q1, circuit.num_qubits
-        )
-        if positions is None:
-            break
-        alive, changed = _cancel_round(
+        alive, again = _cancel_scan(
             codes.tolist(), q0.tolist(), q1.tolist(), params0,
-            positions, cx_candidates, circuit.num_qubits,
+            _cx_twins(codes, q0, q1), circuit.num_qubits,
         )
-        if not changed:
+        if alive is None:
             break
         mask = np.array(alive, dtype=bool)
         codes = codes[mask]
         q0 = q0[mask]
         q1 = q1[mask]
         rows = rows[mask]
-        params0 = [p for keep, p in zip(alive, params0) if keep]
+        params0 = list(compress(params0, alive))
+        if not again:
+            break
 
     codes = tape.codes[rows]
     params = tape.params[rows]
@@ -133,50 +135,11 @@ def cancel_gates(circuit: QuantumCircuit, max_rounds: int = 20) -> QuantumCircui
     )
 
 
-def _round_candidates(
-    codes: np.ndarray, q0: np.ndarray, q1: np.ndarray, num_qubits: int
-) -> Tuple[Optional[List[int]], Optional[List[bool]]]:
-    """Vectorized candidate analysis over the static wire-occurrence table.
-
-    Returns ``(positions, cx_candidates)``: the positions the scalar
-    round must visit, and a per-position mask of CNOTs whose
-    (control, target) pair repeats — a CNOT with a unique pair has no
-    twin anywhere, so its backward scans are skipped (None when no CNOT
-    repeats).
-
-    A round only changes liveness through a statically adjacent 1Q pair
-    on one wire that cancels/merges, or a repeated (control, target)
-    CNOT pair.  Call a wire *active* when it carries either shape; every
-    death, merge, and newly exposed adjacency then stays confined to
-    active wires, so a gate touching no active wire provably survives
-    with its occurrence lists never consulted — the scan visits only
-    gates pinned to an active wire.  ``positions`` is None when no wire
-    is active: the round is a no-op and ``cancel_gates`` skips it
-    outright, including the final verification round of every fixpoint.
-    """
-    n = len(codes)
-    if n < 2:
-        return None, None
-    # One extra slot so the -1 padding of 1Q rows indexes a fixed False.
-    wire_active = np.zeros(num_qubits + 1, dtype=bool)
-    has_q0 = q0 >= 0
-    has_q1 = q1 >= 0
-    wires = np.concatenate([q0[has_q0], q1[has_q1]])
-    positions = np.concatenate([np.nonzero(has_q0)[0], np.nonzero(has_q1)[0]])
-    order = np.lexsort((positions, wires))
-    wire_sorted = wires[order]
-    pos_sorted = positions[order]
-    if len(pos_sorted) >= 2:
-        same_wire = wire_sorted[1:] == wire_sorted[:-1]
-        earlier = codes[pos_sorted[:-1]]
-        later = codes[pos_sorted[1:]]
-        candidate = same_wire & (
-            ((earlier == later) & _PAIR_CANCELS[earlier])
-            | ((earlier == _CODE_S) & (later == _CODE_SDG))
-            | ((earlier == _CODE_SDG) & (later == _CODE_S))
-        )
-        wire_active[wire_sorted[:-1][candidate]] = True
-    cx_candidates: Optional[List[bool]] = None
+def _cx_twins(codes: np.ndarray, q0: np.ndarray, q1: np.ndarray) -> List[bool]:
+    """Per-row mask of the CNOTs whose (control, target) pair occurs at
+    least twice.  A CNOT with a unique pair has no twin anywhere, so the
+    scan skips its walks."""
+    mask = np.zeros(len(codes), dtype=bool)
     cx_positions = np.nonzero(codes == CODE_CX)[0]
     if len(cx_positions) >= 2:
         span = int(q1.max()) + 2
@@ -184,84 +147,74 @@ def _round_candidates(
         _, inverse, counts = np.unique(
             keys, return_inverse=True, return_counts=True
         )
-        repeated = counts[inverse] >= 2
-        if repeated.any():
-            mask = np.zeros(n, dtype=bool)
-            mask[cx_positions] = repeated
-            cx_candidates = mask.tolist()
-            twins = cx_positions[repeated]
-            wire_active[q0[twins]] = True
-            wire_active[q1[twins]] = True
-    if not wire_active.any():
-        return None, None
-    visit = wire_active[q0] | wire_active[q1]
-    return np.nonzero(visit)[0].tolist(), cx_candidates
+        mask[cx_positions] = counts[inverse] >= 2
+    return mask.tolist()
 
 
-def _cancel_round(
+def _cancel_scan(
     codes: List[int],
     q0: List[int],
     q1: List[int],
     params0: List,
-    positions: List[int],
-    cx_candidates: Optional[List[bool]],
+    twins: List[bool],
     num_qubits: int,
-) -> Tuple[List[bool], bool]:
+) -> Tuple[Optional[List[bool]], bool]:
     """One left-to-right scan over integer columns (reference semantics).
 
-    Visits only ``positions`` (gates pinned to an active wire, in
-    order); every other gate survives untouched and its occurrence
-    lists are never consulted, so skipping it is exact.
+    Returns ``(alive, again)``: each row's liveness after the scan
+    (None when nothing fired), and whether another scan would fire.
+
+    A rule reads only the codes and wires of the live rows before its
+    row, so where the next scan first fires, its row sees what this scan
+    showed it unless a row before it died after this scan passed it, or
+    it survived a merge.  Only a CNOT cancellation kills a row behind a
+    live one (a 1Q pair has nothing live between its members), so the
+    scan marks each live row either walk skipped.  A merge survivor sees
+    what its partner saw, which the partner did not fire against, so it
+    takes its partner's mark.  Self-inverse pairs, S/S† pairs and merges
+    to the identity leave no survivor, and rows scanned after a death
+    already see it.  Testing the marked survivors with the same rules
+    therefore decides exactly whether the next scan changes a gate.
     """
     alive = [True] * len(codes)
+    # Per-wire rows in scan order; every live row stays listed.
     occurrences: List[List[int]] = [[] for _ in range(num_qubits)]
     changed = False
-    self_inverse = _SELF_INVERSE_1Q
+    exposed = set()
+    one_qubit_rules = _ONE_QUBIT_RULES
     additive = _ADDITIVE
-    inverse_pairs = _INVERSE_PAIRS
     diagonal = _DIAGONAL
     x_axis = _X_AXIS
     code_cx = CODE_CX
     code_measure = CODE_MEASURE
 
-    for position in positions:
-        code = codes[position]
+    for position, code in enumerate(codes):
         if code < code_cx:
             # 1Q gate: try to cancel or merge against the last live gate
             # on its wire (popping dead entries off the wire list).
-            wire_index = q0[position]
-            wire = occurrences[wire_index]
+            wire = occurrences[q0[position]]
             while wire and not alive[wire[-1]]:
                 wire.pop()
             if wire:
                 previous = wire[-1]
-                previous_code = codes[previous]
-                if previous_code == code:
-                    if code in self_inverse:
-                        alive[previous] = False
-                        alive[position] = False
-                        changed = True
-                        continue
-                    if code in additive:
-                        angle = params0[previous] + params0[position]
-                        alive[previous] = False
-                        changed = True
-                        # A symbolic sum stays unreduced.
-                        if not isinstance(angle, ParameterExpression):
-                            angle %= _FOUR_PI
-                            residual = angle % _TWO_PI
-                            if min(residual, _TWO_PI - residual) < 1e-12:
-                                # Merged to (-)identity: both gates drop.
-                                alive[position] = False
-                                continue
-                        params0[position] = angle
-                        wire.append(position)
-                        continue
-                elif (previous_code, code) in inverse_pairs:
+                if (codes[previous], code) in one_qubit_rules:
                     alive[previous] = False
-                    alive[position] = False
                     changed = True
-                    continue
+                    if code not in additive:
+                        alive[position] = False
+                        continue
+                    angle = params0[previous] + params0[position]
+                    # A symbolic sum stays unreduced.
+                    if not isinstance(angle, ParameterExpression):
+                        angle %= _FOUR_PI
+                        residual = angle % _TWO_PI
+                        if min(residual, _TWO_PI - residual) < 1e-12:
+                            # Merged to (-)identity: both gates drop.
+                            alive[position] = False
+                            continue
+                    params0[position] = angle
+                    if previous in exposed:
+                        exposed.add(position)
             wire.append(position)
             continue
         if code >= code_measure:
@@ -275,11 +228,11 @@ def _cancel_round(
             continue
         control = q0[position]
         target = q1[position]
-        if code == code_cx and (
-            cx_candidates is None or cx_candidates[position]
-        ):
+        if twins[position]:
             # Walk back along the control wire, skipping gates that
             # commute through a CNOT's control, looking for a twin.
+            # ``_fires`` repeats these walks; a shared helper would cost
+            # a call per CNOT here.
             match = None
             for previous in reversed(occurrences[control]):
                 if not alive[previous]:
@@ -306,6 +259,16 @@ def _cancel_round(
                             alive[match] = False
                             alive[position] = False
                             changed = True
+                            # The live rows either walk skipped now see
+                            # past the pair.
+                            for wire in (
+                                occurrences[control], occurrences[target]
+                            ):
+                                for skipped in reversed(wire):
+                                    if skipped == match:
+                                        break
+                                    if alive[skipped]:
+                                        exposed.add(skipped)
                             match = -1
                         elif q1[previous] == target and (
                             q0[previous] != control
@@ -320,4 +283,69 @@ def _cancel_round(
         occurrences[control].append(position)
         occurrences[target].append(position)
 
-    return alive, changed
+    if not changed:
+        return None, False
+    for position in exposed:
+        if alive[position] and _fires(
+            position, codes, q0, q1, alive, occurrences
+        ):
+            return alive, True
+    return alive, False
+
+
+def _fires(
+    position: int,
+    codes: List[int],
+    q0: List[int],
+    q1: List[int],
+    alive: List[bool],
+    occurrences: List[List[int]],
+) -> bool:
+    """Whether the scan's rules fire at live exposed row ``position``
+    (a 1Q gate or a CNOT) against the live rows before it: what the next
+    scan does there when nothing fired earlier in it.  The CNOT walks
+    are the scan's, row for row."""
+    code = codes[position]
+    if code < CODE_CX:
+        for previous in _rows_before(occurrences[q0[position]], position):
+            if alive[previous]:
+                return (codes[previous], code) in _ONE_QUBIT_RULES
+        return False
+    control = q0[position]
+    target = q1[position]
+    match = None
+    for previous in _rows_before(occurrences[control], position):
+        if not alive[previous]:
+            continue
+        previous_code = codes[previous]
+        if previous_code == CODE_CX:
+            if q0[previous] == control:
+                if q1[previous] == target:
+                    match = previous
+                    break
+                continue
+            return False
+        if previous_code in _DIAGONAL:
+            continue
+        return False
+    if match is None:
+        return False
+    for previous in _rows_before(occurrences[target], position):
+        if not alive[previous]:
+            continue
+        previous_code = codes[previous]
+        if previous_code == CODE_CX:
+            if previous == match:
+                return True
+            if q1[previous] == target and q0[previous] != control:
+                continue
+            return False
+        if previous_code in _X_AXIS:
+            continue
+        return False
+    return False
+
+
+def _rows_before(wire: List[int], position: int) -> Iterator[int]:
+    """The rows listed before ``position`` on a wire, latest first."""
+    return islice(reversed(wire), len(wire) - bisect_left(wire, position), None)

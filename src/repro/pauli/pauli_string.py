@@ -27,7 +27,6 @@ from .bits import (
 )
 from .operators import (
     CODE_OF_XZ,
-    I,
     IS_PAULI_ORD,
     ORD_OF_XZ,
     PAULI_CHARS,

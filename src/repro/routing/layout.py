@@ -183,11 +183,3 @@ def greedy_interaction_layout(
         layout.place(logical, best)
         placed[count], placed_phys[count] = logical, best
     return layout
-
-
-def _is_placed(layout: Layout, logical: int) -> bool:
-    try:
-        layout.physical(logical)
-        return True
-    except KeyError:
-        return False

@@ -15,11 +15,19 @@ from ..circuit import gate as g
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.gate import Gate
 from ..hardware.coupling import CouplingGraph
-from .layout import Layout, _is_placed
+from .layout import Layout
 from .router import RoutingResult
 
 _LOOKAHEAD_WINDOW = 24
 _LOOKAHEAD_DECAY = 0.7
+
+
+def _is_placed(layout: Layout, logical: int) -> bool:
+    try:
+        layout.physical(logical)
+        return True
+    except KeyError:
+        return False
 
 
 def route_circuit_reference(

@@ -10,7 +10,7 @@ of Fig. 1(b).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from ..circuit import gate as g
 from ..circuit.gate import Gate

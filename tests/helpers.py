@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.circuit import QuantumCircuit
 from repro.compiler.base import CompilationResult
+from repro.passes import peephole
 from repro.pauli import PauliBlock, PauliString
 from repro.sim import Statevector
 from repro.synthesis import synthesize_chain
@@ -119,3 +120,18 @@ def unitaries_equal(a: np.ndarray, b: np.ndarray, tolerance: float = 1e-8) -> bo
     if not np.isclose(abs(phase), 1.0, atol=tolerance):
         return False
     return bool(np.allclose(a, phase * b, atol=tolerance))
+
+
+def count_scans(monkeypatch) -> list:
+    """Wrap the cancellation scan: the returned list gets one entry per
+    scan, the scan's ``alive`` result (None when nothing fired)."""
+    scans = []
+    scan = peephole._cancel_scan
+
+    def counting(*args):
+        result = scan(*args)
+        scans.append(result[0])
+        return result
+
+    monkeypatch.setattr(peephole, "_cancel_scan", counting)
+    return scans

@@ -1,6 +1,5 @@
 """Tests for the depolarizing-noise fidelity models."""
 
-import numpy as np
 import pytest
 
 from repro.circuit import QuantumCircuit

@@ -11,7 +11,7 @@ import pytest
 
 from repro import cli, obs
 from repro.obs.metrics import METRICS, MetricsRegistry
-from repro.obs.tracer import Span, Tracer
+from repro.obs.tracer import Span
 from repro.service import CompileJob, ResultCache, run_batch
 
 TOOLS = os.path.join(os.path.dirname(__file__), "..", "tools")

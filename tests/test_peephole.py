@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import unitaries_equal
+from helpers import count_scans, unitaries_equal
 from repro.circuit import QuantumCircuit
 from repro.circuit import gate as g
 from repro.circuit.gate import Gate
 from repro.passes import cancel_gates, consolidate_one_qubit_runs
+from repro.passes.reference import cancel_gates_reference
 from repro.pauli import PauliString
 from repro.sim import circuit_unitary
 from repro.synthesis import emit_exponential, fan_in
@@ -141,6 +142,55 @@ class TestRules:
         qc.measure(0)
         qc.h(0)
         assert len(cancel_gates(qc)) == 3
+
+
+class TestExposure:
+    """A scan reruns only when a row it exposed fires.
+
+    A CNOT pair that cancels across a live row it skipped shows that
+    row a new predecessor, and a merge that absorbs such a row passes
+    the change on to the survivor.
+    """
+
+    def check(self, qc, monkeypatch, scans_expected):
+        scans = count_scans(monkeypatch)
+        out = cancel_gates(qc)
+        assert len(scans) == scans_expected
+        assert out.gates == cancel_gates_reference(qc).gates
+        return out
+
+    def test_skip_over_on_the_control_wire_fires_next_scan(self, monkeypatch):
+        qc = QuantumCircuit(2)
+        qc.rz(0.3, 0)
+        qc.cx(0, 1)
+        qc.rz(0.5, 0)
+        qc.cx(0, 1)
+        out = self.check(qc, monkeypatch, 2)
+        assert [(G.name, G.qubits) for G in out.gates] == [(g.RZ, (0,))]
+        assert out.gates[0].params[0] == pytest.approx(0.8)
+
+    def test_merge_carries_the_exposure_to_its_survivor(self, monkeypatch):
+        # The CNOTs cancel across rx(0.5), which then merges into
+        # rx(0.7) in the same scan: only the survivor, now next to
+        # rx(0.3), can fire.
+        qc = QuantumCircuit(2)
+        qc.rx(0.3, 1)
+        qc.cx(0, 1)
+        qc.rx(0.5, 1)
+        qc.cx(0, 1)
+        qc.rx(0.7, 1)
+        out = self.check(qc, monkeypatch, 2)
+        assert [(G.name, G.qubits) for G in out.gates] == [(g.RX, (1,))]
+        assert out.gates[0].params[0] == pytest.approx(1.5)
+
+    def test_exposed_row_that_fires_nothing_needs_one_scan(self, monkeypatch):
+        qc = QuantumCircuit(2)
+        qc.h(0)
+        qc.cx(0, 1)
+        qc.rz(0.5, 0)
+        qc.cx(0, 1)
+        out = self.check(qc, monkeypatch, 1)
+        assert [G.name for G in out.gates] == [g.H, g.RZ]
 
 
 class TestFig3:

@@ -19,8 +19,12 @@ import json
 import pytest
 
 import repro
+import repro.pipeline.passes as pipeline_passes
+from helpers import count_scans
 from repro.chem import molecule_blocks
 from repro.hardware import resolve_device
+from repro.passes import peephole
+from repro.passes.reference import cancel_gates_reference
 from repro.pipeline import (
     PassManager,
     PipelineError,
@@ -260,6 +264,59 @@ class TestGateForGateRegression:
         run = run_pipeline("tetris", _blocks, _coupling)
         assert result.metrics.cnot_gates == run.metrics().cnot_gates
         assert gate_hash(run.result.circuit) == PRE_REFACTOR_GATE_HASHES[cell]
+
+
+def record_cancels(monkeypatch):
+    """Record ``(input, output, scans)`` for every ``cancel`` and
+    ``cancel-logical`` call a pipeline makes."""
+    calls = []
+    scans = count_scans(monkeypatch)
+
+    def recording(circuit):
+        scans.clear()
+        out = peephole.cancel_gates(circuit)
+        calls.append((circuit, out, len(scans)))
+        return out
+
+    monkeypatch.setattr(pipeline_passes, "cancel_gates", recording)
+    return calls
+
+
+class TestCancelOneScan:
+    """Compiled circuits reach the cancellation fixpoint in one scan:
+    no row a scan exposes fires on them."""
+
+    @pytest.mark.parametrize(
+        "cell",
+        [cell for cell in sorted(PRE_REFACTOR_GATE_HASHES)
+         if cell[1:] == ("chem:LiH", "grid:4x4", 4, 3)],
+        ids=lambda c: c[0],
+    )
+    def test_pinned_chemistry_cells(self, cell, monkeypatch):
+        calls = record_cancels(monkeypatch)
+        compiler, bench, device, blocks, opt = cell
+        _job, cell_blocks, coupling = smoke_cell(
+            compiler, bench=bench, device=device, blocks=blocks, opt=opt
+        )
+        run = run_pipeline(compiler, cell_blocks, coupling,
+                           optimization_level=opt)
+        assert gate_hash(run.result.circuit) == PRE_REFACTOR_GATE_HASHES[cell]
+        assert calls
+        assert [scans for _, _, scans in calls] == [1] * len(calls)
+
+    @pytest.mark.parametrize(
+        "compiler", ["tetris", "max-cancel", "tket-like", "pcoast-like"]
+    )
+    def test_lih_on_heavy_hex(self, compiler, monkeypatch):
+        calls = record_cancels(monkeypatch)
+        _job, cell_blocks, coupling = smoke_cell(
+            compiler, device="heavy-hex:ibm-65", blocks=0
+        )
+        run_pipeline(compiler, cell_blocks, coupling)
+        assert calls
+        for circuit, out, scans in calls:
+            assert scans == 1
+            assert out.gates == cancel_gates_reference(circuit).gates
 
 
 class TestFrozenContentHashes:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.hardware import grid, linear
 from repro.passes import cancel_gates
-from repro.pauli import PauliBlock, PauliString, block_similarity
+from repro.pauli import PauliBlock, block_similarity
 from repro.pipeline import run_pipeline
 from repro.routing import route_circuit, verify_hardware_compliant
 from repro.circuit import QuantumCircuit

@@ -18,7 +18,6 @@ from repro.service import CompileJob
 from repro.workloads import (
     WORKLOADS,
     benchmark_names,
-    canonical_bench,
     resolve_workload,
     uses_encoder,
     workload_blocks,

@@ -17,7 +17,6 @@ import pytest
 
 from repro.experiments import REGISTRY
 from repro.experiments.spec import (
-    CheckResult,
     ExperimentSpec,
     PinnedMetric,
     check_pins,

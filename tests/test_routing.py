@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.circuit import Parameter, QuantumCircuit
-from repro.circuit.gate import Gate
 from repro.hardware import CouplingGraph, grid, linear, ring, synthetic_calibration
 from repro.hardware.families import resolve_device
 from repro.routing import (

@@ -43,7 +43,6 @@ from repro.pauli import PauliBlock
 from repro.pipeline.registry import PIPELINES, build_pipeline
 from repro.service import CompileJob, run_job
 from repro.service.jobs import job_blocks
-from repro.service.templates import parametrize_blocks
 
 #: rz(x) == rz(x + 4*pi) exactly (the rotation's true period).
 PERIOD = 4.0 * math.pi

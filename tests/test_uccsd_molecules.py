@@ -1,6 +1,5 @@
 """Tests for UCCSD generation and the molecule catalog (Table I)."""
 
-import numpy as np
 import pytest
 
 from repro.chem import (

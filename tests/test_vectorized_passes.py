@@ -17,6 +17,8 @@ of two-wire barriers, so there the live passes must equal the
 references run on that chain.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -46,7 +48,7 @@ from repro.routing.router import route_circuit
 from repro.sim import circuit_unitary
 from repro.workloads import workload_blocks
 
-from helpers import random_pauli_string, unitaries_equal
+from helpers import count_scans, random_pauli_string, unitaries_equal
 
 
 def sig(circuit):
@@ -148,6 +150,50 @@ class TestPeepholeDifferential:
         assert sig(consolidated) == sig(
             consolidate_one_qubit_runs_reference(chain)
         )
+
+
+#: Angles whose sums often vanish or repeat, so that merges cancel.
+DENSE_ANGLES = (0.25, -0.25, 0.5, -0.5, math.pi, 2 * math.pi)
+
+
+def cnot_dense_circuit(rng, symbolic=False):
+    """Half CNOTs on at most 4 wires, with RZ/RX rotations the CNOT
+    walks skip; ``symbolic`` scales about half the angles by theta."""
+    num_qubits = int(rng.integers(2, 5))
+    qc = QuantumCircuit(num_qubits)
+    for _ in range(int(rng.integers(4, 40))):
+        kind = int(rng.integers(8))
+        if kind < 4:
+            a, b = rng.choice(num_qubits, 2, replace=False)
+            qc.cx(int(a), int(b))
+        elif kind < 7:
+            angle = DENSE_ANGLES[rng.integers(len(DENSE_ANGLES))]
+            if symbolic and rng.integers(2):
+                angle = angle * THETA
+            name = ("rz", "rx", "rz")[kind - 4]
+            getattr(qc, name)(angle, int(rng.integers(num_qubits)))
+        else:
+            name = ("h", "x", "z", "s", "sdg")[rng.integers(5)]
+            getattr(qc, name)(int(rng.integers(num_qubits)))
+    return qc
+
+
+class TestCancelScans:
+    def test_cnot_dense_circuits_match_reference(self, monkeypatch):
+        # A scan reruns only when a row it exposed fires: the output must
+        # still be the reference's, and no scan after the first may be a
+        # no-op.
+        scans = count_scans(monkeypatch)
+        rescanned = 0
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            qc = cnot_dense_circuit(rng, symbolic=seed % 2 == 1)
+            scans.clear()
+            out = cancel_gates(qc)
+            assert sig(out) == sig(cancel_gates_reference(qc)), seed
+            assert all(alive is not None for alive in scans[1:]), seed
+            rescanned += len(scans) > 1
+        assert rescanned >= 5
 
 
 class TestLayoutRouteDifferential:
