@@ -18,8 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.metrics import CircuitMetrics, critical_paths, gate_counts
+from ..pauli.bits import unpack_bits
 from ..pauli.block import PauliBlock
 from ..routing.layout import Layout
 
@@ -97,11 +100,19 @@ def blocks_num_qubits(blocks: Sequence[PauliBlock]) -> int:
 
 
 def interaction_pairs(blocks: Sequence[PauliBlock]) -> List:
-    """Logical 2Q interaction pairs (consecutive support qubits per string)."""
-    pairs = []
-    for block in blocks:
-        for string in block.strings:
-            support = string.support
-            for index in range(len(support) - 1):
-                pairs.append((support[index], support[index + 1]))
-    return pairs
+    """Logical 2Q interaction pairs (consecutive support qubits per string).
+
+    Block by block and string by string, each string's pairs in
+    ascending qubit order: one unpack of every block's support plane,
+    whose nonzero entries come row-major, so consecutive entries of one
+    row are the pairs."""
+    if not blocks:
+        return []
+    planes = np.concatenate(
+        [block.table.x | block.table.z for block in blocks]
+    )
+    rows, qubits = np.nonzero(unpack_bits(planes, blocks[0].num_qubits))
+    same_row = rows[1:] == rows[:-1]
+    left = qubits[:-1][same_row].tolist()
+    right = qubits[1:][same_row].tolist()
+    return list(zip(left, right))

@@ -54,8 +54,8 @@ def find_center(
     rows = coupling.distance_rows()
     if candidates is None:
         # The centre is a pure function of the (unordered) position set:
-        # trial and chosen placements of a block, and unmoved blocks
-        # across scheduling rounds, all repeat the same query.
+        # trial placements of a block whose qubits did not move between
+        # scheduling rounds repeat the same query.
         cache_key = tuple(sorted(positions))
         cache = coupling._center_cache
         cached = cache.get(cache_key)

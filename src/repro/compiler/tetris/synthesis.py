@@ -18,6 +18,13 @@ For each Tetris block:
    support (common under Bravyi-Kitaev), strings are emitted individually
    over deterministic BFS trees so the peephole pass can still cancel
    matching neighbours.
+
+Steps 1-3 run in :func:`place_block`, on a copy of the layout: the
+lookahead scheduler calls it for each candidate it trial-places, and
+the result records everything synthesis needs.
+:func:`synthesize_tetris_block` replays the winner's SWAPs onto the live
+tracker and emits, so a scheduled block is not placed again; it places
+the block itself only when the scheduler ran no trial for it.
 """
 
 from __future__ import annotations
@@ -50,24 +57,86 @@ class _CapReached(Exception):
 
 
 class _TrialTracker(SwapTracker):
-    """Counting-only tracker for trial placements.
+    """Records a placement's SWAPs on a scratch layout.
 
-    Emits no gates (trial circuits are discarded) and aborts the
-    placement once the SWAP count reaches ``cap``: the count is
-    monotone, so a trial at the incumbent's cost can no longer win the
-    scheduler's strictly-smaller comparison and its tail is wasted work.
+    Emits no gates: synthesis replays the recorded SWAPs onto the live
+    tracker.  Aborts the placement once the SWAP count reaches ``cap``:
+    the count is monotone, so a trial at the incumbent's cost can no
+    longer win the scheduler's strictly-smaller comparison and its tail
+    is wasted work.
     """
 
     def __init__(self, layout, cap: Optional[int]) -> None:
         super().__init__(None, layout)
         self.cap = cap
+        self.swaps: List[Tuple[int, int]] = []
 
     def swap(self, physical_a: int, physical_b: int) -> None:
         count = self.num_swaps + 1
         if self.cap is not None and count >= self.cap:
             raise _CapReached
         self.num_swaps = count
+        self.swaps.append((physical_a, physical_b))
         self.layout.swap_physical(physical_a, physical_b)
+
+
+@dataclass
+class Placement:
+    """Algorithm 1's placement of one block, as synthesis replays it."""
+
+    #: The SWAPs, as physical pairs in the order they were made.
+    swaps: List[Tuple[int, int]]
+    #: ``findCenter``'s node, which roots the root spanning tree.
+    center: int
+    #: The root qubits' positions right after clustering, in
+    #: :func:`_split_qubits` order.
+    root_positions: List[int]
+    #: Leaf qubit -> the mapped qubit it was attached to, in attachment
+    #: order.
+    attachments: Dict[int, int]
+    #: Leaf qubit -> physical bridge path to its anchor.
+    bridge_paths: Dict[int, List[int]]
+
+    @property
+    def num_swaps(self) -> int:
+        return len(self.swaps)
+
+
+def _split_qubits(ir: TetrisBlockIR) -> Tuple[List[int], List[int]]:
+    """The block's root and leaf qubits, placement's working lists."""
+    root_qubits = list(ir.root_qubits)
+    leaf_qubits = list(ir.leaf_qubits)
+    if not root_qubits:
+        # Degenerate block (all strings identical): promote one leaf to root.
+        root_qubits = [leaf_qubits.pop()]
+    return root_qubits, leaf_qubits
+
+
+def place_block(
+    ir: TetrisBlockIR,
+    layout,
+    coupling: CouplingGraph,
+    swap_weight: float = DEFAULT_SWAP_WEIGHT,
+    enable_bridging: bool = True,
+    cap: Optional[int] = None,
+) -> Optional[Placement]:
+    """Run the placement half of Algorithm 1 on a *copy* of ``layout``.
+
+    Returns the :class:`Placement` record (its SWAPs, the centre, the
+    root positions after clustering, the leaf attachments and bridges),
+    or None once the SWAP count reaches ``cap`` (the scheduler's
+    incumbent cost): such a trial can no longer win.  ``layout`` is
+    left as it was.
+    """
+    tracker = _TrialTracker(layout.copy(), cap)
+    root_qubits, leaf_qubits = _split_qubits(ir)
+    try:
+        return _place_block(
+            ir, tracker, coupling, root_qubits, leaf_qubits, swap_weight,
+            enable_bridging,
+        )
+    except _CapReached:
+        return None
 
 
 def try_block(
@@ -78,28 +147,16 @@ def try_block(
     enable_bridging: bool = True,
     cap: Optional[int] = None,
 ) -> int:
-    """Trial placement of a block (the artifact's ``try_block``).
+    """Trial placement of a block (the artifact's ``try_block``): the
+    SWAP count of :func:`place_block`.
 
-    Runs the placement half of Algorithm 1 on a *copy* of the layout and
-    returns the SWAP count it would incur.  The lookahead scheduler calls
-    this for each top-K candidate and schedules the cheapest; ``cap``
-    (the incumbent's cost) prunes trials that can no longer win — they
-    report ``cap``, which loses every strictly-smaller comparison just
-    as their true (>= cap) cost would.
+    A trial stopped by ``cap`` reports ``cap``, which loses every
+    strictly-smaller comparison just as its true (>= cap) cost would.
     """
-    scratch = _TrialTracker(layout.copy(), cap)
-    root_qubits = list(ir.root_qubits)
-    leaf_qubits = list(ir.leaf_qubits)
-    if not root_qubits:
-        root_qubits = [leaf_qubits.pop()]
-    try:
-        _place_block(
-            ir, scratch, coupling, root_qubits, leaf_qubits, swap_weight,
-            enable_bridging,
-        )
-    except _CapReached:
-        return cap
-    return scratch.num_swaps
+    placement = place_block(
+        ir, layout, coupling, swap_weight, enable_bridging, cap
+    )
+    return cap if placement is None else placement.num_swaps
 
 
 @dataclass
@@ -117,21 +174,28 @@ def synthesize_tetris_block(
     coupling: CouplingGraph,
     swap_weight: float = DEFAULT_SWAP_WEIGHT,
     enable_bridging: bool = True,
+    placement: Optional[Placement] = None,
 ) -> BlockSynthesisStats:
-    """Synthesize one Tetris block into ``tracker.circuit``."""
+    """Synthesize one Tetris block into ``tracker.circuit``.
+
+    ``placement`` is the block's :func:`place_block` record against
+    ``tracker.layout`` as it stands (the scheduler's winning trial);
+    without one the block is placed here.  The record's SWAPs are
+    replayed onto ``tracker``, which emits them and leaves the layout
+    the placement left, and the root spanning tree is built from the
+    recorded root positions and centre.
+    """
     stats = BlockSynthesisStats()
     swaps_before = tracker.num_swaps
     layout = tracker.layout
+    if placement is None:
+        placement = place_block(
+            ir, layout, coupling, swap_weight, enable_bridging
+        )
+    for physical_a, physical_b in placement.swaps:
+        tracker.swap(physical_a, physical_b)
 
-    root_qubits = list(ir.root_qubits)
-    leaf_qubits = list(ir.leaf_qubits)
-    if not root_qubits:
-        # Degenerate block (all strings identical): promote one leaf to root.
-        root_qubits = [leaf_qubits.pop()]
-
-    tree = _place_block(
-        ir, tracker, coupling, root_qubits, leaf_qubits, swap_weight, enable_bridging
-    )
+    tree = _block_tree(ir, placement, coupling)
     if ir.uniform_support and _tree_edges_adjacent(tree, layout, coupling):
         _emit_uniform(ir, tracker, tree, stats)
     else:
@@ -159,20 +223,16 @@ class _BlockTree:
 
 def _place_block(
     ir: TetrisBlockIR,
-    tracker: SwapTracker,
+    tracker: _TrialTracker,
     coupling: CouplingGraph,
     root_qubits: List[int],
     leaf_qubits: List[int],
     swap_weight: float,
     enable_bridging: bool,
-) -> _BlockTree:
+) -> Placement:
     layout = tracker.layout
     rows = coupling.distance_rows()
     phys = layout.physical_map()
-    # Counting-only trials never emit the tree, so the spanning-tree
-    # computation (a pure function of the clustered positions — no SWAPs,
-    # no layout changes) is skipped for them.
-    trial = tracker.circuit is None
 
     # 1. Cluster the root qubits around the centre (Algorithm 1 lines 4-8),
     # routing around this block's leaf qubits so their arrangement (and the
@@ -180,34 +240,10 @@ def _place_block(
     positions = [phys[q] for q in root_qubits]
     center = find_center(coupling, positions)
     cluster_qubits(tracker, coupling, root_qubits, center, avoid=leaf_qubits)
-
-    if trial:
-        tree = _BlockTree(
-            root=root_qubits[0],
-            parent={},
-            root_set=set(root_qubits),
-            leaf_set=set(leaf_qubits),
-            bridge_paths={},
-        )
-    else:
-        position_of = {q: phys[q] for q in root_qubits}
-        logical_of = {p: q for q, p in position_of.items()}
-        root_position = min(
-            position_of.values(), key=lambda p: (rows[p][center], p)
-        )
-        parent_physical = physical_spanning_tree(
-            coupling, list(position_of.values()), root_position
-        )
-        parent = {
-            logical_of[c]: logical_of[p] for c, p in parent_physical.items()
-        }
-        tree = _BlockTree(
-            root=logical_of[root_position],
-            parent=parent,
-            root_set=set(root_qubits),
-            leaf_set=set(leaf_qubits),
-            bridge_paths={},
-        )
+    root_positions = [phys[q] for q in root_qubits]
+    root_set = set(root_qubits)
+    attachments: Dict[int, int] = {}
+    bridge_paths: Dict[int, List[int]] = {}
 
     # 2. Attach leaf qubits by score (Algorithm 1 lines 9-14).  Candidate
     # and anchor sets are tiny, so the exact (score, candidate, anchor)
@@ -220,7 +256,7 @@ def _place_block(
     num_ps = ir.num_strings
     mapped: List[int] = list(root_qubits)
     attach_costs: List[int] = [
-        2 * num_ps if anchor in tree.root_set else 2 for anchor in mapped
+        2 * num_ps if anchor in root_set else 2 for anchor in mapped
     ]
     pending_bridges: List[Tuple[int, int]] = []
     unmapped = sorted(leaf_qubits)
@@ -282,7 +318,7 @@ def _place_block(
         chosen = unmapped.pop(best_row)
         del best_cache[chosen]
         prev_anchor_positions = anchor_positions
-        tree.parent[chosen] = anchor
+        attachments[chosen] = anchor
         mapped.append(chosen)
         attach_costs.append(2)
 
@@ -290,7 +326,7 @@ def _place_block(
         anchor_position = phys[anchor]
         if coupling.are_connected(chosen_position, anchor_position):
             continue
-        if enable_bridging and anchor not in tree.root_set:
+        if enable_bridging and anchor not in root_set:
             blocked = {
                 phys[q] for q in mapped if q not in (chosen, anchor)
             }
@@ -320,12 +356,46 @@ def _place_block(
             path is not None
             and all(not layout.is_occupied(node) for node in path[1:-1])
         ):
-            tree.bridge_paths[chosen] = path
+            bridge_paths[chosen] = path
             reserved.update(path[1:-1])
         else:
             _move_adjacent(tracker, coupling, mapped, chosen, anchor)
 
-    return tree
+    return Placement(
+        swaps=tracker.swaps,
+        center=center,
+        root_positions=root_positions,
+        attachments=attachments,
+        bridge_paths=bridge_paths,
+    )
+
+
+def _block_tree(
+    ir: TetrisBlockIR, placement: Placement, coupling: CouplingGraph
+) -> _BlockTree:
+    """The block's logical tree: the root spanning tree over the root
+    positions after clustering (rooted nearest the centre), then the
+    leaf attachments.  The spanning tree is a pure function of those
+    positions and the centre, so it is built from the record."""
+    root_qubits, leaf_qubits = _split_qubits(ir)
+    rows = coupling.distance_rows()
+    center = placement.center
+    logical_of = dict(zip(placement.root_positions, root_qubits))
+    root_position = min(
+        placement.root_positions, key=lambda p: (rows[p][center], p)
+    )
+    parent_physical = physical_spanning_tree(
+        coupling, placement.root_positions, root_position
+    )
+    parent = {logical_of[c]: logical_of[p] for c, p in parent_physical.items()}
+    parent.update(placement.attachments)
+    return _BlockTree(
+        root=logical_of[root_position],
+        parent=parent,
+        root_set=set(root_qubits),
+        leaf_set=set(leaf_qubits),
+        bridge_paths=placement.bridge_paths,
+    )
 
 
 def _move_adjacent(

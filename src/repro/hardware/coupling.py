@@ -110,31 +110,57 @@ class CouplingGraph:
         """BFS shortest path, optionally avoiding ``blocked`` interior nodes.
 
         ``source`` and ``target`` are always allowed even if listed in
-        ``blocked``.  Returns None if no path exists.
+        ``blocked`` (any set-like container).  Returns None if no path
+        exists.  Routers and Tetris placement issue thousands of these
+        per circuit, so two shortcuts answer most of them without a
+        search, each exactly what the BFS below would return:
 
-        Unblocked queries are answered from a cached per-source BFS
-        parent tree: the full BFS visits nodes in the same deterministic
-        order as the early-terminating scan below, so the extracted path
-        is identical — routers issue thousands of these per circuit.
+        - *The tree path.*  Each source keeps a cached full-BFS parent
+          tree; when no interior node of its path to ``target`` is
+          blocked, that path is the answer.  Both searches expand
+          neighbours in the same adjacency-set order, and blocking only
+          removes nodes: it can delay a node's discovery but never give
+          it an earlier discoverer.  Were the blocked search to give
+          path node p(i+1) another parent q, q would sit at p(i)'s depth
+          and be dequeued before p(i) there, hence (by induction along
+          the path) before p(i) in the unblocked search too, and q would
+          have been p(i+1)'s tree parent.  Unblocked queries always end
+          here.
+        - *Walled in.*  A tree path with an interior node means the
+          endpoints are not adjacent, so any path leaves the source
+          through an unblocked neighbour and enters the target through
+          one: when every neighbour of either end is blocked, there is
+          none.
+
+        Only then is the blocked-path cache consulted and the BFS run;
+        the cache holds BFS answers only.  The graph is immutable, so
+        an answer is a pure function of its key.  Callers never mutate
+        returned paths (they slice).
         """
         if source == target:
             return [source]
-        if not blocked:
-            parents = self._bfs_parents.get(source)
-            if parents is None:
-                parents = self._bfs_tree(source)
-                self._bfs_parents[source] = parents
-            if parents[target] < 0:
-                return None
-            path = [target]
-            while path[-1] != source:
-                path.append(parents[path[-1]])
+        parents = self._bfs_parents.get(source)
+        if parents is None:
+            parents = self._bfs_tree(source)
+            self._bfs_parents[source] = parents
+        if parents[target] < 0:
+            return None
+        path = [target]
+        node = parents[target]
+        while node != source:
+            if blocked and node in blocked:
+                break
+            path.append(node)
+            node = parents[node]
+        else:
+            path.append(source)
             path.reverse()
             return path
-        # Trial placement and the real placement of a chosen block issue
-        # the exact same blocked queries; the graph is immutable, so the
-        # answer is a pure function of the key.  Callers never mutate
-        # returned paths (they slice).
+        adjacency = self._adjacency
+        if adjacency[target].issubset(blocked) or adjacency[source].issubset(
+            blocked
+        ):
+            return None
         key = (source, target, frozenset(blocked))
         cache = self._path_cache
         if key in cache:
@@ -144,19 +170,19 @@ class CouplingGraph:
             # bound; dropping the cache only costs recomputation.
             cache.clear()
         avoid = set(blocked) - {source, target}
-        parents: Dict[int, int] = {source: source}
+        found: Dict[int, int] = {source: source}
         queue = deque([source])
         result: Optional[List[int]] = None
         while queue:
             node = queue.popleft()
-            for other in self._adjacency[node]:
-                if other in parents or other in avoid:
+            for other in adjacency[node]:
+                if other in found or other in avoid:
                     continue
-                parents[other] = node
+                found[other] = node
                 if other == target:
                     path = [target]
                     while path[-1] != source:
-                        path.append(parents[path[-1]])
+                        path.append(found[path[-1]])
                     path.reverse()
                     result = path
                     queue.clear()

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import compress, islice
+from itertools import compress
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -347,5 +347,8 @@ def _fires(
 
 
 def _rows_before(wire: List[int], position: int) -> Iterator[int]:
-    """The rows listed before ``position`` on a wire, latest first."""
-    return islice(reversed(wire), len(wire) - bisect_left(wire, position), None)
+    """The rows listed before ``position`` on a wire, latest first.
+
+    Walks by index, so a caller that stops early pays only for the rows
+    it reads, not for the wire's tail after ``position``."""
+    return (wire[i] for i in range(bisect_left(wire, position) - 1, -1, -1))

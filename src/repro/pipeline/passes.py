@@ -198,7 +198,8 @@ class TetrisSynthesisPass(TransformationPass):
     Schedule and synthesis are one pass because they are genuinely
     coupled: the lookahead scheduler trial-places each candidate block
     against the *live* layout that the previous block's synthesis just
-    mutated."""
+    mutated.  Each trial's placement record is kept for the step, so
+    synthesis replays the winner's instead of placing it again."""
 
     name = "synth-tetris"
     requires = ("ir_blocks", "layout")
@@ -214,16 +215,21 @@ class TetrisSynthesisPass(TransformationPass):
         self.enable_bridging = enable_bridging
 
     def run(self, state: PropertySet) -> None:
-        from ..compiler.tetris.synthesis import synthesize_tetris_block, try_block
+        from ..compiler.tetris.synthesis import place_block, synthesize_tetris_block
 
         coupling = state["coupling"]
         layout = state["layout"]
         ir_blocks = state["ir_blocks"]
         circuit = QuantumCircuit(coupling.num_qubits, name="tetris")
         tracker = SwapTracker(circuit, layout)
+        # This step's trial placements, by block index.  Nothing moves
+        # the live layout between the trials and the winner's synthesis,
+        # and the winner's trial always ran to the end (the first
+        # candidate has no cap; a later one wins only below it).
+        placements = {}
 
         def trial_cost(index, cap):
-            return try_block(
+            placement = place_block(
                 ir_blocks[index],
                 layout,
                 coupling,
@@ -231,6 +237,10 @@ class TetrisSynthesisPass(TransformationPass):
                 enable_bridging=self.enable_bridging,
                 cap=cap,
             )
+            if placement is None:
+                return cap
+            placements[index] = placement
+            return placement.num_swaps
 
         block_order = []
         bridge_overhead = 0
@@ -248,7 +258,9 @@ class TetrisSynthesisPass(TransformationPass):
                 coupling,
                 swap_weight=self.swap_weight,
                 enable_bridging=self.enable_bridging,
+                placement=placements.get(index),
             )
+            placements.clear()
             bridge_overhead += stats.bridge_overhead_cnots
 
         state["circuit"] = circuit

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from collections import deque
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.circuit import QuantumCircuit
 from repro.compiler.base import CompilationResult
+from repro.hardware import CouplingGraph
 from repro.passes import peephole
 from repro.pauli import PauliBlock, PauliString
 from repro.sim import Statevector
@@ -135,3 +137,41 @@ def count_scans(monkeypatch) -> list:
 
     monkeypatch.setattr(peephole, "_cancel_scan", counting)
     return scans
+
+
+def interaction_pairs_reference(blocks: Sequence[PauliBlock]) -> List:
+    """``interaction_pairs`` string by string: consecutive support
+    qubits of each string, blocks and strings in order."""
+    pairs = []
+    for block in blocks:
+        for string in block.strings:
+            support = string.support
+            for index in range(len(support) - 1):
+                pairs.append((support[index], support[index + 1]))
+    return pairs
+
+
+def bfs_shortest_path(
+    coupling: CouplingGraph, source: int, target: int, blocked=()
+) -> Optional[List[int]]:
+    """The plain blocked BFS that ``CouplingGraph.shortest_path`` must
+    agree with: neighbours in the graph's own adjacency-set order, the
+    endpoints allowed even when blocked, no cache and no shortcut."""
+    if source == target:
+        return [source]
+    avoid = set(blocked) - {source, target}
+    parents = {source: source}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for other in coupling._adjacency[node]:
+            if other in parents or other in avoid:
+                continue
+            parents[other] = node
+            if other == target:
+                path = [target]
+                while path[-1] != source:
+                    path.append(parents[path[-1]])
+                return path[::-1]
+            queue.append(other)
+    return None

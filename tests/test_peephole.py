@@ -1,5 +1,7 @@
 """Tests for the cancellation pass — soundness and specific rules."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from helpers import count_scans, unitaries_equal
 from repro.circuit import QuantumCircuit
 from repro.circuit import gate as g
 from repro.circuit.gate import Gate
-from repro.passes import cancel_gates, consolidate_one_qubit_runs
+from repro.passes import cancel_gates, consolidate_one_qubit_runs, peephole
 from repro.passes.reference import cancel_gates_reference
 from repro.pauli import PauliString
 from repro.sim import circuit_unitary
@@ -191,6 +193,41 @@ class TestExposure:
         qc.cx(0, 1)
         out = self.check(qc, monkeypatch, 1)
         assert [G.name for G in out.gates] == [g.H, g.RZ]
+
+
+class CountingWire:
+    """A wire's row list that counts its item reads."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.rows[index]
+
+
+class TestRowsBefore:
+    def test_lists_the_earlier_rows_latest_first(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            rows = sorted(rng.choice(500, size=rng.integers(0, 40),
+                                     replace=False).tolist())
+            position = int(rng.integers(0, 501))
+            expected = [row for row in reversed(rows) if row < position]
+            assert list(peephole._rows_before(rows, position)) == expected
+
+    def test_an_early_stop_reads_no_tail(self):
+        # The backward walks stop at the first live row that decides
+        # them; a walk far from the wire's end must not pay for the rows
+        # after ``position``.
+        wire = CountingWire(list(range(100_000)))
+        first = list(islice(peephole._rows_before(wire, 101), 3))
+        assert first == [100, 99, 98]
+        assert wire.reads <= 40
 
 
 class TestFig3:

@@ -178,6 +178,43 @@ TEMPLATE_STRUCTURE_HASHES = {
         "7a68f72596e5fc2c1a6d61134134483144f9cfd95e59ec8db966cfacb0c57b7b",
 }
 
+#: Full-scale Tetris on sparse devices, which no smoke cell above
+#: reaches: ``(compiler, bench, encoder, device)`` -> (gate hash, SWAP
+#: count, SHA-256 of the block order's repr), recorded while synthesis
+#: still placed every trial-placed block a second time.
+FULL_SCALE_TETRIS_PINS = {
+    ("tetris", "chem:LiH", "BK", "heavy-hex:ibm-65"): (
+        "5fdddadb1694d4c2f74ad7c5e214ce9f29b7beee98a3692339d4a56e9a8df6ef",
+        570,
+        "8acb09748b559f5ab9559e518efb33ecb2278c25e6400f6e77bf127a04734d81",
+    ),
+    ("tetris", "chem:LiH", "BK", "sycamore"): (
+        "8ff58eff84307e4cf03fbd44676add1715a458b0e13283a1304f5c8e8a1b287e",
+        119,
+        "befbf39c3d2aa8269bb4f1a7e74bd79a91b41230c7b614bc9a57b9c452fc8b68",
+    ),
+    ("tetris", "chem:BeH2", "JW", "heavy-hex:ibm-65"): (
+        "6a614c4867b8a4e12cd9f42ed3c58c5f080f58ca9f119866bedc9717bf37a224",
+        607,
+        "b48b279de6f256ba36f0cf51515ac997562134cbab610b0af4f5250a416f5eb6",
+    ),
+    ("tetris", "chem:BeH2", "JW", "sycamore"): (
+        "70c7885f5f9c608b38951f5c26d6071342c8ba6b597484df2818b52fc89f1c25",
+        203,
+        "441ce3fd7c89f2366aada5924c05e18f8af620b9ac1bffb1e39d765d83818572",
+    ),
+    ("tetris:no-bridge", "chem:BeH2", "JW", "heavy-hex:ibm-65"): (
+        "748c22f1661ec89a139820a301df9969f3caa22421eea424791823e042d53b2c",
+        632,
+        "7e2362cb54d030f6903079c4ea3d09d24791d93b5ac4514dde99517ef93e4c8c",
+    ),
+    ("tetris:k=3", "ucc:UCC-10", "JW", "heavy-hex:ibm-65"): (
+        "146e8d3963d281db22c5bc3997ebd0a4624d9df0865fea179df7c7dd10b38960",
+        371,
+        "116b8f5a8703ab9a90ddf6c44fe98b84ed9bada9baace323697736f6ca08a134",
+    ),
+}
+
 #: Content hashes (schema v2) of the six legacy compiler names on a
 #: fixed smoke cell, recorded pre-refactor.  These are on-disk cache
 #: keys: they must never change.
@@ -256,6 +293,24 @@ class TestGateForGateRegression:
                          optimization_level=opt, parametric=True)
         template = run_job(job).template
         assert template.structure_hash() == TEMPLATE_STRUCTURE_HASHES[cell]
+
+    @pytest.mark.parametrize(
+        "cell", sorted(FULL_SCALE_TETRIS_PINS),
+        ids=lambda c: "-".join(map(str, c)),
+    )
+    def test_full_scale_tetris_on_sparse_devices(self, cell):
+        compiler, bench, encoder, device = cell
+        job = CompileJob(bench=bench, compiler=compiler, device=device,
+                         encoder=encoder, scale="full")
+        cell_blocks = job_blocks(job)
+        coupling = resolve_device(job.device, cell_blocks[0].num_qubits)
+        run = run_pipeline(compiler, cell_blocks, coupling)
+        order = repr(run.result.extra["block_order"]).encode()
+        assert (
+            gate_hash(run.result.circuit),
+            run.result.num_swaps,
+            hashlib.sha256(order).hexdigest(),
+        ) == FULL_SCALE_TETRIS_PINS[cell]
 
     def test_service_path_matches_pre_refactor_compiler(self):
         cell = ("tetris", "chem:LiH", "grid:4x4", 4, 3)

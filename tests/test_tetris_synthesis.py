@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.pipeline.passes as pipeline_passes
 from repro.circuit import QuantumCircuit
 from repro.compiler.mapping_utils import SwapTracker
 from repro.compiler.tetris import (
@@ -10,11 +11,14 @@ from repro.compiler.tetris import (
     lower_blocks,
     synthesize_tetris_block,
 )
+from repro.compiler.tetris import synthesis
 from repro.compiler.tetris.synthesis import _BlockTree, _emit_uniform, try_block
-from repro.hardware import grid, linear
+from repro.hardware import grid, linear, resolve_device
 from repro.passes import cancel_gates
 from repro.pauli import PauliBlock, PauliString
+from repro.pipeline import run_pipeline
 from repro.routing import Layout, verify_hardware_compliant
+from repro.service.jobs import CompileJob, job_blocks
 from repro.sim import Statevector
 
 from helpers import embed_state, random_logical_state, reference_circuit
@@ -185,3 +189,48 @@ class TestTryBlock:
         tracker = SwapTracker(circuit, layout)
         synthesize_tetris_block(ir, tracker, coupling)
         assert predicted == tracker.num_swaps
+
+
+class TestPlaceOnce:
+    @pytest.mark.parametrize("compiler", ["tetris", "tetris:k=3", "tetris:k=1"])
+    def test_each_scheduled_block_is_placed_once(self, compiler, monkeypatch):
+        """Algorithm 1's placement runs once per trial, plus once per
+        block scheduled without a trial: synthesis replays the winning
+        trial instead of placing the block again."""
+        placements = []
+        place = synthesis._place_block
+
+        def counting_place(*args):
+            placements.append(len(placements))
+            return place(*args)
+
+        trials = []
+        untried = []
+        chain = pipeline_passes.chain_order
+
+        def counting_chain(blocks, lookahead=1, cost=None):
+            def counted(index, cap):
+                trials.append(index)
+                return cost(index, cap)
+
+            seen = 0
+            for index in chain(blocks, lookahead=lookahead, cost=counted):
+                if len(trials) == seen:
+                    untried.append(index)
+                seen = len(trials)
+                yield index
+
+        monkeypatch.setattr(synthesis, "_place_block", counting_place)
+        monkeypatch.setattr(pipeline_passes, "chain_order", counting_chain)
+        job = CompileJob(bench="chem:LiH", encoder="BK", compiler=compiler,
+                         device="heavy-hex:ibm-65", scale="full")
+        blocks = job_blocks(job)
+        coupling = resolve_device(job.device, blocks[0].num_qubits)
+        run = run_pipeline(compiler, blocks, coupling)
+        assert sorted(run.result.extra["block_order"]) == list(range(len(blocks)))
+        assert untried[0] == run.result.extra["block_order"][0]
+        if compiler == "tetris:k=1":
+            assert not trials and len(untried) == len(blocks)
+        else:
+            assert len(trials) > len(blocks)
+        assert len(placements) == len(trials) + len(untried)

@@ -48,7 +48,12 @@ from repro.routing.router import route_circuit
 from repro.sim import circuit_unitary
 from repro.workloads import workload_blocks
 
-from helpers import count_scans, random_pauli_string, unitaries_equal
+from helpers import (
+    count_scans,
+    interaction_pairs_reference,
+    random_pauli_string,
+    unitaries_equal,
+)
 
 
 def sig(circuit):
@@ -194,6 +199,40 @@ class TestCancelScans:
             assert all(alive is not None for alive in scans[1:]), seed
             rescanned += len(scans) > 1
         assert rescanned >= 5
+
+
+class TestInteractionPairs:
+    """The layout's pair list, built from the packed support planes,
+    equals the string-by-string list, order included."""
+
+    @pytest.mark.parametrize("bench,encoder,scale", [
+        ("chem:LiH", "JW", "full"),
+        ("chem:LiH", "BK", "full"),
+        ("chem:BeH2", "BK", "small"),
+        ("ucc:UCC-12", "JW", "full"),
+        ("ucc:UCC-20", "BK", "small"),
+        ("qaoa:Rand-16", "JW", "small"),
+        ("qaoa:REG3-20", "JW", "small"),
+    ])
+    def test_workloads(self, bench, encoder, scale):
+        blocks = workload_blocks(bench, encoder, scale)
+        pairs = interaction_pairs(blocks)
+        assert pairs
+        assert pairs == interaction_pairs_reference(blocks)
+        assert all(type(q) is int for pair in pairs[:50] for q in pair)
+
+    @pytest.mark.parametrize("num_qubits", [1, 5, 64, 70, 130])
+    def test_random_blocks_across_word_boundaries(self, num_qubits):
+        rng = np.random.default_rng(num_qubits)
+        blocks = [
+            PauliBlock([random_pauli_string(rng, num_qubits, min_weight=0)
+                        for _ in range(int(rng.integers(1, 4)))])
+            for _ in range(12)
+        ]
+        assert interaction_pairs(blocks) == interaction_pairs_reference(blocks)
+
+    def test_no_blocks(self):
+        assert interaction_pairs([]) == []
 
 
 class TestLayoutRouteDifferential:
