@@ -10,6 +10,10 @@ gate-sequence hash alongside the timings.  Cells:
 
 - ``cancel`` / ``consolidate-1q``: peephole cancellation and 1Q-run
   consolidation over the raw synthesized circuit;
+- ``lower-ir``: Tetris-IR lowering of fresh UCC-n block lists (no
+  cached tables), the frozen per-block loop against the batch kernel;
+  it times a batch of :data:`LOWER_BATCH` lists per sample, like
+  ``layout``, and asserts every IR field is identical;
 - ``layout`` / ``route``: greedy interaction layout and SWAP routing of
   the logical circuit onto the device (``layout`` times a batch of
   :data:`LAYOUT_BATCH` calls per sample and reports the per-call time);
@@ -50,7 +54,10 @@ from repro.circuit.parameter import encode_param
 from repro.compiler.base import interaction_pairs
 from repro.compiler.max_cancel import max_cancel_logical_circuit
 from repro.compiler.tetris.ir import lower_blocks
-from repro.compiler.tetris.reference import run_tetris_reference
+from repro.compiler.tetris.reference import (
+    lower_blocks_reference,
+    run_tetris_reference,
+)
 from repro.compiler.tetris.scheduler import chain_order
 from repro.hardware.families import resolve_device
 from repro.passes.consolidate import consolidate_one_qubit_runs
@@ -59,6 +66,7 @@ from repro.passes.reference import (
     cancel_gates_reference,
     consolidate_one_qubit_runs_reference,
 )
+from repro.pauli import PauliBlock
 from repro.pipeline import run_pipeline
 from repro.pipeline.base import PropertySet
 from repro.pipeline.passes import DecomposeSwapsPass
@@ -93,6 +101,10 @@ UCC40_CEILING_SECONDS = 9.9
 #: Layout calls per timed sample: one call takes 5-9 ms, too short a
 #: sample to hold the 1x floor against host jitter.
 LAYOUT_BATCH = 10
+
+#: Block lists lowered per timed sample: the live lowering of one
+#: UCC-20 list takes a few ms.
+LOWER_BATCH = 10
 
 
 def gate_hash(circuit: QuantumCircuit) -> str:
@@ -195,6 +207,47 @@ def _cell(kernel, n, old_seconds, new_seconds, output, extra=None) -> dict:
     if extra:
         row.update(extra)
     return row
+
+
+def fresh_blocks(blocks) -> List[PauliBlock]:
+    """Copies of ``blocks`` without cached tables, as a workload build
+    returns them."""
+    return [
+        PauliBlock(b.strings, b.weights, angle=b.angle, label=b.label)
+        for b in blocks
+    ]
+
+
+def ir_fields(ir_blocks) -> List[Tuple]:
+    return [
+        (ir.string_order, tuple(s.ops for s in ir.strings), ir.weights,
+         ir.angle, ir.block.label, ir.leaf_qubits, ir.root_qubits,
+         ir.uniform_support)
+        for ir in ir_blocks
+    ]
+
+
+def bench_lower_ir(n: int, repeats: int) -> List[dict]:
+    """Tetris-IR lowering of fresh UCC-n block lists: the frozen
+    per-block loop against the batch kernel."""
+    blocks = workload_blocks(f"ucc:UCC-{n}", "JW", SCALE)
+    assert ir_fields(lower_blocks_reference(fresh_blocks(blocks))) == (
+        ir_fields(lower_blocks(fresh_blocks(blocks)))
+    ), f"lower-ir mismatch at UCC-{n}"
+    # Each side lowers its own fresh copies, made outside the timer: a
+    # lowering caches tables on its input blocks.
+    batches = [
+        iter([[fresh_blocks(blocks) for _ in range(LOWER_BATCH)]
+              for _ in range(repeats)])
+        for _ in range(2)
+    ]
+    old_s, new_s, _, _ = timeit_pair(
+        lambda: [lower_blocks_reference(b) for b in next(batches[0])],
+        lambda: [lower_blocks(b) for b in next(batches[1])],
+        repeats,
+    )
+    return [_cell("lower-ir", n, old_s / LOWER_BATCH, new_s / LOWER_BATCH,
+                  None, extra={"blocks": len(blocks)})]
 
 
 def bench_passes(n: int, device: str, repeats: int) -> List[dict]:
@@ -350,7 +403,8 @@ def main(argv=None) -> int:
     pass_n, pass_device = QUICK_PASS_SIZE if args.quick else PASS_SIZE
     e2e_sizes = QUICK_E2E_SIZES if args.quick else E2E_SIZES
 
-    results = bench_passes(pass_n, pass_device, repeats)
+    results = bench_lower_ir(pass_n, repeats)
+    results.extend(bench_passes(pass_n, pass_device, repeats))
     results.extend(bench_template_tail(pass_n, pass_device, repeats))
     results.extend(bench_e2e(e2e_sizes, repeats))
     results.extend(bench_routed_e2e(*ROUTED_E2E_SIZE, repeats))

@@ -10,42 +10,43 @@ string's edge count).  Strings are ordered greedily for similarity —
 within blocks by minimal Hamming distance, across blocks by leaf-tree
 similarity — the same ordering freedom the compilers have.
 
-The per-pair arithmetic runs on the packed symplectic table: row weights
-and consecutive-row match counts are single popcount kernels over the
-ordered string list instead of per-pair character scans.
+The blocks are lowered once, and the per-pair arithmetic runs on the
+lowered blocks' stacked bitplanes in chain order: row weights and
+consecutive-row match counts are single popcount kernels over the ordered
+string list instead of per-pair character scans.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..compiler.tetris.ir import lower_blocks
 from ..compiler.tetris.scheduler import chain_order
-from ..pauli.block import PauliBlock
-from ..pauli.pauli_string import PauliString
+from ..pauli.block import PauliBlock, block_planes
 from ..pauli.table import PauliTable
 
 
 def max_cancel_upper_bound(blocks: Sequence[PauliBlock]) -> float:
     """The Fig. 2 "max_cancel" ratio: cancellable / original logical CNOTs."""
-    strings: List[PauliString] = []
-    for index in chain_order(blocks):
-        strings.extend(lower_blocks([blocks[index]])[0].strings)
-    if not strings:
+    if not blocks:
         return 0.0
-    table = PauliTable.from_strings(strings)
+    lowered = lower_blocks(blocks)
+    x, z, _ = block_planes(
+        [lowered[index].block for index in chain_order(blocks)]
+    )
+    table = PauliTable(x, z, blocks[0].num_qubits)
     weights = table.weights()
     total = int((2 * (weights - 1))[weights > 1].sum())
     if total == 0:
         return 0.0
-    if len(strings) < 2:
+    if len(table) < 2:
         return 0.0
     # CNOTs cancellable between consecutive exponentials: the matched
     # region, bounded by either tree's edge count, zero when disjoint.
-    matched = table.select(np.arange(len(strings) - 1)).match_counts(
-        table.select(np.arange(1, len(strings)))
+    matched = table.select(np.arange(len(table) - 1)).match_counts(
+        table.select(np.arange(1, len(table)))
     )
     per_pair = np.minimum(matched, np.minimum(weights[:-1] - 1, weights[1:] - 1))
     per_pair = np.where(matched == 0, 0, per_pair)

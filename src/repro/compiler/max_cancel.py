@@ -48,6 +48,9 @@ def _emit_block_single_leaf_tree(circuit: QuantumCircuit, ir: TetrisBlockIR) -> 
     leaf = list(ir.leaf_qubits)
     root = list(ir.root_qubits)
     if not root:
+        if not leaf:
+            # An all-identity block is a global phase: emit nothing.
+            return
         root = [leaf.pop()]
     first = ir.strings[0]
 
@@ -65,6 +68,10 @@ def _emit_block_single_leaf_tree(circuit: QuantumCircuit, ir: TetrisBlockIR) -> 
     for string, weight in zip(ir.strings, ir.weights):
         string_roots = [q for q in root if string[q] != I]
         chain = leaf[-1:] + string_roots
+        if not chain:
+            # Only an identity string has no qubit in the chain: a
+            # global phase, skipped as every compiler skips it.
+            continue
         emit_exponential(
             circuit,
             [(string[q], q) for q in string_roots],

@@ -1,8 +1,10 @@
-"""Frozen scalar reference implementation of Tetris block placement.
+"""Frozen scalar reference implementation of Tetris lowering and placement.
 
-Verbatim pre-vectorization copies of the trial-placement path —
-``try_block``, ``_place_block``, the ``find_center`` / ``cluster_qubits``
-mapping helpers and the lookahead scheduling loop — plus a driver
+Verbatim pre-vectorization copies of the per-block Tetris-IR lowering
+(:func:`lower_blocks_reference`: the Gray chain and the root/leaf split,
+one block at a time) and of the trial-placement path — ``try_block``,
+``_place_block``, the ``find_center`` / ``cluster_qubits`` mapping
+helpers and the lookahead scheduling loop — plus a driver
 (:func:`run_tetris_reference`) mirroring ``TetrisSynthesisPass.run``.
 They are the "old" side of ``benchmarks/bench_passes.py``'s wall-clock
 cells and the oracle for the differential tests.  Emission
@@ -17,6 +19,7 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from ...circuit.circuit import QuantumCircuit
 from ...hardware.coupling import CouplingGraph
+from ...pauli.block import PauliBlock
 from ...pauli.similarity import block_similarity_matrix
 from ...routing.layout import Layout
 from ..mapping_utils import SwapTracker, physical_spanning_tree
@@ -31,6 +34,79 @@ from .synthesis import (
 )
 
 DEFAULT_LOOKAHEAD = 10
+
+
+def _gray_order_reference(block: PauliBlock) -> list:
+    """Greedy minimal-Hamming-distance chain over the block's strings.
+
+    Adjacent strings that agree on more operators let more of the shared
+    tree cancel between the mirrored fan-out and the next fan-in, so the
+    ordering starts from the lexicographically smallest string and always
+    appends the closest remaining string.  Distances come from one batch
+    Hamming-matrix kernel over the block's bitplanes; lexicographic ranks
+    (stable, so duplicates keep index order) replace per-comparison
+    character tie-breaks.
+    """
+    table = block.table
+    distance = table.hamming_matrix()
+    rank = table.lex_ranks()
+    remaining = list(range(len(block)))
+    current = min(remaining, key=lambda i: rank[i])
+    order = [current]
+    remaining.remove(current)
+    while remaining:
+        row = distance[current]
+        current = min(remaining, key=lambda i: (row[i], rank[i]))
+        order.append(current)
+        remaining.remove(current)
+    return order
+
+
+def _reordered_reference(block: PauliBlock, order: Sequence[int]) -> PauliBlock:
+    """Return a block with strings permuted by ``order``."""
+    return PauliBlock(
+        [block.strings[i] for i in order],
+        [block.weights[i] for i in order],
+        angle=block.angle,
+        label=block.label,
+    )
+
+
+def _lower_block_reference(block: PauliBlock, sort_strings: bool) -> TetrisBlockIR:
+    """The per-block ``TetrisBlockIR`` constructor body."""
+    self = TetrisBlockIR.__new__(TetrisBlockIR)
+    # Reordering is only sound when the strings pairwise commute (always
+    # true for UCCSD excitation blocks, not for arbitrary input).
+    order = range(len(block))
+    if sort_strings and len(block) > 1 and block.pairwise_commuting():
+        order = _gray_order_reference(block)
+        block = _reordered_reference(block, order)
+    # IR string i is input-block string string_order[i].  Duplicate
+    # strings resolve to ascending input indices (the Gray chain
+    # tie-breaks equal distances on stable lexicographic rank).
+    self.string_order = tuple(order)
+    self.block = block
+    leaf = block.common_qubits()
+    support = block.support
+    if len(block) == 1:
+        # A single string has everything in common with itself; the
+        # rotation still needs a root, so treat the support as root.
+        leaf = frozenset()
+    self.leaf_qubits = tuple(sorted(leaf))
+    self.root_qubits = tuple(sorted(support - leaf))
+    # Every per-string support is a subset of the block support, so the
+    # supports are uniform iff every row weight equals the active length.
+    self.uniform_support = bool(
+        (block.table.weights() == len(support)).all()
+    )
+    return self
+
+
+def lower_blocks_reference(
+    blocks: Sequence[PauliBlock], sort_strings: bool = True
+) -> List[TetrisBlockIR]:
+    """Lower plain Pauli blocks into Tetris-IR, one block at a time."""
+    return [_lower_block_reference(block, sort_strings) for block in blocks]
 
 
 def find_center_reference(

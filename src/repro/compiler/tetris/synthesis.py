@@ -86,8 +86,9 @@ class Placement:
 
     #: The SWAPs, as physical pairs in the order they were made.
     swaps: List[Tuple[int, int]]
-    #: ``findCenter``'s node, which roots the root spanning tree.
-    center: int
+    #: ``findCenter``'s node, which roots the root spanning tree (None
+    #: for an all-identity block, which places and emits nothing).
+    center: Optional[int]
     #: The root qubits' positions right after clustering, in
     #: :func:`_split_qubits` order.
     root_positions: List[int]
@@ -106,7 +107,7 @@ def _split_qubits(ir: TetrisBlockIR) -> Tuple[List[int], List[int]]:
     """The block's root and leaf qubits, placement's working lists."""
     root_qubits = list(ir.root_qubits)
     leaf_qubits = list(ir.leaf_qubits)
-    if not root_qubits:
+    if not root_qubits and leaf_qubits:
         # Degenerate block (all strings identical): promote one leaf to root.
         root_qubits = [leaf_qubits.pop()]
     return root_qubits, leaf_qubits
@@ -126,10 +127,15 @@ def place_block(
     root positions after clustering, the leaf attachments and bridges),
     or None once the SWAP count reaches ``cap`` (the scheduler's
     incumbent cost): such a trial can no longer win.  ``layout`` is
-    left as it was.
+    left as it was.  An all-identity block places nothing: its record
+    is empty and its trial costs 0.
     """
-    tracker = _TrialTracker(layout.copy(), cap)
     root_qubits, leaf_qubits = _split_qubits(ir)
+    if not root_qubits:
+        # An all-identity block is a global phase: nothing to place.
+        return Placement([], center=None, root_positions=[], attachments={},
+                         bridge_paths={})
+    tracker = _TrialTracker(layout.copy(), cap)
     try:
         return _place_block(
             ir, tracker, coupling, root_qubits, leaf_qubits, swap_weight,
@@ -192,6 +198,9 @@ def synthesize_tetris_block(
         placement = place_block(
             ir, layout, coupling, swap_weight, enable_bridging
         )
+    if placement.center is None:
+        # An all-identity block: a global phase, nothing to emit.
+        return stats
     for physical_a, physical_b in placement.swaps:
         tracker.swap(physical_a, physical_b)
 

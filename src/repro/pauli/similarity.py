@@ -8,11 +8,12 @@ tables (:func:`block_similarity_matrix`).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .block import PauliBlock
+from .block import PauliBlock, block_planes, leaf_masks
+from .pauli_string import _width_error
 from .table import PauliTable
 
 
@@ -37,32 +38,32 @@ def leaf_table(blocks: Sequence[PauliBlock]) -> PauliTable:
     Row ``i`` carries block ``i``'s shared operator on each leaf-tree qubit
     and identity elsewhere, so its weight is ``|LT_i|`` and a pairwise
     match count between rows is exactly the Eq. (1) numerator ``|C|``.
+    It is each block's first row masked by its leaf mask, from one
+    ``reduceat`` over the blocks' stacked bitplanes.
     """
     if not blocks:
         return PauliTable.from_strings([], num_qubits=0)
-    return PauliTable.from_strings(
-        [block.common_substring() for block in blocks]
-    )
+    width = blocks[0].num_qubits
+    for block in blocks:
+        if block.num_qubits != width:
+            raise _width_error(width, block.num_qubits)
+    x, z, starts = block_planes(blocks)
+    leaf = leaf_masks(x, z, starts)
+    return PauliTable._adopt(x[starts] & leaf, z[starts] & leaf, width)
 
 
-def block_similarity_matrix(
-    blocks: Sequence[PauliBlock],
-    others: Optional[Sequence[PauliBlock]] = None,
-) -> np.ndarray:
+def block_similarity_matrix(blocks: Sequence[PauliBlock]) -> np.ndarray:
     """All-pairs Eq. (1) similarity as one batch kernel.
 
-    ``out[i, j] == block_similarity(blocks[i], others[j])`` (``others``
-    defaults to ``blocks``), computed from the packed leaf tables: the
-    numerators are an AND-plus-popcount match matrix, the denominators
-    come from the leaf weights, and empty-leaf pairs are 0.0.
+    ``out[i, j] == block_similarity(blocks[i], blocks[j])``, computed
+    from the packed leaf table: the numerators are an AND-plus-popcount
+    match matrix, the denominators come from the leaf weights, and
+    empty-leaf pairs are 0.0.
     """
-    table_a = leaf_table(blocks)
-    table_b = table_a if others is None else leaf_table(others)
-    common = table_a.match_matrix(table_b)
-    weights_a = table_a.weights()
-    weights_b = table_b.weights()
-    denominator = weights_a[:, None] + weights_b[None, :] - common
+    table = leaf_table(blocks)
+    common = table.match_matrix()
+    weights = table.weights()
+    denominator = weights[:, None] + weights[None, :] - common
     return np.where(
         denominator == 0, 0.0, common / np.maximum(denominator, 1)
     )
-

@@ -151,6 +151,30 @@ def interaction_pairs_reference(blocks: Sequence[PauliBlock]) -> List:
     return pairs
 
 
+def logical_cnot_count_reference(blocks: Sequence[PauliBlock]) -> int:
+    """``logical_cnot_count`` string by string: ``2 * (weight - 1)`` for
+    each string of weight above one."""
+    total = 0
+    for block in blocks:
+        for string in block.strings:
+            weight = string.weight
+            if weight > 1:
+                total += 2 * (weight - 1)
+    return total
+
+
+def logical_one_qubit_count_reference(blocks: Sequence[PauliBlock]) -> int:
+    """``logical_one_qubit_count`` operator by operator: two basis gates
+    for each non-identity operator that is not Z."""
+    total = 0
+    for block in blocks:
+        for string in block.strings:
+            for qubit in string.support:
+                if string[qubit] != "Z":
+                    total += 2
+    return total
+
+
 def bfs_shortest_path(
     coupling: CouplingGraph, source: int, target: int, blocked=()
 ) -> Optional[List[int]]:

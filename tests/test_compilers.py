@@ -17,6 +17,7 @@ from repro.hardware import fully_connected, grid, linear, ring
 from repro.pauli import PauliBlock, PauliString
 from repro.pipeline import run_pipeline
 from repro.routing import verify_hardware_compliant
+from repro.verify import verify_compilation
 
 from helpers import assert_physical_equivalence
 
@@ -180,3 +181,48 @@ class TestSingleBlockEdgeCases:
         ]
         result = compile_raw(compiler, blocks, linear(4))
         assert_physical_equivalence(result, blocks)
+
+
+CHEMISTRY_COMPILERS = [
+    "tetris", "paulihedral", "max-cancel", "tket-like", "pcoast-like",
+]
+
+#: Blocks holding identity strings: one of only identity strings, and
+#: one mixing an identity string with another, in either order.
+IDENTITY_BLOCKS = {
+    "all-identity": ["III", "III"],
+    "identity-first": ["III", "XXI"],
+    "identity-last": ["XXI", "III"],
+}
+
+
+class TestIdentityStrings:
+    """An identity string is a global phase: every compiler skips it."""
+
+    @pytest.mark.parametrize("shape", sorted(IDENTITY_BLOCKS))
+    @pytest.mark.parametrize("compiler", CHEMISTRY_COMPILERS)
+    def test_compiles_and_verifies(self, compiler, shape):
+        blocks = [
+            PauliBlock(["XYZ", "YXZ"], weights=[0.5, -0.5], angle=0.7),
+            PauliBlock(IDENTITY_BLOCKS[shape], weights=[0.3, -0.2], angle=0.4),
+            PauliBlock(["ZZI"], angle=-0.6),
+        ]
+        coupling = grid(2, 2)
+        result = run_pipeline(compiler, blocks, coupling).result
+        assert verify_compilation(result, blocks, coupling).ok
+
+    def test_all_identity_block_places_and_emits_nothing(self):
+        from repro.circuit import QuantumCircuit
+        from repro.compiler.mapping_utils import SwapTracker
+        from repro.compiler.tetris import TetrisBlockIR, synthesize_tetris_block
+        from repro.compiler.tetris.synthesis import place_block, try_block
+        from repro.routing import Layout
+
+        ir = TetrisBlockIR(PauliBlock(["III", "III"]))
+        coupling = grid(2, 2)
+        layout = Layout.trivial(3, coupling.num_qubits)
+        assert place_block(ir, layout, coupling).num_swaps == 0
+        assert try_block(ir, layout, coupling) == 0
+        tracker = SwapTracker(QuantumCircuit(coupling.num_qubits), layout)
+        synthesize_tetris_block(ir, tracker, coupling)
+        assert len(tracker.circuit) == 0

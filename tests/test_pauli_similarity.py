@@ -137,12 +137,3 @@ class TestBatchMatrix:
         )
         assert matrix.shape == expected.shape
         assert np.array_equal(matrix, expected)
-
-    def test_rectangular_matrix(self):
-        rows = [block_of("ZZI"), block_of("XXI")]
-        cols = [block_of("ZZI"), block_of("IZZ"), block_of("YYI")]
-        matrix = block_similarity_matrix(rows, cols)
-        assert matrix.shape == (2, 3)
-        for i, a in enumerate(rows):
-            for j, b in enumerate(cols):
-                assert matrix[i, j] == block_similarity(a, b)
