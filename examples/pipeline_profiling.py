@@ -3,7 +3,7 @@
 Three ways to drive the pipeline layer:
 
 1. spec strings through :func:`repro.pipeline.run_pipeline` — named
-   pipelines, variants (``tetris:no-bridge``), cleanup levels (``+o1``);
+   pipelines, variants (``tetris:no-gray``), cleanup levels (``+o1``);
 2. a hand-built :class:`repro.pipeline.PassManager` mixing stages from
    different compilers;
 3. the batch service with ``profile_passes=True`` — profiles attached
@@ -36,7 +36,7 @@ def profile_spec_variants() -> None:
     """Where does the time (and the CNOT win) come from, per variant?"""
     blocks = molecule_blocks("LiH")[:24]
     coupling = resolve_device("grid:4x4", blocks[0].num_qubits)
-    for spec in ("tetris", "tetris:no-bridge+o1", "paulihedral"):
+    for spec in ("tetris", "tetris:no-gray+o1", "paulihedral"):
         run = run_pipeline(spec, blocks, coupling, profile=True)
         metrics = run.metrics()
         print(f"\n{spec}: cnot={metrics.cnot_gates} depth={metrics.depth} "

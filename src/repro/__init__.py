@@ -55,7 +55,7 @@ def compile(  # noqa: A001 — the facade intentionally owns this name
 
     Every name is a registry spec string — ``bench="chem:LiH"``,
     ``device="grid:8x8"``, legacy spellings included — and ``compiler``
-    accepts full pipeline specs (``"tetris:no-bridge"``, a custom pass
+    accepts full pipeline specs (``"tetris:no-gray"``, a custom pass
     list)::
 
         import repro

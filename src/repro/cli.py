@@ -8,7 +8,7 @@ custom pass lists)::
 
     python -m repro.cli --bench LiH --compiler tetris --device ithaca
     python -m repro.cli --bench chem:LiH --device grid:8x8
-    python -m repro.cli --bench LiH --compiler tetris:no-bridge --profile-passes
+    python -m repro.cli --bench LiH --compiler tetris:no-gray --profile-passes
     python -m repro.cli --bench chem:LiH --parametric   # template + timed bind
     python -m repro.cli --bench qaoa:Rand-16 --compiler tetris-qaoa --qasm out.qasm
     python -m repro.cli --bench ucc:UCC-10 --compiler paulihedral --blocks 50
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "qaoa:Rand-16, ... (see --list-benchmarks)")
     parser.add_argument("--compiler", default="tetris",
                         help="pipeline spec: a compiler name/alias, a variant "
-                             "form like tetris:no-bridge or tetris:w=0.1, or "
+                             "form like tetris:no-gray or tetris:w=0.1, or "
                              "a custom pass list (see --list-compilers)")
     parser.add_argument("--device", default="ithaca",
                         help="device spec: ithaca, grid:8x8, heavy-hex:5, "
@@ -386,7 +386,7 @@ def load_matrix(path: str) -> list:
         payload = payload.get("jobs", [])
     if not isinstance(payload, list):
         raise ValueError("matrix file must be a JSON list or {\"jobs\": [...]}")
-    return [CompileJob.from_dict(spec) for spec in payload]
+    return [CompileJob.from_request(spec) for spec in payload]
 
 
 def build_grid(args) -> list:

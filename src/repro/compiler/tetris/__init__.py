@@ -6,18 +6,13 @@ stages as passes.
 
 from .ir import TetrisBlockIR, lower_blocks
 from .scheduler import DEFAULT_LOOKAHEAD, chain_order
-from .synthesis import (
-    DEFAULT_SWAP_WEIGHT,
-    BlockSynthesisStats,
-    synthesize_tetris_block,
-)
+from .synthesis import DEFAULT_SWAP_WEIGHT, synthesize_tetris_block
 
 __all__ = [
     "TetrisBlockIR",
     "lower_blocks",
     "chain_order",
     "synthesize_tetris_block",
-    "BlockSynthesisStats",
     "DEFAULT_LOOKAHEAD",
     "DEFAULT_SWAP_WEIGHT",
 ]

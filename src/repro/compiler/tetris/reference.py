@@ -2,15 +2,19 @@
 
 Verbatim pre-vectorization copies of the per-block Tetris-IR lowering
 (:func:`lower_blocks_reference`: the Gray chain and the root/leaf split,
-one block at a time) and of the trial-placement path — ``try_block``,
-``_place_block``, the ``find_center`` / ``cluster_qubits`` mapping
-helpers and the lookahead scheduling loop — plus a driver
-(:func:`run_tetris_reference`) mirroring ``TetrisSynthesisPass.run``.
-They are the "old" side of ``benchmarks/bench_passes.py``'s wall-clock
-cells and the oracle for the differential tests.  Emission
+one block at a time) and of the trial-placement path — the artifact's
+``try_block``, ``_place_block``, the ``find_center`` /
+``cluster_qubits`` mapping helpers and the lookahead scheduling loop —
+plus a driver (:func:`run_tetris_reference`) mirroring
+``TetrisSynthesisPass.run``.  They are the "old" side of
+``benchmarks/bench_passes.py``'s wall-clock cells and the oracle for
+the differential tests.  Emission
 (``_emit_uniform`` / ``_emit_per_string``) is imported from the live
 module: it is not touched by the vectorization.  Do not optimize this
 module.
+
+Neither side bridges a block's leaf edges: a deferred leaf moves by
+SWAPs once the rest of its block is placed.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from ..mapping_utils import SwapTracker, physical_spanning_tree
 from .ir import TetrisBlockIR
 from .synthesis import (
     DEFAULT_SWAP_WEIGHT,
-    BlockSynthesisStats,
     _BlockTree,
     _emit_per_string,
     _emit_uniform,
@@ -205,7 +208,6 @@ def _place_block_reference(
     root_qubits: List[int],
     leaf_qubits: List[int],
     swap_weight: float,
-    enable_bridging: bool,
 ) -> _BlockTree:
     layout = tracker.layout
     distance = coupling.distance_matrix()
@@ -229,13 +231,12 @@ def _place_block_reference(
         parent=parent,
         root_set=set(root_qubits),
         leaf_set=set(leaf_qubits),
-        bridge_paths={},
     )
 
     # 2. Attach leaf qubits by score (Algorithm 1 lines 9-14).
     num_ps = ir.num_strings
     mapped: List[int] = list(root_qubits)
-    pending_bridges: List[Tuple[int, int]] = []
+    deferred: List[Tuple[int, int]] = []
     unmapped = sorted(leaf_qubits)
     while unmapped:
         best: Optional[Tuple[float, int, int]] = None
@@ -263,34 +264,22 @@ def _place_block_reference(
         swap_path = coupling.shortest_path(
             chosen_position, anchor_position, blocked=blocked
         )
-        if enable_bridging and anchor not in tree.root_set and swap_path is None:
-            # Swapping would displace already-mapped tree qubits; prefer a
-            # CNOT bridge through free |0> slots if one survives placement.
-            pending_bridges.append((chosen, anchor))
+        if anchor not in tree.root_set and swap_path is None:
+            # Swapping would displace already-mapped tree qubits: move
+            # this leaf once the rest of the block is placed.
+            deferred.append((chosen, anchor))
             continue
         _move_adjacent_reference(
             tracker, coupling, mapped, chosen, anchor, soft_avoid=unmapped
         )
 
-    # 3. Validate deferred bridges; fall back to SWAPs when a path is taken.
-    reserved: Set[int] = set()
-    for chosen, anchor in pending_bridges:
+    # 3. SWAP the deferred leaves next to their anchors.
+    for chosen, anchor in deferred:
         chosen_position = layout.physical(chosen)
         anchor_position = layout.physical(anchor)
         if coupling.are_connected(chosen_position, anchor_position):
             continue
-        blocked = {
-            layout.physical(q) for q in mapped if q not in (chosen, anchor)
-        } | reserved
-        path = coupling.shortest_path(chosen_position, anchor_position, blocked=blocked)
-        if (
-            path is not None
-            and all(not layout.is_occupied(node) for node in path[1:-1])
-        ):
-            tree.bridge_paths[chosen] = path
-            reserved.update(path[1:-1])
-        else:
-            _move_adjacent_reference(tracker, coupling, mapped, chosen, anchor)
+        _move_adjacent_reference(tracker, coupling, mapped, chosen, anchor)
 
     return tree
 
@@ -300,7 +289,6 @@ def try_block_reference(
     layout,
     coupling: CouplingGraph,
     swap_weight: float = DEFAULT_SWAP_WEIGHT,
-    enable_bridging: bool = True,
 ) -> int:
     """Trial placement of a block on a layout copy; returns the SWAP count."""
     scratch_layout = layout.copy()
@@ -310,7 +298,7 @@ def try_block_reference(
     if not root_qubits:
         root_qubits = [leaf_qubits.pop()]
     _place_block_reference(
-        ir, scratch, coupling, root_qubits, leaf_qubits, swap_weight, enable_bridging
+        ir, scratch, coupling, root_qubits, leaf_qubits, swap_weight
     )
     return scratch.num_swaps
 
@@ -320,11 +308,8 @@ def synthesize_tetris_block_reference(
     tracker: SwapTracker,
     coupling: CouplingGraph,
     swap_weight: float = DEFAULT_SWAP_WEIGHT,
-    enable_bridging: bool = True,
-) -> BlockSynthesisStats:
+) -> None:
     """Synthesize one Tetris block into ``tracker.circuit``."""
-    stats = BlockSynthesisStats()
-    swaps_before = tracker.num_swaps
     layout = tracker.layout
 
     root_qubits = list(ir.root_qubits)
@@ -334,14 +319,12 @@ def synthesize_tetris_block_reference(
         root_qubits = [leaf_qubits.pop()]
 
     tree = _place_block_reference(
-        ir, tracker, coupling, root_qubits, leaf_qubits, swap_weight, enable_bridging
+        ir, tracker, coupling, root_qubits, leaf_qubits, swap_weight
     )
     if ir.uniform_support and _tree_edges_adjacent(tree, layout, coupling):
-        _emit_uniform(ir, tracker, tree, stats)
+        _emit_uniform(ir, tracker, tree)
     else:
         _emit_per_string(ir, tracker, coupling, tree)
-    stats.swaps = tracker.num_swaps - swaps_before
-    return stats
 
 
 class _LookaheadSchedulerReference:
@@ -394,7 +377,6 @@ def run_tetris_reference(
     coupling: CouplingGraph,
     swap_weight: float = DEFAULT_SWAP_WEIGHT,
     lookahead: int = DEFAULT_LOOKAHEAD,
-    enable_bridging: bool = True,
 ) -> Tuple[QuantumCircuit, int, List[int]]:
     """The pre-vectorization ``TetrisSynthesisPass.run`` loop.
 
@@ -410,7 +392,6 @@ def run_tetris_reference(
             live_layout,
             coupling,
             swap_weight=swap_weight,
-            enable_bridging=enable_bridging,
         )
 
     scheduler = _LookaheadSchedulerReference(
@@ -426,6 +407,5 @@ def run_tetris_reference(
             tracker,
             coupling,
             swap_weight=swap_weight,
-            enable_bridging=enable_bridging,
         )
     return circuit, tracker.num_swaps, block_order

@@ -1,7 +1,9 @@
 """Block ordering (paper Sec. V-B), shared by every block compiler.
 
 1. Start with the block of largest *active length* (most non-identity
-   operators) — the block with the most cancellation potential.
+   operators) — the block with the most cancellation potential.  Every
+   active length is one popcount of the blocks' OR-reduced support
+   planes.
 2. Repeatedly: rank remaining blocks by leaf-tree similarity (Eq. 1) to the
    last scheduled block, take the top-K candidates, and among them schedule
    the one whose ``cost`` is smallest (ties keep the similarity rank).
@@ -21,7 +23,10 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Iterator, Optional, Sequence
 
-from ...pauli.block import PauliBlock
+import numpy as np
+
+from ...pauli.bits import popcount
+from ...pauli.block import PauliBlock, block_planes
 from ...pauli.similarity import block_similarity_matrix
 
 #: Tetris' K (Fig. 19): how many of the most similar blocks are
@@ -50,7 +55,7 @@ def chain_order(
     if not remaining:
         return
     similarity = block_similarity_matrix(blocks)
-    choice = max(remaining, key=lambda i: (blocks[i].active_length, -i))
+    choice = _longest_block(blocks)
     width = max(1, lookahead)
     while True:
         remaining.remove(choice)
@@ -72,3 +77,13 @@ def chain_order(
                 choice = index
                 if best == 0:
                     break
+
+
+def _longest_block(blocks: Sequence[PauliBlock]) -> int:
+    """The index of the block of largest active length, the lowest on
+    ties: one popcount of the OR-reduced support planes of every block's
+    strings (mixed widths are zero-padded by ``block_planes``)."""
+    x, z, starts = block_planes(blocks)
+    support = np.bitwise_or.reduceat(x | z, starts, axis=0)
+    # np.argmax returns the first maximum, so ties go to the lowest index.
+    return int(np.argmax(popcount(support).sum(axis=1)))

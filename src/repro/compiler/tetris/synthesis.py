@@ -8,9 +8,9 @@ For each Tetris block:
    mapped qubit minimizing the paper's score
    ``score(qn, qm, w) = (d - 1) * w + (2 * #ps if qm is a root qubit else 2)``,
    inserting SWAPs along a shortest path that avoids already-mapped qubits.
-3. *Fast bridging* — a leaf edge whose connecting path crosses only free
-   (|0>) physical qubits is realized as a CNOT chain through them instead of
-   SWAPs (Sec. IV-C); ancillas un-compute across the mirrored tree.
+3. *Deferred leaves* — a leaf attached to another leaf, with no SWAP path
+   that avoids the block's mapped qubits, is SWAPped next to its anchor
+   once the rest of the block is placed.
 4. *Emission* — with uniform string support, the leaf forest is emitted once
    per block (fan-in at the start, fan-out at the end) so every interior
    leaf CNOT pair cancels structurally; per-string sections carry only the
@@ -18,6 +18,11 @@ For each Tetris block:
    support (common under Bravyi-Kitaev), strings are emitted individually
    over deterministic BFS trees so the peephole pass can still cancel
    matching neighbours.
+
+Every tree edge is one CNOT on a coupled pair: Tetris blocks do not use
+the paper's fast bridging (Sec. IV-C), which only the QAOA pass
+``synth-qaoa-reuse`` emits, through :mod:`repro.routing.bridging`.  A
+placement therefore reads only the positions of its own block's qubits.
 
 Steps 1-3 run in :func:`place_block`, on a copy of the layout: the
 lookahead scheduler calls it for each candidate it trial-places, and
@@ -37,7 +42,6 @@ from ...circuit import gate as g
 from ...circuit.gate import Gate
 from ...hardware.coupling import CouplingGraph
 from ...pauli.operators import I
-from ...routing.bridging import bridge_chain_gates
 from ...synthesis.basis_change import post_rotation_gates, pre_rotation_gates
 from ...synthesis.tree import emit_exponential, fan_in
 from ..mapping_utils import (
@@ -95,8 +99,6 @@ class Placement:
     #: Leaf qubit -> the mapped qubit it was attached to, in attachment
     #: order.
     attachments: Dict[int, int]
-    #: Leaf qubit -> physical bridge path to its anchor.
-    bridge_paths: Dict[int, List[int]]
 
     @property
     def num_swaps(self) -> int:
@@ -118,60 +120,28 @@ def place_block(
     layout,
     coupling: CouplingGraph,
     swap_weight: float = DEFAULT_SWAP_WEIGHT,
-    enable_bridging: bool = True,
     cap: Optional[int] = None,
 ) -> Optional[Placement]:
     """Run the placement half of Algorithm 1 on a *copy* of ``layout``.
 
     Returns the :class:`Placement` record (its SWAPs, the centre, the
-    root positions after clustering, the leaf attachments and bridges),
-    or None once the SWAP count reaches ``cap`` (the scheduler's
-    incumbent cost): such a trial can no longer win.  ``layout`` is
-    left as it was.  An all-identity block places nothing: its record
-    is empty and its trial costs 0.
+    root positions after clustering and the leaf attachments), or None
+    once the SWAP count reaches ``cap`` (the scheduler's incumbent
+    cost): such a trial can no longer win.  ``layout`` is left as it
+    was.  An all-identity block places nothing: its record is empty and
+    its trial costs 0.
     """
     root_qubits, leaf_qubits = _split_qubits(ir)
     if not root_qubits:
         # An all-identity block is a global phase: nothing to place.
-        return Placement([], center=None, root_positions=[], attachments={},
-                         bridge_paths={})
+        return Placement([], center=None, root_positions=[], attachments={})
     tracker = _TrialTracker(layout.copy(), cap)
     try:
         return _place_block(
-            ir, tracker, coupling, root_qubits, leaf_qubits, swap_weight,
-            enable_bridging,
+            ir, tracker, coupling, root_qubits, leaf_qubits, swap_weight
         )
     except _CapReached:
         return None
-
-
-def try_block(
-    ir: TetrisBlockIR,
-    layout,
-    coupling: CouplingGraph,
-    swap_weight: float = DEFAULT_SWAP_WEIGHT,
-    enable_bridging: bool = True,
-    cap: Optional[int] = None,
-) -> int:
-    """Trial placement of a block (the artifact's ``try_block``): the
-    SWAP count of :func:`place_block`.
-
-    A trial stopped by ``cap`` reports ``cap``, which loses every
-    strictly-smaller comparison just as its true (>= cap) cost would.
-    """
-    placement = place_block(
-        ir, layout, coupling, swap_weight, enable_bridging, cap
-    )
-    return cap if placement is None else placement.num_swaps
-
-
-@dataclass
-class BlockSynthesisStats:
-    """Accounting for one synthesized block."""
-
-    swaps: int = 0
-    bridge_overhead_cnots: int = 0
-    bridged_edges: int = 0
 
 
 def synthesize_tetris_block(
@@ -179,9 +149,8 @@ def synthesize_tetris_block(
     tracker: SwapTracker,
     coupling: CouplingGraph,
     swap_weight: float = DEFAULT_SWAP_WEIGHT,
-    enable_bridging: bool = True,
     placement: Optional[Placement] = None,
-) -> BlockSynthesisStats:
+) -> None:
     """Synthesize one Tetris block into ``tracker.circuit``.
 
     ``placement`` is the block's :func:`place_block` record against
@@ -191,28 +160,22 @@ def synthesize_tetris_block(
     the placement left, and the root spanning tree is built from the
     recorded root positions and centre.
     """
-    stats = BlockSynthesisStats()
-    swaps_before = tracker.num_swaps
     layout = tracker.layout
     if placement is None:
-        placement = place_block(
-            ir, layout, coupling, swap_weight, enable_bridging
-        )
+        placement = place_block(ir, layout, coupling, swap_weight)
     if placement.center is None:
         # An all-identity block: a global phase, nothing to emit.
-        return stats
+        return
     for physical_a, physical_b in placement.swaps:
         tracker.swap(physical_a, physical_b)
 
     tree = _block_tree(ir, placement, coupling)
     if ir.uniform_support and _tree_edges_adjacent(tree, layout, coupling):
-        _emit_uniform(ir, tracker, tree, stats)
+        _emit_uniform(ir, tracker, tree)
     else:
         # Rare placement fallback (or non-uniform support, common under BK):
         # emit string by string with deterministic trees.
         _emit_per_string(ir, tracker, coupling, tree)
-    stats.swaps = tracker.num_swaps - swaps_before
-    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +184,12 @@ def synthesize_tetris_block(
 
 @dataclass
 class _BlockTree:
-    """The logical tree over a block's qubits plus physical annotations."""
+    """The logical tree over a block's qubits."""
 
     root: int
     parent: Dict[int, int]
     root_set: Set[int]
     leaf_set: Set[int]
-    bridge_paths: Dict[int, List[int]]  # leaf child -> physical path to parent
 
 
 def _place_block(
@@ -237,7 +199,6 @@ def _place_block(
     root_qubits: List[int],
     leaf_qubits: List[int],
     swap_weight: float,
-    enable_bridging: bool,
 ) -> Placement:
     layout = tracker.layout
     rows = coupling.distance_rows()
@@ -252,7 +213,6 @@ def _place_block(
     root_positions = [phys[q] for q in root_qubits]
     root_set = set(root_qubits)
     attachments: Dict[int, int] = {}
-    bridge_paths: Dict[int, List[int]] = {}
 
     # 2. Attach leaf qubits by score (Algorithm 1 lines 9-14).  Candidate
     # and anchor sets are tiny, so the exact (score, candidate, anchor)
@@ -267,7 +227,7 @@ def _place_block(
     attach_costs: List[int] = [
         2 * num_ps if anchor in root_set else 2 for anchor in mapped
     ]
-    pending_bridges: List[Tuple[int, int]] = []
+    deferred: List[Tuple[int, int]] = []
     unmapped = sorted(leaf_qubits)
     best_cache: Dict[int, Tuple[float, int]] = {}
     cached_pos: Dict[int, int] = {}
@@ -335,7 +295,7 @@ def _place_block(
         anchor_position = phys[anchor]
         if coupling.are_connected(chosen_position, anchor_position):
             continue
-        if enable_bridging and anchor not in root_set:
+        if anchor not in root_set:
             blocked = {
                 phys[q] for q in mapped if q not in (chosen, anchor)
             }
@@ -343,39 +303,20 @@ def _place_block(
                 chosen_position, anchor_position, blocked=blocked
             )
             if swap_path is None:
-                # Swapping would displace already-mapped tree qubits;
-                # prefer a CNOT bridge through free |0> slots if one
-                # survives placement.
-                pending_bridges.append((chosen, anchor))
+                # Swapping would displace already-mapped tree qubits:
+                # move this leaf once the rest of the block is placed.
+                deferred.append((chosen, anchor))
                 continue
         _move_adjacent(tracker, coupling, mapped, chosen, anchor, soft_avoid=unmapped)
 
-    # 3. Validate deferred bridges; fall back to SWAPs when a path is taken.
-    reserved: Set[int] = set()
-    for chosen, anchor in pending_bridges:
-        chosen_position = layout.physical(chosen)
-        anchor_position = layout.physical(anchor)
-        if coupling.are_connected(chosen_position, anchor_position):
-            continue
-        blocked = {
-            layout.physical(q) for q in mapped if q not in (chosen, anchor)
-        } | reserved
-        path = coupling.shortest_path(chosen_position, anchor_position, blocked=blocked)
-        if (
-            path is not None
-            and all(not layout.is_occupied(node) for node in path[1:-1])
-        ):
-            bridge_paths[chosen] = path
-            reserved.update(path[1:-1])
-        else:
-            _move_adjacent(tracker, coupling, mapped, chosen, anchor)
+    # 3. SWAP the deferred leaves next to their anchors.
+    _attach_deferred(tracker, coupling, mapped, deferred)
 
     return Placement(
         swaps=tracker.swaps,
         center=center,
         root_positions=root_positions,
         attachments=attachments,
-        bridge_paths=bridge_paths,
     )
 
 
@@ -403,7 +344,6 @@ def _block_tree(
         parent=parent,
         root_set=set(root_qubits),
         leaf_set=set(leaf_qubits),
-        bridge_paths=placement.bridge_paths,
     )
 
 
@@ -436,11 +376,25 @@ def _move_adjacent(
     tracker.move_along(path[:-1])
 
 
+def _attach_deferred(
+    tracker: SwapTracker,
+    coupling: CouplingGraph,
+    mapped: Sequence[int],
+    deferred: Sequence[Tuple[int, int]],
+) -> None:
+    """SWAP each deferred ``(leaf, anchor)`` pair adjacent, in deferral
+    order, once the rest of the block is placed."""
+    layout = tracker.layout
+    for leaf, anchor in deferred:
+        if not coupling.are_connected(
+            layout.physical(leaf), layout.physical(anchor)
+        ):
+            _move_adjacent(tracker, coupling, mapped, leaf, anchor)
+
+
 def _tree_edges_adjacent(tree: "_BlockTree", layout, coupling: CouplingGraph) -> bool:
-    """True iff every non-bridged tree edge sits on a coupled pair."""
+    """True iff every tree edge sits on a coupled pair."""
     for child, parent in tree.parent.items():
-        if child in tree.bridge_paths:
-            continue
         if not coupling.are_connected(layout.physical(child), layout.physical(parent)):
             return False
     return True
@@ -450,23 +404,10 @@ def _tree_edges_adjacent(tree: "_BlockTree", layout, coupling: CouplingGraph) ->
 # emission
 
 
-def _edge_gates(
-    tree: _BlockTree,
-    layout,
-    child: int,
-) -> List[Gate]:
-    """Physical CNOT(s) realizing tree edge ``child -> parent`` (fan-in)."""
-    path = tree.bridge_paths.get(child)
-    if path is not None:
-        return bridge_chain_gates(path)
-    return [Gate(g.CX, (layout.physical(child), layout.physical(tree.parent[child])))]
-
-
 def _emit_uniform(
     ir: TetrisBlockIR,
     tracker: SwapTracker,
     tree: _BlockTree,
-    stats: BlockSynthesisStats,
 ) -> None:
     circuit = tracker.circuit
     layout = tracker.layout
@@ -479,11 +420,11 @@ def _emit_uniform(
     prologue_gates: List[Gate] = []
     body: List[Gate] = []
     for child, parent in fan_in(tree.parent, tree.root):
-        gates = _edge_gates(tree, layout, child)
+        cx = Gate(g.CX, (layout.physical(child), layout.physical(parent)))
         if child in tree.leaf_set and parent in tree.leaf_set:
-            prologue_gates.extend(gates)
+            prologue_gates.append(cx)
         else:
-            body.extend(gates)
+            body.append(cx)
 
     # Block prologue: leaf basis changes + leaf-forest fan-in (emitted once).
     for qubit in sorted(tree.leaf_set):
@@ -502,12 +443,6 @@ def _emit_uniform(
     for qubit in sorted(tree.leaf_set):
         circuit.extend(post_rotation_gates(first[qubit], layout.physical(qubit)))
 
-    # Accounting: a bridged edge of ``h`` hops emits ``h`` CNOTs instead of
-    # one; leaf-internal edges are emitted twice per block (fan-in/fan-out).
-    for child, path in tree.bridge_paths.items():
-        stats.bridge_overhead_cnots += 2 * (len(path) - 2)
-        stats.bridged_edges += 1
-
 
 def _emit_per_string(
     ir: TetrisBlockIR,
@@ -517,9 +452,9 @@ def _emit_per_string(
 ) -> None:
     """Non-uniform support: deterministic per-string trees (BK fallback).
 
-    Ignores ``tree.bridge_paths``: each string's support is SWAPped into
-    one connected component and emitted over its own BFS tree, rooted
-    nearest the block root's position before the first string."""
+    Each string's support is SWAPped into one connected component and
+    emitted over its own BFS tree, rooted nearest the block root's
+    position before the first string."""
     anchors = [tracker.layout.physical(tree.root)]
     for string, weight in zip(ir.strings, ir.weights):
         emit_string_over_spanning_tree(

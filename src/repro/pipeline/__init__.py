@@ -17,7 +17,7 @@ package makes those stages explicit and recombinable:
 - :data:`~repro.pipeline.registry.PIPELINES` /
   :data:`~repro.pipeline.registry.PASSES` — registries behind the
   pipeline spec grammar: ``tetris``, ``tetris+o1``,
-  ``tetris:no-bridge``, ``tetris:w=0.1,k=5``, or a custom
+  ``tetris:no-gray``, ``tetris:w=0.1,k=5``, or a custom
   ``order-similarity,synth-single-leaf,layout,route`` pass list.
 
 Quick start::

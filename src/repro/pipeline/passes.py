@@ -208,11 +208,9 @@ class TetrisSynthesisPass(TransformationPass):
         self,
         swap_weight: float = DEFAULT_SWAP_WEIGHT,
         lookahead: int = DEFAULT_LOOKAHEAD,
-        enable_bridging: bool = True,
     ) -> None:
         self.swap_weight = swap_weight
         self.lookahead = lookahead
-        self.enable_bridging = enable_bridging
 
     def run(self, state: PropertySet) -> None:
         from ..compiler.tetris.synthesis import place_block, synthesize_tetris_block
@@ -234,7 +232,6 @@ class TetrisSynthesisPass(TransformationPass):
                 layout,
                 coupling,
                 swap_weight=self.swap_weight,
-                enable_bridging=self.enable_bridging,
                 cap=cap,
             )
             if placement is None:
@@ -243,7 +240,6 @@ class TetrisSynthesisPass(TransformationPass):
             return placement.num_swaps
 
         block_order = []
-        bridge_overhead = 0
         # ``lookahead=0`` (Fig. 14's plain "Tetris") chains by similarity
         # alone, exactly as K=1 does.
         for index in chain_order(
@@ -252,22 +248,17 @@ class TetrisSynthesisPass(TransformationPass):
             cost=trial_cost,
         ):
             block_order.append(index)
-            stats = synthesize_tetris_block(
+            synthesize_tetris_block(
                 ir_blocks[index],
                 tracker,
                 coupling,
                 swap_weight=self.swap_weight,
-                enable_bridging=self.enable_bridging,
                 placement=placements.get(index),
             )
             placements.clear()
-            bridge_overhead += stats.bridge_overhead_cnots
 
         state["circuit"] = circuit
         state["num_swaps"] = state.get("num_swaps", 0) + tracker.num_swaps
-        state["bridge_overhead_cnots"] = (
-            state.get("bridge_overhead_cnots", 0) + bridge_overhead
-        )
         state["extra"]["block_order"] = block_order
         # The IR records its own permutation back to input-block indices,
         # so the replay annotation is a lookup, not a string-pool rebuild.

@@ -15,7 +15,7 @@ Spec grammar (``build_pipeline`` / ``run_pipeline``)::
 
     tetris                      # a registered pipeline
     tetris+o1                   # ... with cleanup level 1 (cancel only)
-    tetris:no-bridge            # ... with a named variant applied
+    tetris:no-gray              # ... with a named variant applied
     tetris:w=0.1,k=5            # ... with parameter assignments (aliased)
     tetris:noise-aware          # ... noise-weighted layout (calibrated jobs)
     tetris:noise-aware+select=20
@@ -29,9 +29,12 @@ default) adds 1Q consolidation.  The tail is always appended, so every
 pipeline ends on a decomposed, measured circuit.
 
 Variant parameters canonicalize into plain compiler parameters
-(:func:`resolve_compiler_spec`), so ``tetris:no-bridge`` and
-``CompileJob(compiler="tetris", params={"enable_bridging": False})``
-describe — and content-hash as — the same cell.
+(:func:`resolve_compiler_spec`), so ``tetris:no-gray`` and
+``CompileJob(compiler="tetris", params={"sort_strings": False})``
+describe — and content-hash as — the same cell.  A variant or
+parameter the pipeline does not define is refused with the accepted
+vocabulary: in a spec string when it is resolved, in explicit
+``params`` by :func:`check_compiler_params`.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ class PipelineDef:
     """A registered pipeline: builder plus its variant vocabulary."""
 
     builder: Callable[..., List[Pass]]
-    #: named variant -> parameter overrides (``no-bridge`` style tokens)
+    #: named variant -> parameter overrides (``no-gray`` style tokens)
     variants: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
     #: short parameter aliases (``w`` -> ``swap_weight``)
     param_aliases: Mapping[str, str] = field(default_factory=dict)
@@ -123,30 +126,24 @@ def _noise_front(noise_aware: bool, select: int) -> List[Pass]:
 def _tetris_passes(
     swap_weight: float = DEFAULT_SWAP_WEIGHT,
     lookahead: int = DEFAULT_LOOKAHEAD,
-    enable_bridging: bool = True,
     sort_strings: bool = True,
     noise_aware: bool = False,
     select: int = 0,
 ) -> List[Pass]:
     """Tetris (paper Fig. 11): lower blocks to Tetris-IR, choose an
     initial layout, schedule blocks, and synthesize each with Algorithm 1
-    (root clustering, scored leaf attachment, bridging).
+    (root clustering, scored leaf attachment).
 
     ``swap_weight`` is the ``w`` of the leaf-attachment score (one SWAP
     = 3 CNOTs; Sec. V-A and Fig. 20).  ``lookahead`` is the scheduler's
     K (Fig. 19); ``lookahead=0``, like ``lookahead=1``, chains blocks
     by similarity alone, the paper's plain "Tetris" bar in Fig. 14.
-    ``enable_bridging`` toggles fast bridging for leaf edges, and
-    ``sort_strings`` the Gray-code string order within a block.
+    ``sort_strings`` toggles the Gray-code string order within a block.
     """
     return [
         LowerTetrisIRPass(sort_strings=sort_strings),
         *_noise_front(noise_aware, select),
-        TetrisSynthesisPass(
-            swap_weight=swap_weight,
-            lookahead=lookahead,
-            enable_bridging=enable_bridging,
-        ),
+        TetrisSynthesisPass(swap_weight=swap_weight, lookahead=lookahead),
     ]
 
 
@@ -248,7 +245,6 @@ PIPELINES.add(
     PipelineDef(
         _tetris_passes,
         variants={
-            "no-bridge": {"enable_bridging": False},
             "no-lookahead": {"lookahead": 0},
             "no-gray": {"sort_strings": False},
             "noise-aware": {"noise_aware": True},
@@ -256,7 +252,7 @@ PIPELINES.add(
         param_aliases={"w": "swap_weight", "k": "lookahead"},
     ),
     description="lower-ir, layout, synth-tetris (the paper's compiler)",
-    grammar="tetris[:no-bridge|no-lookahead|no-gray|noise-aware|w=<f>|k=<n>]"
+    grammar="tetris[:no-lookahead|no-gray|noise-aware|w=<f>|k=<n>]"
     "[+select=<k>]",
 )
 PIPELINES.add(
@@ -395,7 +391,7 @@ def _builder_params(builder) -> Optional[frozenset]:
 def _resolve_variants(
     name: str, definition: PipelineDef, tokens: Sequence[str]
 ) -> Dict[str, Any]:
-    """Map ``no-bridge`` / ``w=0.1`` tokens to builder parameters.
+    """Map ``no-gray`` / ``w=0.1`` tokens to builder parameters.
 
     Parameter keys are validated eagerly against the builder's
     signature, so a typo'd spec fails at :class:`CompileJob`
@@ -479,6 +475,28 @@ def resolve_compiler_spec(spec: str) -> Tuple[str, Dict[str, Any]]:
     )
 
 
+def check_compiler_params(name: str, params: Mapping[str, Any]) -> None:
+    """Refuse ``params`` that pipeline ``name`` (canonical, as
+    :func:`resolve_compiler_spec` returns it) does not take, naming the
+    accepted ones.  Keys are checked against the builder's signature, as
+    spec assignments are; custom pass lists take no parameters.
+    """
+    if not params:
+        return
+    if name not in PIPELINES:
+        raise RegistryError(
+            f"custom pass lists take no parameters (got {sorted(params)}); "
+            "parameterize by picking different passes"
+        )
+    allowed = _builder_params(PIPELINES.get(name).builder)
+    unknown = sorted(set(params) - allowed) if allowed is not None else []
+    if unknown:
+        raise RegistryError(
+            f"unknown parameter {unknown[0]!r} for pipeline {name!r}; "
+            f"accepted: {sorted(allowed)}"
+        )
+
+
 def canonical_pipeline_spec(spec: str) -> str:
     """The canonical spelling of a compiler/pipeline spec (no params
     folded back in — used for display; hashing uses
@@ -525,12 +543,8 @@ def build_pipeline(
     name, spec_params = resolve_compiler_spec(base)
     merged = dict(spec_params)
     merged.update(dict(params or {}))
+    check_compiler_params(name, merged)
     if "," in name:
-        if merged:
-            raise RegistryError(
-                f"custom pass lists take no parameters (got {sorted(merged)}); "
-                "parameterize by picking different passes"
-            )
         passes = [PASSES.get(token)() for token in name.split(",")]
     else:
         definition = PIPELINES.get(name)
@@ -561,7 +575,7 @@ def run_pipeline(
     is required by noise-aware specs (``tetris:noise-aware``,
     ``...+select=<k>``) and ignored by noise-blind ones.
 
-    >>> run = run_pipeline("tetris:no-bridge+o1", blocks, coupling,
+    >>> run = run_pipeline("tetris:no-gray+o1", blocks, coupling,
     ...                    profile=True)              # doctest: +SKIP
     >>> run.metrics().cnot_gates                      # doctest: +SKIP
     """

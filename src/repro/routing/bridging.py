@@ -10,10 +10,10 @@ exponential circuits mirror their CNOT fan-in, emitting the *reversed* chain
 after the rotation both applies the mirrored logical CNOT and restores every
 ancilla to |0> (deferred un-compute, Fig. 8(b)/(c)).
 
-:func:`bridge_chain_gates` is the one bridge chain: Tetris' bridged leaf
-edges and the ``synth-qaoa-reuse`` pass both emit through it.  Correctness
-is tested in ``tests/test_routing.py`` and ``tests/test_tetris_synthesis.py``
-against the statevector simulator.
+:func:`bridge_chain_gates` is the one bridge chain, and only the QAOA
+pass ``synth-qaoa-reuse`` emits through it: Tetris blocks do not bridge
+(every tree edge is one CNOT on a coupled pair).  Correctness is tested
+in ``tests/test_routing.py`` against the statevector simulator.
 """
 
 from __future__ import annotations

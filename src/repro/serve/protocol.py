@@ -268,7 +268,7 @@ def _parse_job(spec: Any) -> CompileJob:
     if not isinstance(spec, Mapping):
         raise ProtocolError('request must carry a "job" object')
     try:
-        return CompileJob.from_dict(spec)
+        return CompileJob.from_request(spec)
     except (ValueError, TypeError) as exc:
         raise ProtocolError(f"bad job spec: {exc}") from None
 

@@ -18,7 +18,7 @@ CircuitMetrics` and serializes to/from JSON, so results can cross process
 boundaries (the worker pool) and sessions (the on-disk cache) unchanged.
 
 Execution goes through the pass-pipeline layer: ``compiler`` specs are
-pipeline specs (``tetris``, ``tetris:no-bridge``, ``ph``, or a custom
+pipeline specs (``tetris``, ``tetris:no-gray``, ``ph``, or a custom
 pass list — see :mod:`repro.pipeline.registry`), and :func:`run_job`
 can attach per-pass profiles.  :func:`run_job` is the one compile path:
 the worker pool, the serve daemon, the ``repro.compile`` facade and
@@ -45,7 +45,7 @@ from ..hardware.families import (  # noqa: F401  (device_names re-exported)
 )
 from ..pipeline.manager import PipelineRun
 from ..pipeline.profile import PipelineProfile, profile_columns
-from ..pipeline.registry import resolve_compiler_spec
+from ..pipeline.registry import check_compiler_params, resolve_compiler_spec
 from ..workloads import (  # noqa: F401  (benchmark_names re-exported)
     SCALES,
     benchmark_names,
@@ -165,6 +165,19 @@ class CompileJob:
             raise ValueError(f"unknown job fields: {sorted(unknown)}")
         return cls(**dict(spec))
 
+    @classmethod
+    def from_request(cls, spec: Mapping[str, Any]) -> "CompileJob":
+        """:meth:`from_dict` for a job a client submits (a daemon
+        request, a batch matrix): explicit ``params`` the pipeline does
+        not take are refused here, naming the accepted ones, rather than
+        when the pipeline is built.  Construction accepts any key, so
+        the content hashes of older specs still compute."""
+        job = cls.from_dict(spec)
+        check_compiler_params(
+            resolve_compiler_spec(job.compiler)[0], dict(job.params)
+        )
+        return job
+
     def canonical_spec(self) -> Dict[str, Any]:
         """The spec with every axis in registry-canonical form.
 
@@ -172,8 +185,8 @@ class CompileJob:
         ``paulihedral``, ``sycamore:8x8`` / ``sycamore`` and
         ``chem:LiH`` / ``LiH`` all describe — and hash as — the same
         cell.  Pipeline variant specs fold into plain parameters:
-        ``tetris:no-bridge`` canonicalizes to compiler ``tetris`` with
-        ``params={"enable_bridging": False}``, so both spellings hash
+        ``tetris:no-gray`` canonicalizes to compiler ``tetris`` with
+        ``params={"sort_strings": False}``, so both spellings hash
         identically (and can hit caches warmed under either).
         """
         spec = self.to_dict()

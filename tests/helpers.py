@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.circuit import QuantumCircuit
 from repro.compiler.base import CompilationResult
+from repro.compiler.tetris import synthesis
 from repro.hardware import CouplingGraph
 from repro.passes import peephole
 from repro.pauli import PauliBlock, PauliString
@@ -137,6 +138,20 @@ def count_scans(monkeypatch) -> list:
 
     monkeypatch.setattr(peephole, "_cancel_scan", counting)
     return scans
+
+
+def count_deferrals(monkeypatch) -> list:
+    """Wrap Tetris' deferred-leaf step: the returned list gets one entry
+    per placement, the number of leaves it deferred."""
+    deferrals = []
+    attach = synthesis._attach_deferred
+
+    def counting(tracker, coupling, mapped, deferred):
+        deferrals.append(len(deferred))
+        return attach(tracker, coupling, mapped, deferred)
+
+    monkeypatch.setattr(synthesis, "_attach_deferred", counting)
+    return deferrals
 
 
 def interaction_pairs_reference(blocks: Sequence[PauliBlock]) -> List:

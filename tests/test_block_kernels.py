@@ -1,12 +1,13 @@
 """The batch kernels over a workload's stacked block bitplanes.
 
 Tetris-IR lowering (:func:`repro.compiler.tetris.ir.lower_blocks`), the
-Eq. (1) leaf table and the logical gate counts read one stack of every
-string's packed words (:func:`repro.pauli.block.block_planes`).  Each is
-pinned here against the per-block or per-string loop it replaced: the
-frozen :func:`~repro.compiler.tetris.reference.lower_blocks_reference`,
-the blocks' own ``common_substring`` rows, and the per-string counts in
-``helpers``.  Every registered workload is compared at smoke and small
+Eq. (1) leaf table, the logical gate counts and the block order's first
+pick read one stack of every string's packed words
+(:func:`repro.pauli.block.block_planes`).  Each is pinned here against
+the per-block or per-string loop it replaced: the frozen
+:func:`~repro.compiler.tetris.reference.lower_blocks_reference`, the
+blocks' own ``common_substring`` rows, the per-string counts in
+``helpers`` and a ``max`` over ``PauliBlock.active_length``.  Every registered workload is compared at smoke and small
 scale under both encoders, and hypothesis draws block lists mixing
 string counts 1-9, widths 1-130 (several words), duplicate and identity
 rows, non-commuting blocks and symbolic angles.
@@ -26,6 +27,7 @@ from repro.circuit import Parameter
 from repro.compiler import logical_cnot_count, logical_one_qubit_count
 from repro.compiler.tetris.ir import TetrisBlockIR, lower_blocks
 from repro.compiler.tetris.reference import lower_blocks_reference
+from repro.compiler.tetris.scheduler import _longest_block, chain_order
 from repro.pauli import PauliBlock, PauliString, PauliTable
 from repro.pauli.similarity import leaf_table
 from repro.workloads import WORKLOADS, workload_blocks
@@ -77,6 +79,13 @@ def assert_lowering_matches(blocks, sort_strings=True):
         )
 
 
+def first_pick_reference(blocks):
+    """The longest block by active length, the lowest index on ties."""
+    return max(
+        range(len(blocks)), key=lambda i: (blocks[i].active_length, -i)
+    )
+
+
 def registered_cells():
     for provider in WORKLOADS.names():
         entry = WORKLOADS.get(provider)
@@ -115,6 +124,10 @@ class TestRegisteredWorkloads:
         assert all(
             not string.is_identity() for block in blocks for string in block
         )
+
+    def test_first_pick_matches_active_lengths(self, spec, encoder, scale):
+        blocks = workload_blocks(spec, encoder, scale)
+        assert next(chain_order(fresh(blocks))) == first_pick_reference(blocks)
 
 
 def assert_leaf_table_matches(blocks):
@@ -204,6 +217,11 @@ class TestRandomBlockLists:
             logical_one_qubit_count_reference(blocks)
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(block_lists())
+    def test_first_pick_matches_active_lengths(self, blocks):
+        assert next(chain_order(fresh(blocks))) == first_pick_reference(blocks)
+
     @settings(max_examples=30, deadline=None)
     @given(block_lists(), block_lists())
     def test_mixed_widths(self, first, second):
@@ -211,6 +229,9 @@ class TestRandomBlockLists:
         # the stack zero-pads the narrower blocks.
         blocks = first + second
         assert_lowering_matches(blocks)
+        # The block order reads Eq. (1) similarities, which need one
+        # width; its first pick does not.
+        assert _longest_block(fresh(blocks)) == first_pick_reference(blocks)
         assert logical_cnot_count(fresh(blocks)) == (
             logical_cnot_count_reference(blocks)
         )

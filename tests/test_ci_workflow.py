@@ -9,9 +9,12 @@ loader here refuses duplicate keys, so that cannot happen unnoticed.
 import ast
 import glob
 import os
+import shlex
 import sys
 
 import pytest
+
+from repro.pipeline import resolve_compiler_spec, split_opt_suffix
 
 yaml = pytest.importorskip("yaml")
 
@@ -121,6 +124,45 @@ def test_docs_runs_every_example():
     install = next(s["run"] for s in job["steps"]
                    if s.get("name") == "Install dependencies")
     assert "scipy" in install  # examples/vqe_energy.py minimizes with scipy
+
+
+def repro_command_lines():
+    """The arguments of every ``python -m repro.cli`` command the
+    workflow runs, one list per command (continuation lines joined)."""
+    for job in load_workflow()["jobs"].values():
+        for step in job["steps"]:
+            script = step.get("run", "").replace("\\\n", " ")
+            for line in script.splitlines():
+                tokens = shlex.split(line)
+                if "repro.cli" in tokens:
+                    yield tokens[tokens.index("repro.cli") + 1:]
+
+
+def compiler_specs(args):
+    """``(spec, batch)`` for each compiler spec one command names: batch
+    modes split ``--compiler`` on commas, single mode (``compile
+    --pipeline`` included) takes the whole value."""
+    batch = args[:1] == ["batch"] or args[:2] == ["trace", "batch"]
+    for index, token in enumerate(args):
+        flag, _, value = token.partition("=")
+        if flag in ("--compiler", "--pipeline"):
+            value = value or args[index + 1]
+            for spec in value.split(",") if batch else [value]:
+                yield spec, batch
+
+
+def test_every_compiler_spec_resolves():
+    """A variant or pass the registry no longer knows fails here, not
+    on the runner."""
+    checked = []
+    for args in repro_command_lines():
+        for spec, batch in compiler_specs(args):
+            # Single mode also takes a +o<level> suffix; a job does not.
+            resolve_compiler_spec(spec if batch else split_opt_suffix(spec)[0])
+            checked.append(spec)
+    for spec in ("tetris:no-gray", "tetris:noise-aware+select=20",
+                 "tetris:no-lookahead", "paulihedral"):
+        assert spec in checked
 
 
 def imported_modules():

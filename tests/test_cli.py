@@ -1,5 +1,7 @@
 """Tests for the command-line tool (repro.cli)."""
 
+import json
+
 import pytest
 
 from repro import cli
@@ -45,8 +47,8 @@ class TestCli:
         assert cli.main(["--list-pipelines"]) == 0
         out = capsys.readouterr().out
         assert "pipeline spec grammar" in out
-        assert "tetris[:no-bridge" in out
-        assert "variant no-bridge: enable_bridging=False" in out
+        assert "tetris[:no-lookahead|no-gray" in out
+        assert "variant no-gray: sort_strings=False" in out
         assert "param alias w -> swap_weight" in out
         # the pass vocabulary for custom spec lists is included
         assert "synth-tetris:" in out
@@ -57,6 +59,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "table2" in out and "fig24" in out
 
+    def test_batch_matrix_refuses_an_unknown_parameter(
+        self, tmp_path, capsys
+    ):
+        matrix = tmp_path / "jobs.json"
+        matrix.write_text(json.dumps(
+            [{"bench": "LiH", "params": {"enable_bridging": False}}]
+        ))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["batch", "--matrix", str(matrix), "--no-cache"])
+        assert exit_info.value.code == 2
+        assert "accepted: ['lookahead', 'noise_aware', 'select'" in (
+            capsys.readouterr().err
+        )
+
     def test_unknown_device(self):
         with pytest.raises(SystemExit):
             cli.main(["--bench", "LiH", "--device", "torus"])
@@ -65,7 +81,15 @@ class TestCli:
         (["--compiler", "tetris:noise-aware+select=20"],
          "cannot select 20 qubits from a 16-qubit device"),
         (["--calibration-seed", "-1"], "non-negative seed"),
-    ], ids=["region-wider-than-device", "negative-calibration-seed"])
+        # Tetris has no block bridging: its old variant and parameter
+        # are refused with the accepted vocabulary.
+        (["--compiler", "tetris:no-bridge"],
+         "named variants: ['no-gray', 'no-lookahead', 'noise-aware']"),
+        (["--compiler", "tetris:enable_bridging=false"],
+         "unknown parameter 'enable_bridging' for pipeline 'tetris'; "
+         "accepted: ["),
+    ], ids=["region-wider-than-device", "negative-calibration-seed",
+            "removed-variant", "removed-parameter"])
     def test_bad_job_is_a_usage_error(self, flags, message, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(

@@ -24,7 +24,7 @@ from helpers import assert_physical_equivalence
 ALL_COMPILERS = [
     "tetris",
     "tetris:no-lookahead",
-    "tetris:no-bridge",
+    "tetris:no-gray",
     "paulihedral",
     "max-cancel",
     "tket-like",
@@ -35,7 +35,7 @@ ALL_COMPILERS = [
 IDS = [
     "tetris",
     "tetris-sim-sched",
-    "tetris-nobridge",
+    "tetris-nogray",
     "paulihedral",
     "max_cancel",
     "tket-o2",
@@ -215,14 +215,13 @@ class TestIdentityStrings:
         from repro.circuit import QuantumCircuit
         from repro.compiler.mapping_utils import SwapTracker
         from repro.compiler.tetris import TetrisBlockIR, synthesize_tetris_block
-        from repro.compiler.tetris.synthesis import place_block, try_block
+        from repro.compiler.tetris.synthesis import place_block
         from repro.routing import Layout
 
         ir = TetrisBlockIR(PauliBlock(["III", "III"]))
         coupling = grid(2, 2)
         layout = Layout.trivial(3, coupling.num_qubits)
         assert place_block(ir, layout, coupling).num_swaps == 0
-        assert try_block(ir, layout, coupling) == 0
         tracker = SwapTracker(QuantumCircuit(coupling.num_qubits), layout)
         synthesize_tetris_block(ir, tracker, coupling)
         assert len(tracker.circuit) == 0

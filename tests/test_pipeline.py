@@ -15,6 +15,7 @@ compiler) implementation:
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -181,7 +182,9 @@ TEMPLATE_STRUCTURE_HASHES = {
 #: Full-scale Tetris on sparse devices, which no smoke cell above
 #: reaches: ``(compiler, bench, encoder, device)`` -> (gate hash, SWAP
 #: count, SHA-256 of the block order's repr), recorded while synthesis
-#: still placed every trial-placed block a second time.
+#: still placed every trial-placed block a second time.  BeH2/JW on
+#: heavy-hex was re-recorded when Tetris block bridging was cut: one
+#: step's winning trial there had kept a bridge.
 FULL_SCALE_TETRIS_PINS = {
     ("tetris", "chem:LiH", "BK", "heavy-hex:ibm-65"): (
         "5fdddadb1694d4c2f74ad7c5e214ce9f29b7beee98a3692339d4a56e9a8df6ef",
@@ -194,19 +197,14 @@ FULL_SCALE_TETRIS_PINS = {
         "befbf39c3d2aa8269bb4f1a7e74bd79a91b41230c7b614bc9a57b9c452fc8b68",
     ),
     ("tetris", "chem:BeH2", "JW", "heavy-hex:ibm-65"): (
-        "6a614c4867b8a4e12cd9f42ed3c58c5f080f58ca9f119866bedc9717bf37a224",
-        607,
-        "b48b279de6f256ba36f0cf51515ac997562134cbab610b0af4f5250a416f5eb6",
+        "f4fd4474cbeeb66a62b6ba18d34a7f31c3b4946d2e3aaabb1a47a1b7a9209e01",
+        677,
+        "e3c2f45c5746850ba45eb52cebb06ad6d6cb67b8d789ffbf540d5680b7f70825",
     ),
     ("tetris", "chem:BeH2", "JW", "sycamore"): (
         "70c7885f5f9c608b38951f5c26d6071342c8ba6b597484df2818b52fc89f1c25",
         203,
         "441ce3fd7c89f2366aada5924c05e18f8af620b9ac1bffb1e39d765d83818572",
-    ),
-    ("tetris:no-bridge", "chem:BeH2", "JW", "heavy-hex:ibm-65"): (
-        "748c22f1661ec89a139820a301df9969f3caa22421eea424791823e042d53b2c",
-        632,
-        "7e2362cb54d030f6903079c4ea3d09d24791d93b5ac4514dde99517ef93e4c8c",
     ),
     ("tetris:k=3", "ucc:UCC-10", "JW", "heavy-hex:ibm-65"): (
         "146e8d3963d281db22c5bc3997ebd0a4624d9df0865fea179df7c7dd10b38960",
@@ -382,9 +380,9 @@ class TestFrozenContentHashes:
             assert job.content_hash() == expected, compiler
 
     def test_variant_spec_hashes_like_explicit_params(self):
-        left = CompileJob(bench="LiH", compiler="tetris:no-bridge")
+        left = CompileJob(bench="LiH", compiler="tetris:no-gray")
         right = CompileJob(bench="LiH", compiler="tetris",
-                           params={"enable_bridging": False})
+                           params={"sort_strings": False})
         assert left.content_hash() == right.content_hash()
         assert left.content_hash() != CompileJob(bench="LiH").content_hash()
 
@@ -399,7 +397,7 @@ class TestSpecGrammar:
     def test_split_opt_suffix(self):
         assert split_opt_suffix("tetris") == ("tetris", None)
         assert split_opt_suffix("tetris+o1") == ("tetris", 1)
-        assert split_opt_suffix("tetris:no-bridge+o0") == ("tetris:no-bridge", 0)
+        assert split_opt_suffix("tetris:no-gray+o0") == ("tetris:no-gray", 0)
         for bad in ("tetris+", "tetris+o2x", "tetris+x3", "tetris+o5"):
             with pytest.raises(RegistryError):
                 split_opt_suffix(bad)
@@ -407,8 +405,8 @@ class TestSpecGrammar:
     def test_resolve_compiler_spec(self):
         assert resolve_compiler_spec("tetris") == ("tetris", {})
         assert resolve_compiler_spec("ph") == ("paulihedral", {})
-        assert resolve_compiler_spec("tetris:no-bridge") == (
-            "tetris", {"enable_bridging": False}
+        assert resolve_compiler_spec("tetris:no-gray") == (
+            "tetris", {"sort_strings": False}
         )
         assert resolve_compiler_spec("tetris:w=0.1,k=5") == (
             "tetris", {"swap_weight": 0.1, "lookahead": 5}
@@ -430,10 +428,42 @@ class TestSpecGrammar:
         resolve_compiler_spec("tetris:k=5,swap_weight=2")
         resolve_compiler_spec("tket-like:style=qiskit-o3")
 
+    def test_removed_bridging_knobs_are_refused(self):
+        """Tetris has no block bridging: ``no-bridge`` and
+        ``enable_bridging`` are refused like any unknown variant or
+        parameter, naming what is accepted.  A spec string is refused
+        at job construction; explicit ``params`` when a client submits
+        the job, and when its pipeline is built."""
+        with pytest.raises(RegistryError, match=re.escape(
+            "named variants: ['no-gray', 'no-lookahead', 'noise-aware']"
+        )):
+            CompileJob(bench="LiH", compiler="tetris:no-bridge")
+        with pytest.raises(RegistryError, match="accepted: .*'w'"):
+            CompileJob(bench="LiH", compiler="tetris:enable_bridging=false")
+        accepted = re.escape(
+            "unknown parameter 'enable_bridging' for pipeline 'tetris'; "
+            "accepted: ['lookahead', 'noise_aware', 'select', "
+            "'sort_strings', 'swap_weight']"
+        )
+        spec = {"bench": "LiH", "scale": "smoke", "blocks": 2,
+                "params": {"enable_bridging": False}}
+        with pytest.raises(RegistryError, match=accepted):
+            CompileJob.from_request(spec)
+        with pytest.raises(RegistryError, match=accepted):
+            run_job(CompileJob(**spec))
+        with pytest.raises(RegistryError, match="take no parameters"):
+            CompileJob.from_request({
+                "bench": "LiH", "compiler": "layout,synth-chain,route",
+                "params": {"lookahead": 1},
+            })
+        CompileJob.from_request(
+            {"bench": "LiH", "compiler": "ph", "params": {"sort_strings": False}}
+        )
+
     def test_canonical_pipeline_spec(self):
         assert canonical_pipeline_spec("ph") == "paulihedral"
-        assert canonical_pipeline_spec("tetris:k=5,no-bridge") == (
-            "tetris:enable_bridging=False,lookahead=5"
+        assert canonical_pipeline_spec("tetris:k=5,no-gray") == (
+            "tetris:lookahead=5,sort_strings=False"
         )
 
     def test_build_pipeline_levels(self):
@@ -498,7 +528,7 @@ class TestProfileReconciliation:
     @pytest.mark.parametrize("spec", [
         "tetris", "paulihedral", "max-cancel", "tket-like", "pcoast-like",
         # the Tetris ablations: each switches off one ingredient
-        "tetris:no-lookahead", "tetris:no-gray", "tetris:no-bridge",
+        "tetris:no-lookahead", "tetris:no-gray",
         "tetris:w=0.1", "tetris:w=100",
     ])
     def test_deltas_telescope_to_end_to_end_metrics(self, spec):
@@ -606,7 +636,7 @@ class TestServiceProfiles:
             CompileJob(bench="LiH", compiler="tetris+o1")
 
     def test_job_accepts_variant_and_pass_list_specs(self):
-        CompileJob(bench="LiH", compiler="tetris:no-bridge")
+        CompileJob(bench="LiH", compiler="tetris:no-gray")
         CompileJob(bench="LiH", compiler="order-similarity,synth-single-leaf,layout,route")
         with pytest.raises(ValueError):
             CompileJob(bench="LiH", compiler="tetris:bogus-variant")

@@ -530,6 +530,18 @@ class TestServeHttp:
         assert excinfo.value.status == 400
         assert health["ok"] is True and health["draining"] is False
 
+    @pytest.mark.parametrize("job, message", [
+        (dict(FAST, compiler="tetris:no-bridge"), "named variants: ["),
+        (dict(FAST, params={"enable_bridging": False}), "accepted: ["),
+    ], ids=["removed-variant", "removed-parameter"])
+    def test_unknown_variant_or_parameter_is_400(self, job, message):
+        with inline_server() as bg:
+            with bg.client() as client:
+                with pytest.raises(ServeError) as excinfo:
+                    client._json("POST", "/compile", {"job": job})
+        assert excinfo.value.status == 400
+        assert message in excinfo.value.reason
+
     def test_tenant_header_routes_accounting(self):
         with inline_server() as bg:
             with bg.client(tenant="team-a") as client:

@@ -1,10 +1,10 @@
-"""Tests for the shared block order and try_block trial placement."""
+"""Tests for the shared block order and trial placement."""
 
 import pytest
 
 from repro.compiler.base import interaction_pairs
 from repro.compiler.tetris import chain_order, lower_blocks
-from repro.compiler.tetris.synthesis import try_block
+from repro.compiler.tetris.synthesis import place_block
 from repro.hardware import ibm_ithaca_65
 from repro.pauli import PauliBlock, PauliString
 from repro.pauli.similarity import block_similarity
@@ -92,7 +92,7 @@ class TestSchedulers:
 
 
 class TestCostEstimates:
-    def test_try_block_does_not_mutate_layout(self):
+    def test_place_block_does_not_mutate_layout(self):
         from repro.chem import molecule_blocks
 
         blocks = molecule_blocks("LiH")[:5]
@@ -100,6 +100,6 @@ class TestCostEstimates:
         coupling = ibm_ithaca_65()
         layout = greedy_interaction_layout(12, coupling, interaction_pairs(blocks))
         snapshot = dict(layout.physical_map())
-        cost = try_block(irs[0], layout, coupling)
+        cost = place_block(irs[0], layout, coupling).num_swaps
         assert cost >= 0
         assert layout.physical_map() == snapshot

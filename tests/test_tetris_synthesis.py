@@ -1,25 +1,26 @@
-"""Tests for Algorithm-1 block synthesis: placement, emission, bridging."""
+"""Tests for Algorithm-1 block synthesis: placement and emission."""
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import repro.pipeline.passes as pipeline_passes
 from repro.circuit import QuantumCircuit
 from repro.compiler.mapping_utils import SwapTracker
-from repro.compiler.tetris import (
-    BlockSynthesisStats,
-    lower_blocks,
-    synthesize_tetris_block,
-)
+from repro.compiler.tetris import lower_blocks, synthesize_tetris_block
 from repro.compiler.tetris import synthesis
-from repro.compiler.tetris.synthesis import _BlockTree, _emit_uniform, try_block
-from repro.hardware import grid, linear, resolve_device
+from repro.compiler.tetris.synthesis import place_block
+from repro.hardware import linear, resolve_device
 from repro.passes import cancel_gates
 from repro.pauli import PauliBlock, PauliString
 from repro.pipeline import run_pipeline
 from repro.routing import Layout, verify_hardware_compliant
 from repro.service.jobs import CompileJob, job_blocks
 from repro.sim import Statevector
+from repro.workloads import WORKLOADS, workload_blocks
 
 from helpers import embed_state, random_logical_state, reference_circuit
 
@@ -28,10 +29,9 @@ def synthesize(blocks, coupling, layout=None, **kwargs):
     layout = layout or Layout.trivial(blocks[0].num_qubits, coupling.num_qubits)
     circuit = QuantumCircuit(coupling.num_qubits)
     tracker = SwapTracker(circuit, layout)
-    stats = []
     for ir in lower_blocks(blocks):
-        stats.append(synthesize_tetris_block(ir, tracker, coupling, **kwargs))
-    return circuit, layout, tracker, stats
+        synthesize_tetris_block(ir, tracker, coupling, **kwargs)
+    return circuit, layout, tracker
 
 
 def check_equivalence(blocks, circuit, initial, final, num_physical, seed=0):
@@ -66,7 +66,7 @@ class TestUniformEmission:
         """Hoisted emission: leaf-internal CNOTs appear exactly twice."""
         blocks = fig5_like_blocks()
         coupling = linear(6)
-        circuit, layout, tracker, _stats = synthesize(blocks, coupling)
+        circuit, layout, tracker = synthesize(blocks, coupling)
         assert verify_hardware_compliant(circuit.decompose_swaps(), coupling)
         # Structural bound: with k strings and hoisting, the raw CNOT count
         # is strictly below per-string ladders (2 strings x 2 x 5 edges).
@@ -78,14 +78,14 @@ class TestUniformEmission:
         blocks = fig5_like_blocks()
         coupling = linear(6)
         initial = list(range(6))
-        circuit, layout, _tracker, _stats = synthesize(blocks, coupling)
+        circuit, layout, _tracker = synthesize(blocks, coupling)
         final = [layout.physical(q) for q in range(6)]
         check_equivalence(blocks, circuit, initial, final, 6)
 
     def test_single_string_block(self):
         blocks = [PauliBlock([PauliString("ZIZIZ")], angle=0.4)]
         coupling = linear(6)
-        circuit, layout, _tracker, _stats = synthesize(blocks, coupling)
+        circuit, layout, _tracker = synthesize(blocks, coupling)
         final = [layout.physical(q) for q in range(5)]
         check_equivalence(blocks, circuit, list(range(5)), final, 6)
 
@@ -94,7 +94,7 @@ class TestUniformEmission:
             PauliBlock([PauliString("ZZZI"), PauliString("ZZZI")], weights=[1, 1])
         ]
         coupling = linear(5)
-        circuit, layout, _tracker, _stats = synthesize(blocks, coupling)
+        circuit, layout, _tracker = synthesize(blocks, coupling)
         final = [layout.physical(q) for q in range(4)]
         check_equivalence(blocks, circuit, list(range(4)), final, 5)
 
@@ -108,60 +108,10 @@ class TestNonUniformEmission:
             )
         ]
         coupling = linear(5)
-        circuit, layout, _tracker, _stats = synthesize(blocks, coupling)
+        circuit, layout, _tracker = synthesize(blocks, coupling)
         assert verify_hardware_compliant(circuit.decompose_swaps(), coupling)
         final = [layout.physical(q) for q in range(4)]
         check_equivalence(blocks, circuit, list(range(4)), final, 5)
-
-
-class TestBridging:
-    def test_bridge_used_when_ancilla_available(self):
-        """A leaf edge through a free |0> slot is emitted as a CNOT bridge.
-
-        Placement almost never leaves a bridge (it falls back to SWAPs),
-        so the emitter is driven from a hand-built tree."""
-        blocks = [
-            PauliBlock(
-                [PauliString("XZZY"), PauliString("YZZX")],
-                weights=[0.5, -0.5],
-                angle=0.6,
-            )
-        ]
-        ir = lower_blocks(blocks)[0]
-        assert (ir.root_qubits, ir.leaf_qubits) == ((0, 3), (1, 2))
-        coupling = linear(5)
-        # Roots 0 and 3 adjacent, leaf 1 next to root 3, leaf 2 beyond
-        # the free slot 3.
-        initial = [0, 2, 4, 1]
-        layout = Layout(4, 5)
-        for logical, physical in enumerate(initial):
-            layout.place(logical, physical)
-        path = [4, 3, 2]  # leaf 2 -> leaf 1
-        tree = _BlockTree(
-            root=0,
-            parent={3: 0, 1: 3, 2: 1},
-            root_set={0, 3},
-            leaf_set={1, 2},
-            bridge_paths={2: path},
-        )
-        circuit = QuantumCircuit(5)
-        stats = BlockSynthesisStats()
-        _emit_uniform(ir, SwapTracker(circuit, layout), tree, stats)
-        assert stats.bridged_edges == 1
-        assert stats.bridge_overhead_cnots == 2 * (len(path) - 2)
-        # A direct CX(4, 2) for the bridged edge would leave the coupling map.
-        assert verify_hardware_compliant(circuit, coupling)
-        check_equivalence(blocks, circuit, initial, initial, 5)
-
-    def test_bridging_toggle_changes_nothing_semantically(self):
-        blocks = fig5_like_blocks()
-        coupling = grid(2, 4)
-        for enable in (True, False):
-            circuit, layout, _t, _s = synthesize(
-                blocks, coupling, enable_bridging=enable
-            )
-            final = [layout.physical(q) for q in range(6)]
-            check_equivalence(blocks, circuit, list(range(6)), final, 8)
 
 
 class TestInterBlockCancellation:
@@ -169,8 +119,8 @@ class TestInterBlockCancellation:
         """Sec. V-B: matching leaf trees cancel across block boundaries."""
         block = fig5_like_blocks()[0]
         coupling = linear(6)
-        one, layout1, _t1, _s1 = synthesize([block], coupling)
-        two, layout2, _t2, _s2 = synthesize([block, block], coupling)
+        one, _layout1, _t1 = synthesize([block], coupling)
+        two, _layout2, _t2 = synthesize([block, block], coupling)
         cx_one = cancel_gates(one.decompose_swaps()).count_ops()["cx"]
         cx_two = cancel_gates(two.decompose_swaps()).count_ops()["cx"]
         # The second block re-uses the first block's arrangement: its leaf
@@ -178,13 +128,13 @@ class TestInterBlockCancellation:
         assert cx_two < 2 * cx_one
 
 
-class TestTryBlock:
+class TestPlaceBlock:
     def test_cost_matches_real_placement(self):
         blocks = fig5_like_blocks()
         coupling = linear(6)
         layout = Layout.trivial(6, 6)
         ir = lower_blocks(blocks)[0]
-        predicted = try_block(ir, layout, coupling)
+        predicted = place_block(ir, layout, coupling).num_swaps
         circuit = QuantumCircuit(6)
         tracker = SwapTracker(circuit, layout)
         synthesize_tetris_block(ir, tracker, coupling)
@@ -234,3 +184,97 @@ class TestPlaceOnce:
         else:
             assert len(trials) > len(blocks)
         assert len(placements) == len(trials) + len(untried)
+
+
+@lru_cache(maxsize=None)
+def lowered_workload(spec, encoder, scale="smoke"):
+    return lower_blocks(workload_blocks(spec, encoder, scale))
+
+
+WORKLOAD_CELLS = [
+    (f"{provider}:{instance}", encoder)
+    for provider in WORKLOADS.names()
+    for instance in WORKLOADS.get(provider).instance_names()
+    for encoder in (
+        ("JW", "BK") if WORKLOADS.get(provider).uses_encoder else ("JW",)
+    )
+]
+
+
+def layout_of(positions, num_physical):
+    layout = Layout(len(positions), num_physical)
+    for logical, physical in enumerate(positions):
+        layout.place(logical, int(physical))
+    return layout
+
+
+def relabel_outside(layout, block_qubits, rng):
+    """``layout`` with ``block_qubits`` left where they are and every
+    other logical qubit dealt at random over the slots the block does
+    not hold: outside qubits trade places and move into free slots."""
+    phys = layout.physical_map()
+    held = {phys[q] for q in block_qubits}
+    outside = [q for q in sorted(phys) if q not in block_qubits]
+    pool = [p for p in range(layout.num_physical) if p not in held]
+    slots = rng.choice(pool, size=len(outside), replace=False)
+    positions = dict(phys)
+    positions.update(zip(outside, slots.tolist()))
+    return layout_of(
+        [positions[q] for q in range(layout.num_logical)], layout.num_physical
+    )
+
+
+def capped_cost(ir, layout, coupling, cap):
+    placement = place_block(ir, layout, coupling, cap=cap)
+    return cap if placement is None else placement.num_swaps
+
+
+class TestPlacementReadsOnlyItsBlock:
+    """A trial's placement is a function of its own block's qubit
+    positions: relabelling every other logical qubit, some of them into
+    free slots, changes neither the record nor the capped cost."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(WORKLOAD_CELLS),
+        st.sampled_from(["heavy-hex:ibm-65", "grid:4x4"]),
+        st.integers(0, 10**6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_relabelled_outside_qubits(self, cell, device, pick, seed):
+        irs = lowered_workload(*cell)
+        num_logical = irs[0].num_qubits
+        assume(device != "grid:4x4" or num_logical <= 16)
+        coupling = resolve_device(device, num_logical)
+        ir = irs[pick % len(irs)]
+        rng = np.random.default_rng(seed)
+        layout = layout_of(
+            rng.choice(coupling.num_qubits, size=num_logical, replace=False),
+            coupling.num_qubits,
+        )
+        block_qubits = set(ir.root_qubits) | set(ir.leaf_qubits)
+        relabelled = relabel_outside(layout, block_qubits, rng)
+        placement = place_block(ir, layout, coupling)
+        assert place_block(ir, relabelled, coupling) == placement
+        cap = int(rng.integers(1, placement.num_swaps + 2))
+        assert capped_cost(ir, relabelled, coupling, cap) == (
+            capped_cost(ir, layout, coupling, cap)
+        )
+
+    def test_deferred_leaf_ignores_free_slots(self):
+        """Full-scale BeH2/JW on heavy-hex:ibm-65: block 123 trial-placed
+        from a layout its compile reaches.  Leaf 11 is deferred (no SWAP
+        path to its anchor avoids the block), and physical 24 lies on a
+        path of free slots between them; moving outside qubit 0 there
+        leaves the placement as it was.  A bridge check that read the
+        occupancy of that path made the two differ."""
+        irs = lowered_workload("chem:BeH2", "JW", "full")
+        coupling = resolve_device("heavy-hex:ibm-65", 14)
+        positions = [6, 16, 2, 3, 5, 20, 21, 17, 14, 4, 19, 15, 11, 18]
+        layout = layout_of(positions, coupling.num_qubits)
+        ir = irs[123]
+        assert 0 not in ir.root_qubits + ir.leaf_qubits
+        moved = layout_of([24] + positions[1:], coupling.num_qubits)
+        placement = place_block(ir, layout, coupling)
+        assert place_block(ir, moved, coupling) == placement
+
